@@ -6,7 +6,7 @@ states over a range of N and records the distribution of the S12
 non-normality norm ||[S12, S12^+]||_F together with the fraction of samples
 the pipeline still certifies as SPPT.  Output is one CSV row per N.
 
-Usage: python scripts/remark_strength.py [--samples K] [--seed S]
+Usage: python scripts/cq_3xn_sweep.py [--samples K] [--seed S]
             [--dims 2,3,4,6,8] [--output out.csv]
 """
 from __future__ import annotations

@@ -50,7 +50,7 @@ def analyze(
     sppt = factorization.is_sppt(state, tol)
     com = discord.commutator_criterion(state)
     report = discord.discord_a(state, opt, tol)
-    cq = discord.cq_detect(state, tol, opt)
+    cq = discord.cq_detect(state, tol)
 
     inconsistency = None
     if state.dim_a == 2 and cq.is_cq and not sppt.is_sppt:

@@ -195,7 +195,18 @@ def cmd_remark_3xn(args) -> int:
     return EXIT_OK if offenders > 0 else EXIT_CLAIM
 
 
-def _xstate_rows(params: families.XStateParams, tol: Tolerance, opt: OptimizerConfig):
+def _verdicts(state: bipartite.BipartiteState, tol: Tolerance):
+    """PPT, SPPT and CQ verdicts of one state, with its SPPT report."""
+    sppt = factorization.is_sppt(state, tol)
+    verdicts = {
+        "ppt": bipartite.is_ppt(state, tol).is_ppt,
+        "sppt": sppt.is_sppt,
+        "cq": discord.cq_detect(state, tol).is_cq,
+    }
+    return verdicts, sppt
+
+
+def _xstate_rows(params: families.XStateParams, tol: Tolerance):
     """(analytic, numeric) verdict triples for one X-state parameter set."""
     analytic = {
         "positive": families.xstate_is_positive(params),
@@ -206,10 +217,8 @@ def _xstate_rows(params: families.XStateParams, tol: Tolerance, opt: OptimizerCo
     w = np.linalg.eigvalsh(families.xstate_matrix(params))
     numeric = {"positive": bool(w[0] >= -tol.eps_psd)}
     if analytic["positive"] and numeric["positive"]:
-        state = families.xstate(params, tol)
-        numeric["ppt"] = bipartite.is_ppt(state, tol).is_ppt
-        numeric["sppt"] = factorization.is_sppt(state, tol).is_sppt
-        numeric["zero_discord"] = discord.cq_detect(state, tol, opt).is_cq
+        verdicts, _ = _verdicts(families.xstate(params, tol), tol)
+        numeric.update(ppt=verdicts["ppt"], sppt=verdicts["sppt"], zero_discord=verdicts["cq"])
     return analytic, numeric
 
 
@@ -220,7 +229,7 @@ def cmd_xstate(args) -> int:
             a11=args.a11, a22=args.a22, b11=args.b11, b22=args.b22,
             a12=args.a12, b12=args.b12,
         )
-        analytic, numeric = _xstate_rows(params, tol, _opt(args))
+        analytic, numeric = _xstate_rows(params, tol)
     except QcorrError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -262,10 +271,8 @@ def cmd_bell(args) -> int:
         "sppt": families.bell_is_sppt(params),
         "zero_discord": families.bell_zero_discord(params),
     }
-    numeric = {
-        "sppt": factorization.is_sppt(state, tol).is_sppt,
-        "zero_discord": discord.cq_detect(state, tol, opt).is_cq,
-    }
+    verdicts, _ = _verdicts(state, tol)
+    numeric = {"sppt": verdicts["sppt"], "zero_discord": verdicts["cq"]}
     com = discord.commutator_criterion(state)
     rep = discord.discord_a(state, opt, tol)
     mismatches = [k for k in numeric if analytic[k] != numeric[k]]
@@ -298,28 +305,29 @@ def _simplex_grid(steps: int):
         yield a / steps, b / steps, c / steps, d / steps
 
 
-def _scan_x_row(label, family, params, tol, opt):
-    valid = families.xstate_is_positive(params)
-    row = {"family": family, "label": label, "is_valid": valid,
-           "is_ppt": "", "is_sppt": "", "is_cq": "",
-           "normality_residual": "", "commutator": "", "discord": ""}
-    if not valid:
-        return row, None
-    state = families.xstate(params, tol)
-    sppt = factorization.is_sppt(state, tol)
-    verdicts = {
-        "ppt": bipartite.is_ppt(state, tol).is_ppt,
-        "sppt": sppt.is_sppt,
-        "cq": discord.cq_detect(state, tol, opt).is_cq,
-    }
-    row.update({
+def _scan_row(family, label, state, tol):
+    """CSV row (discord left blank) and verdicts of one valid scan point."""
+    verdicts, sppt = _verdicts(state, tol)
+    row = {
+        "family": family,
+        "label": label,
+        "is_valid": True,
         "is_ppt": verdicts["ppt"],
         "is_sppt": verdicts["sppt"],
         "is_cq": verdicts["cq"],
         "normality_residual": f"{sppt.residuals['normality']:.6e}",
         "commutator": f"{discord.commutator_criterion(state):.6e}",
-    })
+        "discord": "",
+    }
     return row, verdicts
+
+
+def _scan_x_row(label, family, params, tol):
+    if not families.xstate_is_positive(params):
+        row = dict.fromkeys(CSV_HEADER, "")
+        row.update(family=family, label=label, is_valid=False)
+        return row, None
+    return _scan_row(family, label, families.xstate(params, tol), tol)
 
 
 def cmd_scan_inclusions(args) -> int:
@@ -354,32 +362,18 @@ def cmd_scan_inclusions(args) -> int:
                 a12=ra * np.sqrt(a11 * a22), b12=rb * np.sqrt(b11 * b22),
             )
             label = f"x({a11:.3g},{a22:.3g},{b11:.3g},{b22:.3g};{ra:.2g},{rb:.2g})"
-            row, verdicts = _scan_x_row(label, "xgrid", params, tol, opt)
+            row, verdicts = _scan_x_row(label, "xgrid", params, tol)
             _note(verdicts)
             rows.append(row)
 
     for p in _simplex_grid(steps):
         params = families.BellDiagonalParams(*p)
         state = families.bell_diagonal(params, tol)
-        sppt = factorization.is_sppt(state, tol)
-        verdicts = {
-            "ppt": bipartite.is_ppt(state, tol).is_ppt,
-            "sppt": sppt.is_sppt,
-            "cq": discord.cq_detect(state, tol, opt).is_cq,
-        }
+        label = f"bell({p[0]:.3g},{p[1]:.3g},{p[2]:.3g},{p[3]:.3g})"
+        row, verdicts = _scan_row("bell", label, state, tol)
         _note(verdicts)
-        rep = discord.discord_a(state, opt, tol)
-        rows.append({
-            "family": "bell",
-            "label": f"bell({p[0]:.3g},{p[1]:.3g},{p[2]:.3g},{p[3]:.3g})",
-            "is_valid": True,
-            "is_ppt": verdicts["ppt"],
-            "is_sppt": verdicts["sppt"],
-            "is_cq": verdicts["cq"],
-            "normality_residual": f"{sppt.residuals['normality']:.6e}",
-            "commutator": f"{discord.commutator_criterion(state):.6e}",
-            "discord": f"{rep.discord:.6e}",
-        })
+        row["discord"] = f"{discord.discord_a(state, opt, tol).discord:.6e}"
+        rows.append(row)
 
     for i in range(args.samples):
         diag = rng.dirichlet(np.ones(4))
@@ -388,7 +382,7 @@ def cmd_scan_inclusions(args) -> int:
             a11=diag[0], a22=diag[1], b11=diag[2], b22=diag[3],
             a12=ra * np.sqrt(diag[0] * diag[1]), b12=rb * np.sqrt(diag[2] * diag[3]),
         )
-        row, verdicts = _scan_x_row(f"xr{i}", "xrandom", params, tol, opt)
+        row, verdicts = _scan_x_row(f"xr{i}", "xrandom", params, tol)
         _note(verdicts)
         rows.append(row)
 

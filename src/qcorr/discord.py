@@ -10,6 +10,10 @@ S(rho_B) - sum_k p_k S(rho_B|k) and never exceeds the mutual information,
 so the search can stop as soon as it gets within a fraction of eps_opt of
 that bound; this early exit is exact for classical-quantum inputs, where
 the marginal eigenbasis already attains the supremum.
+
+Classical-quantum detection (cq_detect) involves no search: it is a joint
+diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
+it serves any dim_a.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .bipartite import (
     partial_trace_b,
 )
 from .errors import DimensionMismatch, InvalidParams, NotDensityMatrix
+from .families import random_unitary
 from .matlib import (
     DEFAULT_TOL,
     Tolerance,
@@ -56,15 +61,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the measurement search.
+    """Knobs for the measurement search of discord_a.
 
     grid_theta x grid_phi coarse Bloch-sphere grid, then Nelder-Mead
     refinement (refine_maxfev evaluations, refine_ftol objective tolerance).
     eps_opt is the absolute accuracy the optimum is trusted to.  The *_3d
-    fields control the qutrit-side search: two contraction-eigenbasis
-    candidates, the identity, then starts_3d - 1 seeded random unitaries
-    drawn from PCG64 with random_seed, each refined for at most
-    refine_maxfev_3d evaluations.
+    fields control the qutrit-side search: the rho_A eigenbasis, the
+    identity, then starts_3d - 2 seeded Haar unitaries drawn from PCG64 with
+    random_seed, each refined for at most refine_maxfev_3d evaluations.
+    None of the fields affects cq_detect.
     """
 
     grid_theta: int = 64
@@ -146,7 +151,7 @@ class DiscordReport:
 
 @dataclass(frozen=True)
 class CqVerdict:
-    """Outcome of the classical-quantum structure search.
+    """Outcome of the classical-quantum structure test.
 
     off_block_residual is the Frobenius norm of the strict upper off-diagonal
     blocks in the best product basis found; is_cq holds when it is at most
@@ -251,8 +256,7 @@ def conditional_entropy(
 
 @lru_cache(maxsize=8)
 def _sphere_grid(n_theta: int, n_phi: int):
-    """Cached angle grid: thetas, phis, outcome coefficient tensor, and the
-    basis-pair coefficient vector used by the off-block objective."""
+    """Cached angle grid: thetas, phis and the outcome coefficient tensor."""
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     tt = np.repeat(theta, n_phi)
@@ -269,10 +273,9 @@ def _sphere_grid(n_theta: int, n_phi: int):
         ],
         axis=1,
     )
-    cross = np.einsum("gi,gj->gij", np.conj(vp), vm).reshape(len(tt), 4)
-    for arr in (tt, pp, coef, cross):
+    for arr in (tt, pp, coef):
         arr.setflags(write=False)
-    return tt, pp, coef, cross
+    return tt, pp, coef
 
 
 def _qubit_coef(theta: float, phi: float) -> np.ndarray:
@@ -289,7 +292,7 @@ def _qubit_coef(theta: float, phi: float) -> np.ndarray:
 def _cc_qubit(state: BipartiteState, opt: OptimizerConfig, tol: Tolerance, mi: float):
     b = block_tensor(state)
     s_b = _entropy_of(partial_trace_a(state))
-    tt, pp, coef, _ = _sphere_grid(opt.grid_theta, opt.grid_phi)
+    tt, pp, coef = _sphere_grid(opt.grid_theta, opt.grid_phi)
     values = s_b - _cond_entropy_batch(coef, b, tol.eps_prob)
     g = int(np.argmax(values))
     best = float(values[g])
@@ -317,13 +320,6 @@ def _cc_qubit(state: BipartiteState, opt: OptimizerConfig, tol: Tolerance, mi: f
             best = -float(res.fun)
             theta, phi = _canonical_angles(float(res.x[0]), float(res.x[1]))
     return max(0.0, best), QubitMeasurement(theta, phi), evals, values.size
-
-
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def _givens(n: int, p: int, q: int, theta: float, phi: float) -> np.ndarray:
@@ -357,7 +353,7 @@ def _cc_qutrit(state: BipartiteState, opt: OptimizerConfig, tol: Tolerance, mi: 
     starts = [eig_a.eigenvectors, np.eye(3, dtype=np.complex128)]
     rng = np.random.default_rng(opt.random_seed)
     for _ in range(max(0, opt.starts_3d - 2)):
-        starts.append(_haar_unitary(rng, 3))
+        starts.append(random_unitary(3, rng))
 
     best = -np.inf
     u_best = starts[0]
@@ -439,79 +435,10 @@ def commutator_criterion(state: BipartiteState) -> float:
     return fro_norm(commutator(state.rho, np.kron(rho_a, np.eye(state.dim_b))))
 
 
-def _slice_bases(a: np.ndarray, count: int, seed: int) -> list[np.ndarray]:
-    """Eigenbases of generic Hermitian B-side contractions of a cluster.
-
-    For a classical-quantum cluster every contraction G[k, l] = sum_ab
-    a[k, l, a, b] W[b, a] with Hermitian W is diagonal in the classical
-    basis, so eigh(G) recovers that basis outright (up to column phases and
-    order, which the off-block mass ignores).  Generic states gain nothing,
-    but the candidates are cheap and keep the search sound.
-    """
-    rng = np.random.default_rng(seed)
-    n = a.shape[2]
-    out = []
-    for _ in range(count):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w = (g + g.conj().T) / 2
-        h = np.einsum("klab,ba->kl", a, w)
-        out.append(np.linalg.eigh((h + h.conj().T) / 2)[1])
-    return out
-
-
-def _angles_of_column(u: np.ndarray) -> tuple[float, float]:
-    """Bloch angles of the first basis column, modulo the free phases."""
-    v = u[:, 0]
-    if abs(v[0]) > 1e-12:
-        v = v * np.conj(v[0] / abs(v[0]))
-    theta = 2.0 * float(np.arctan2(abs(v[1]), v[0].real))
-    phi = float(np.angle(v[1])) % (2.0 * np.pi) if abs(v[1]) > 1e-12 else 0.0
-    return theta, phi
-
-
-def _cluster2_min(a: np.ndarray, tol: Tolerance, opt: OptimizerConfig):
-    """Minimal squared off-block norm over rotations of a 2-fold degenerate
-    cluster, with the optimal 2x2 basis rotation."""
-    flat = a.reshape(4, -1)
-    gram = flat.conj() @ flat.T
-    tt, pp, _, cross = _sphere_grid(opt.grid_theta, opt.grid_phi)
-    f = np.einsum("gi,ij,gj->g", np.conj(cross), gram, cross).real
-    g = int(np.argmin(f))
-    best = float(f[g])
-    theta, phi = float(tt[g]), float(pp[g])
-
-    def obj(x):
-        c = np.cos(x[0] / 2.0)
-        s = np.sin(x[0] / 2.0)
-        e = np.exp(1j * x[1])
-        vec = np.einsum(
-            "i,j->ij",
-            np.conj(np.array([c, e * s])),
-            np.array([-np.conj(e) * s, c]),
-        ).reshape(4)
-        return float(np.real(np.conj(vec) @ gram @ vec))
-
-    for u_s in _slice_bases(a, 2, opt.random_seed):
-        th_s, ph_s = _angles_of_column(u_s)
-        val = obj([th_s, ph_s])
-        if val < best:
-            best, theta, phi = val, th_s, ph_s
-
-    if best > tol.eps_cq**2 * 1e-4:
-        res = minimize(
-            obj,
-            np.array([theta, phi]),
-            method="Nelder-Mead",
-            options={"maxfev": 400, "fatol": 1e-18, "xatol": 1e-10},
-        )
-        if float(res.fun) < best:
-            best = max(0.0, float(res.fun))
-            theta, phi = float(res.x[0]), float(res.x[1])
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    u = np.array([[c, -np.conj(e) * s], [e * s, c]], dtype=np.complex128)
-    return best, u
+# Jacobi sweeps stop once a sweep lowers the off-block mass by no more than
+# this fraction of it; the sweep cap only guards against a stalled loop.
+_SWEEP_RTOL = 1e-15
+_MAX_SWEEPS = 100
 
 
 def _off_mass(blocks: np.ndarray) -> float:
@@ -519,39 +446,27 @@ def _off_mass(blocks: np.ndarray) -> float:
     return float(sum(fro_norm(blocks[k, l]) ** 2 for k in range(m) for l in range(k + 1, m)))
 
 
-def _cluster3_min(a: np.ndarray, tol: Tolerance, opt: OptimizerConfig):
-    rng = np.random.default_rng(opt.random_seed)
-    starts = _slice_bases(a, 2, opt.random_seed)
-    starts.append(np.eye(3, dtype=np.complex128))
-    for _ in range(max(1, opt.starts_3d - 1)):
-        starts.append(_haar_unitary(rng, 3))
-    best = np.inf
-    u_best = starts[0]
-    x0 = np.zeros(6)
-    for w in starts:
-        def obj(x, w=w):
-            u = _chart_u3(x, w)
-            rot = np.einsum("ik,jl,ijab->klab", np.conj(u), u, a)
-            return _off_mass(rot)
+def _rotate_pair(bp: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
+    """Rotate basis columns p, q to minimize the (p, q) off-block, in place.
 
-        base = obj(x0)
-        if base < best:
-            best = max(0.0, base)
-            u_best = w
-        if best <= tol.eps_cq**2 * 1e-4:
-            break
-        res = minimize(
-            obj,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": opt.refine_maxfev_3d, "fatol": 1e-18, "xatol": 1e-10},
-        )
-        if float(res.fun) < best:
-            best = max(0.0, float(res.fun))
-            u_best = _chart_u3(res.x, w)
-        if best <= tol.eps_cq**2 * 1e-4:
-            break
-    return best, u_best
+    Writing the pair's 2x2 block grid as sum_mu sigma_mu (x) A_mu, the
+    rotation whose first vector has Bloch direction n leaves
+    tr(Gamma) - n^T Gamma n in the off-block, Gamma_{mu nu} = Re tr(A_mu A_nu)
+    over (x, y, z); the top eigenvector of Gamma is the global minimizer.
+    Blocks coupling p or q to other indices only mix among themselves.
+    """
+    b_pp, b_pq, b_qp, b_qq = bp[p, p], bp[p, q], bp[q, p], bp[q, q]
+    comps = np.stack([b_pq + b_qp, 1j * (b_pq - b_qp), b_pp - b_qq]).reshape(3, -1) / 2
+    n = np.linalg.eigh((comps.conj() @ comps.T).real)[1][:, -1]
+    if n[2] < 0.0:
+        n = -n
+    c = np.sqrt((1.0 + n[2]) / 2.0)
+    z = (n[0] + 1j * n[1]) / (2.0 * c)
+    u = np.array([[c, -np.conj(z)], [z, c]])
+    pq = [p, q]
+    bp[pq] = np.einsum("ik,i...->k...", u.conj(), bp[pq])
+    bp[:, pq] = np.einsum("jl,kj...->kl...", u, bp[:, pq])
+    basis[:, pq] = basis[:, pq] @ u
 
 
 def _psd_clamp(m: np.ndarray) -> np.ndarray:
@@ -564,42 +479,24 @@ def cq_detect(
     tol: Tolerance = DEFAULT_TOL,
     opt: OptimizerConfig = DEFAULT_OPT,
 ) -> CqVerdict:
-    """Decide whether the state is classical-quantum on the A side.
+    """Decide whether the state is classical-quantum on the A side, any dim_a.
 
     The search space is the orthonormal A-side bases; any such basis must
     diagonalize rho_A, so the blocks are rotated to the rho_A eigenbasis and
     only rotations inside degenerate eigenvalue clusters (gap at most
-    eps_degenerate) remain free.  The off-block mass between distinct
-    clusters is rotation invariant and enters the residual as is; inside
-    each 2- or 3-fold cluster the mass is minimized by grid plus simplex
-    descent.  A commutator above eps_residual short-circuits to a negative
-    verdict, reporting the plain eigenbasis residual.
+    eps_degenerate) remain free.  Those rotations leave the off-block mass
+    between clusters unchanged; inside the clusters it is minimized by
+    Jacobi sweeps over index pairs, each pair rotation in closed form (see
+    _rotate_pair), so a 2-fold cluster is solved by one rotation.  A
+    commutator above eps_residual short-circuits to a negative verdict,
+    reporting the plain eigenbasis residual.  opt is accepted for
+    compatibility and no longer affects the result.
     """
     m = state.dim_a
-    if m not in (2, 3):
-        raise DimensionMismatch(f"cq_detect defined for dim_a in {{2, 3}}, got {m}")
     b = block_tensor(state)
     eig = hermitian_eig(partial_trace_b(state), tol)
-    u0 = eig.eigenvectors
-    bp = np.einsum("ik,jl,ijab->klab", np.conj(u0), u0, b)
-
-    lam = eig.eigenvalues
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, m):
-        if lam[i - 1] - lam[i] <= tol.eps_degenerate:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    member = {i: ci for ci, cl in enumerate(clusters) for i in cl}
-    fixed = float(
-        sum(
-            fro_norm(bp[k, l]) ** 2
-            for k in range(m)
-            for l in range(k + 1, m)
-            if member[k] != member[l]
-        )
-    )
+    basis = eig.eigenvectors.copy()
+    bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
 
     if commutator_criterion(state) > tol.eps_residual:
         return CqVerdict(
@@ -609,31 +506,23 @@ def cq_detect(
             sigma_list=None,
         )
 
-    total = fixed
-    rotations: list[np.ndarray] = []
-    for cl in clusters:
-        if len(cl) == 1:
-            rotations.append(np.eye(1, dtype=np.complex128))
-            continue
-        sub = bp[np.ix_(cl, cl)]
-        if len(cl) == 2:
-            val, u = _cluster2_min(sub, tol, opt)
-        else:
-            val, u = _cluster3_min(sub, tol, opt)
-        total += val
-        rotations.append(u)
+    # the eigenvalues descend, so a cluster is a run of gaps <= eps_degenerate
+    lam = eig.eigenvalues
+    cluster = np.cumsum(np.r_[0, lam[:-1] - lam[1:] > tol.eps_degenerate])
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
 
-    off = float(np.sqrt(max(total, 0.0)))
+    mass = _off_mass(bp)
+    for _ in range(_MAX_SWEEPS):
+        if not pairs or mass == 0.0:
+            break
+        for p, q in pairs:
+            _rotate_pair(bp, basis, p, q)
+        last, mass = mass, _off_mass(bp)
+        if last - mass <= _SWEEP_RTOL * last:
+            break
+
+    off = float(np.sqrt(mass))
     if off > tol.eps_cq:
         return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None)
-
-    full = np.zeros((m, m), dtype=np.complex128)
-    pos = 0
-    for cl, u in zip(clusters, rotations):
-        k = len(cl)
-        full[pos : pos + k, pos : pos + k] = u
-        pos += k
-    basis = u0 @ full
-    rotated = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
-    sigma_list = [_psd_clamp(rotated[k, k]) for k in range(m)]
+    sigma_list = [_psd_clamp(bp[k, k]) for k in range(m)]
     return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=sigma_list)

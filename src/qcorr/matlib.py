@@ -189,6 +189,6 @@ def pseudo_inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return np.zeros_like(_as_matrix(a))
     lam = eig.eigenvalues
     cut = tol.eps_rank * float(np.max(np.abs(lam)))
-    inv = np.where(np.abs(lam) > cut, np.divide(1.0, lam, where=np.abs(lam) > cut), 0.0)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=np.abs(lam) > cut)
     out = (eig.eigenvectors * inv) @ dagger(eig.eigenvectors)
     return (out + dagger(out)) / 2

@@ -172,6 +172,166 @@ def commuting_slice_cq(state: BipartiteState, tol: float = 1e-8) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# grid + simplex search for the classical-quantum off-block mass
+
+
+_SEARCH_SEED = 20260815
+_SEARCH_GRID = (64, 128)
+_SEARCH_STARTS_3 = 6
+_SEARCH_MAXFEV_3 = 400
+
+
+def _bloch_pair_coef(theta, phi) -> np.ndarray:
+    """conj(v_plus) v_minus^T, flattened, for the qubit basis at (theta, phi)."""
+    c = np.cos(np.asarray(theta) / 2.0)
+    s = np.sin(np.asarray(theta) / 2.0)
+    e = np.exp(1j * np.asarray(phi))
+    vp = np.stack([c, e * s], axis=-1)
+    vm = np.stack([-np.conj(e) * s, c], axis=-1)
+    return np.einsum("...i,...j->...ij", np.conj(vp), vm).reshape(vp.shape[:-1] + (4,))
+
+
+def _contraction_bases(a: np.ndarray, count: int, seed: int) -> list[np.ndarray]:
+    """Eigenbases of random Hermitian B-side contractions of a cluster."""
+    rng = np.random.default_rng(seed)
+    n = a.shape[2]
+    out = []
+    for _ in range(count):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = (g + g.conj().T) / 2
+        h = np.einsum("klab,ba->kl", a, w)
+        out.append(np.linalg.eigh((h + h.conj().T) / 2)[1])
+    return out
+
+
+def _first_column_angles(u: np.ndarray) -> tuple[float, float]:
+    v = u[:, 0]
+    if abs(v[0]) > 1e-12:
+        v = v * np.conj(v[0] / abs(v[0]))
+    theta = 2.0 * float(np.arctan2(abs(v[1]), v[0].real))
+    phi = float(np.angle(v[1])) % (2.0 * np.pi) if abs(v[1]) > 1e-12 else 0.0
+    return theta, phi
+
+
+def _pair_min(a: np.ndarray, floor: float) -> float:
+    """Least off-block mass of a 2-fold cluster: grid, two contraction
+    eigenbases, then Nelder-Mead from the best of them."""
+    from scipy.optimize import minimize
+
+    flat = a.reshape(4, -1)
+    gram = flat.conj() @ flat.T
+
+    def obj(x):
+        vec = _bloch_pair_coef(x[0], x[1])
+        return float(np.real(np.conj(vec) @ gram @ vec))
+
+    n_theta, n_phi = _SEARCH_GRID
+    tt = np.repeat(np.linspace(0.0, np.pi, n_theta), n_phi)
+    pp = np.tile(np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False), n_theta)
+    cross = _bloch_pair_coef(tt, pp)
+    f = np.einsum("gi,ij,gj->g", np.conj(cross), gram, cross).real
+    g = int(np.argmin(f))
+    best, x = float(f[g]), [float(tt[g]), float(pp[g])]
+    for u in _contraction_bases(a, 2, _SEARCH_SEED):
+        cand = list(_first_column_angles(u))
+        if obj(cand) < best:
+            best, x = obj(cand), cand
+    if best > floor:
+        res = minimize(obj, np.array(x), method="Nelder-Mead",
+                       options={"maxfev": 400, "fatol": 1e-18, "xatol": 1e-10})
+        best = min(best, max(0.0, float(res.fun)))
+    return best
+
+
+def _givens3(p: int, q: int, theta: float, phi: float) -> np.ndarray:
+    g = np.eye(3, dtype=np.complex128)
+    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+    g[p, p] = c
+    g[q, q] = c
+    g[p, q] = -np.conj(e) * s
+    g[q, p] = e * s
+    return g
+
+
+def _haar3(rng: np.random.Generator) -> np.ndarray:
+    g = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _triple_min(a: np.ndarray, floor: float) -> float:
+    """Least off-block mass of a 3-fold cluster found by Nelder-Mead over a
+    Givens chart of U(3), from contraction eigenbases, I and Haar starts."""
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(_SEARCH_SEED)
+    starts = _contraction_bases(a, 2, _SEARCH_SEED)
+    starts.append(np.eye(3, dtype=np.complex128))
+    for _ in range(_SEARCH_STARTS_3 - 1):
+        starts.append(_haar3(rng))
+    best = np.inf
+    for w in starts:
+        def obj(x, w=w):
+            u = (w @ _givens3(0, 1, x[0], x[1]) @ _givens3(0, 2, x[2], x[3])
+                 @ _givens3(1, 2, x[4], x[5]))
+            rot = np.einsum("ik,jl,ijab->klab", np.conj(u), u, a)
+            return sum(float(np.linalg.norm(rot[k, l])) ** 2
+                       for k in range(3) for l in range(k + 1, 3))
+
+        best = min(best, max(0.0, obj(np.zeros(6))))
+        if best <= floor:
+            break
+        res = minimize(obj, np.zeros(6), method="Nelder-Mead",
+                       options={"maxfev": _SEARCH_MAXFEV_3, "fatol": 1e-18, "xatol": 1e-10})
+        best = min(best, max(0.0, float(res.fun)))
+        if best <= floor:
+            break
+    return best
+
+
+def searched_off_mass(state: BipartiteState, eps_degenerate: float = 1e-8,
+                      eps_cq: float = 1e-6) -> float:
+    """Squared CQ off-block residual from a grid + simplex search.
+
+    The blocks are taken to the descending rho_A eigenbasis; the mass
+    between eigenvalue clusters (gap at most eps_degenerate inside one) is
+    fixed, and the mass inside each 2- or 3-fold cluster is minimized by
+    search.  A search can stall above the true minimum, so this is an upper
+    bound on the least off-block mass, exact up to search accuracy for
+    2-fold clusters.
+    """
+    m, n = state.dim_a, state.dim_b
+    if m not in (2, 3):
+        raise ValueError("searched_off_mass expects dim_a 2 or 3")
+    rho = state.rho
+    blocks = np.array([[rho[k * n:(k + 1) * n, l * n:(l + 1) * n] for l in range(m)]
+                       for k in range(m)])
+    rho_a = np.einsum("klaa->kl", blocks)
+    lam, vec = np.linalg.eigh((rho_a + rho_a.conj().T) / 2)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    bp = np.einsum("ik,jl,ijab->klab", np.conj(vec), vec, blocks)
+
+    clusters = [[0]]
+    for i in range(1, m):
+        if lam[i - 1] - lam[i] <= eps_degenerate:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    member = {i: ci for ci, cl in enumerate(clusters) for i in cl}
+    total = sum(float(np.linalg.norm(bp[k, l])) ** 2
+                for k in range(m) for l in range(k + 1, m) if member[k] != member[l])
+    floor = eps_cq ** 2 * 1e-4
+    for cl in clusters:
+        sub = bp[np.ix_(cl, cl)]
+        if len(cl) == 2:
+            total += _pair_min(sub, floor)
+        elif len(cl) == 3:
+            total += _triple_min(sub, floor)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # stratified X-state parameter sampling with decision margins
 
 

@@ -70,7 +70,7 @@ def test_criterion_02_cq_does_not_imply_sppt_for_3xn():
 
         if fro_norm(lhs) > 1e-3:
             offenders += 1
-            assert discord.cq_detect(state, TOL, OPT).is_cq
+            assert discord.cq_detect(state, TOL).is_cq
             assert bipartite.is_ppt(state, TOL).is_ppt
             assert discord.discord_a(state, OPT, TOL).discord <= 1e-4
     assert offenders >= 95
@@ -114,14 +114,13 @@ def test_criterion_03_xstate_criteria_match_numerics():
 
 
 def test_criterion_04_bell_diagonal_criteria_on_simplex_grid():
-    opt = OptimizerConfig(grid_theta=16, grid_phi=32)
     points = simplex_grid(50)
     worst_comm = 0.0
     for p in points:
         params = families.BellDiagonalParams(*p)
         state = families.bell_diagonal(params, TOL)
         assert families.bell_is_sppt(params) == factorization.is_sppt(state, TOL).is_sppt, p
-        assert families.bell_zero_discord(params) == discord.cq_detect(state, TOL, opt).is_cq, p
+        assert families.bell_zero_discord(params) == discord.cq_detect(state, TOL).is_cq, p
         worst_comm = max(worst_comm, discord.commutator_criterion(state))
     assert worst_comm <= 1e-10
     probe = families.bell_diagonal(families.BellDiagonalParams(0.7, 0.1, 0.1, 0.1), TOL)
@@ -140,7 +139,7 @@ def test_criterion_05_zero_discord_bell_family():
         d = discord.discord_a(state, OPT, TOL).discord
         worst = max(worst, d)
         assert d <= 1e-4
-        assert discord.cq_detect(state, TOL, OPT).is_cq
+        assert discord.cq_detect(state, TOL).is_cq
     for i in range(4):
         for j in range(i + 1, 4):
             p = [0.0, 0.0, 0.0, 0.0]

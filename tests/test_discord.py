@@ -446,9 +446,60 @@ def test_cq_detect_zero_discord_xstates():
     assert not cq_detect(xstate(no)).is_cq
 
 
-def test_cq_detect_requires_dim_a_two_or_three():
-    with pytest.raises(DimensionMismatch):
-        cq_detect(ginibre_state(0, 4, 2))
+def kron_cq_state(u: np.ndarray, weights, dim_b: int, seed: int) -> BipartiteState:
+    """sum_k w_k |u_k><u_k| (x) sigma_k with Ginibre sigma_k, for any dim_a."""
+    rho = sum(
+        w * np.kron(np.outer(u[:, k], u[:, k].conj()), random_ginibre_density(dim_b, seed + k))
+        for k, w in enumerate(weights)
+    )
+    return validate(rho, u.shape[0], dim_b)
+
+
+def test_cq_detect_serves_any_dim_a():
+    cases = [
+        kron_cq_state(np.eye(1), [1.0], 3, seed=81),
+        kron_cq_state(random_unitary(4, rng_seed=82), [0.1, 0.2, 0.3, 0.4], 2, seed=83),
+        kron_cq_state(random_unitary(4, rng_seed=84), [0.25] * 4, 3, seed=85),
+    ]
+    assert np.allclose(partial_trace_b(cases[2]), np.eye(4) / 4, atol=1e-12)
+    for s in cases:
+        v = cq_detect(s)
+        assert v.is_cq
+        assert v.off_block_residual <= DEFAULT_TOL.eps_cq
+        assert np.allclose(rebuild_from_verdict(v, s.dim_b), s.rho, atol=1e-7)
+    g = ginibre_state(0, 4, 2)
+    v = cq_detect(g)
+    assert not v.is_cq
+    assert v.is_cq == H.commuting_slice_cq(g)
+
+
+def mixed_marginal_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
+    """(rho_A^{-1/2} (x) I) rho (rho_A^{-1/2} (x) I) / dim_a from a Ginibre rho,
+    whose A marginal is exactly maximally mixed."""
+    rho = random_ginibre_density(dim_a * dim_b, seed)
+    w, v = np.linalg.eigh(partial_trace_b(validate(rho, dim_a, dim_b)))
+    k = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(dim_b))
+    out = k @ rho @ k / dim_a
+    return validate((out + out.conj().T) / 2, dim_a, dim_b)
+
+
+def test_cq_detect_residual_against_cluster_search():
+    # with rho_A = I / dim_a the whole basis is one degenerate cluster; the
+    # closed-form 2-fold rotation must reach the searched minimum, and the
+    # 3-fold Jacobi sweeps must never stay above it
+    for seed, dim_b in [(0, 2), (1, 3), (2, 4)]:
+        s = mixed_marginal_state(seed, 2, dim_b)
+        assert np.allclose(partial_trace_b(s), np.eye(2) / 2, atol=1e-12)
+        got = cq_detect(s).off_block_residual ** 2
+        assert got == pytest.approx(H.searched_off_mass(s), abs=1e-12)
+    lowered = 0
+    for seed, dim_b in [(0, 2), (1, 3), (2, 2)]:
+        s = mixed_marginal_state(seed, 3, dim_b)
+        got = cq_detect(s).off_block_residual ** 2
+        searched = H.searched_off_mass(s)
+        assert got <= searched + 1e-12
+        lowered += got < searched - 1e-6
+    assert lowered >= 1
 
 
 @settings(max_examples=20, deadline=None)
