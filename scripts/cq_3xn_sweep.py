@@ -31,9 +31,9 @@ def sweep_row(n: int, samples: int, seed: int, tol: Tolerance) -> str:
     sppt = 0
     for i, s in enumerate(seeds):
         state = families.random_cq(3, n, int(s), tol)
-        f = factorization.factorize_3xn(state, tol)
-        nonnormal[i] = fro_norm(commutator(f.s12, dagger(f.s12)))
-        cross[i] = f.cross_residual
+        f = factorization.factorize(state, tol)
+        nonnormal[i] = fro_norm(commutator(f.s[0, 1], dagger(f.s[0, 1])))
+        cross[i] = f.residuals["cross"]
         sppt += factorization.is_sppt(state, tol).is_sppt
     return (f"{n},{samples},{sppt / samples:.4f},{nonnormal.min():.6e},"
             f"{np.median(nonnormal):.6e},{nonnormal.max():.6e},"

@@ -160,8 +160,7 @@ def cmd_remark_3xn(args) -> int:
     worst_resid = -1.0
     for k, child in enumerate(children):
         state = families.random_cq(3, n, child, tol)
-        fac = factorization.factorize_3xn(state, tol)
-        resid = fac.normality_residuals["s12"]
+        resid = factorization.factorize(state, tol).residuals["normality_s12"]
         if resid > tol.eps_sppt:
             offenders += 1
             if resid > worst_resid:

@@ -487,7 +487,8 @@ def cq_detect(
     eps_degenerate) remain free.  Those rotations leave the off-block mass
     between clusters unchanged; inside the clusters it is minimized by
     Jacobi sweeps over index pairs, each pair rotation in closed form (see
-    _rotate_pair), so a 2-fold cluster is solved by one rotation.  A
+    _rotate_pair), so a 2-fold cluster is solved by one rotation, and when
+    no cluster has more than two levels a single sweep is final.  A
     commutator above eps_residual short-circuits to a negative verdict,
     reporting the plain eigenbasis residual.  opt is accepted for
     compatibility and no longer affects the result.
@@ -510,6 +511,9 @@ def cq_detect(
     lam = eig.eigenvalues
     cluster = np.cumsum(np.r_[0, lam[:-1] - lam[1:] > tol.eps_degenerate])
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
+    # no cluster above 2 levels: each rotation is exact and touches no other
+    # pair, so one sweep is the minimum
+    disjoint = np.bincount(cluster).max() <= 2
 
     mass = _off_mass(bp)
     for _ in range(_MAX_SWEEPS):
@@ -518,7 +522,7 @@ def cq_detect(
         for p, q in pairs:
             _rotate_pair(bp, basis, p, q)
         last, mass = mass, _off_mass(bp)
-        if last - mass <= _SWEEP_RTOL * last:
+        if disjoint or last - mass <= _SWEEP_RTOL * last:
             break
 
     off = float(np.sqrt(mass))

@@ -1,35 +1,39 @@
 """Block Cholesky factorization rho = X^dagger X and the strong PPT test.
 
-For a 2xN state the factor is X = [[X1, S X1], [0, X2]] with X1, X2
-Hermitian PSD (the canonical gauge) and S = X1^+ rho12 X1^+.  The state
-is strong PPT (SPPT) when S is normal; replacing S by S^dagger then
-reproduces the partial transpose.  For 3xN the factor carries S12, S13,
-S23 and the SPPT test additionally requires S12 S13^dagger = S13^dagger S12.
+For an MxN state, any M >= 1, the factor X is upper block-triangular with
+diagonal blocks X_j, Hermitian PSD (the canonical gauge), and blocks
+S_jl X_j above the diagonal.  It is built row by row: the Schur complement
+M_jj = rho_jj - sum_{i<j} X_i S_ij^dagger S_ij X_i gives X_j = sqrt(M_jj),
+and S_jl = X_j^+ (rho_jl - sum_{i<j} X_i S_ij^dagger S_il X_i) X_j^+.
 
-When X1 is rank-deficient and rho12 carries mass outside its range, no S
-reproduces rho12 and the canonical extraction cannot decide SPPT; the
-factorization is then flagged rank_deficient, the unexplained mass is
-reported, and the verdict is negative rather than silently passed.
+The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
+gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
+every row j, each S_jk (k > j) normal and S_jk S_jl^dagger = S_jl^dagger S_jk
+for j < k < l; together these make the replacement exact.  For 2xN this is
+the single condition that S = S_12 is normal.
+
+When X_j is rank-deficient and the off blocks of row j carry mass outside
+its range, no S reproduces them and the canonical extraction cannot decide
+SPPT; the factorization is then flagged rank_deficient, the unexplained mass
+is reported, and the verdict is negative rather than silently passed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.linalg as npl
 
 from . import bipartite
-from .bipartite import BipartiteState, assemble_blocks, block_tensor
+from .bipartite import BipartiteState, block_tensor
 from .errors import DimensionMismatch, InconsistentBlocks, NotPsd, NotUnitary
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitian_eig, hermitize
 
 __all__ = [
-    "SpptFactorization2",
-    "SpptFactorization3",
+    "SpptFactorization",
     "SpptVerdict",
-    "factorize_2xn",
-    "factorize_3xn",
+    "factorize",
     "assemble_x",
     "canonical_y",
     "gauge_transform",
@@ -38,36 +42,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpptFactorization2:
-    """Canonical factorization of a 2xN state.
+class SpptFactorization:
+    """Canonical factorization of an MxN state.
 
-    rho is the factorized matrix; unexplained_mass is the Frobenius norm of
-    the part of rho12 outside the range of X1 (zero when X1 has full rank).
+    x[j] is X_{j+1}, shape (M, N, N); s[j, l] is S_{j+1,l+1} for j < l and
+    zero elsewhere, shape (M, M, N, N).  residuals holds the normality and
+    cross residuals of S under the names is_sppt reports.  unexplained_mass
+    is the Frobenius norm of the off-block parts outside the range of their
+    row's X_j (zero when every X_j has full rank); rho is the factorized
+    matrix.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
+    x: np.ndarray
     s: np.ndarray
+    residuals: dict[str, float]
     reconstruction_residual: float
-    normality_residual: float
-    rank_deficient: bool
-    unexplained_mass: float
-    rho: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpptFactorization3:
-    """Canonical factorization of a 3xN state (see module docstring)."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    s12: np.ndarray
-    s13: np.ndarray
-    s23: np.ndarray
-    reconstruction_residual: float
-    normality_residuals: dict[str, float]
-    cross_residual: float
     rank_deficient: bool
     unexplained_mass: float
     rho: np.ndarray
@@ -77,16 +66,35 @@ class SpptFactorization3:
 class SpptVerdict:
     """SPPT decision with every residual that entered it.
 
-    is_sppt requires all normality (and, for 3xN, cross) residuals under
-    their thresholds, a faithful reconstruction, numerical PPT, and a
-    decidable extraction (rank_deficient false), so is_sppt implies is_ppt
-    by construction.  For 3xN the verdict refers to the canonical gauge.
+    is_sppt requires every normality and cross residual under its threshold,
+    a faithful reconstruction, numerical PPT, and a decidable extraction
+    (rank_deficient false), so is_sppt implies is_ppt by construction.  For
+    dim_a >= 3 the verdict refers to the canonical gauge.
     """
 
     is_sppt: bool
     residuals: dict[str, float]
     rank_deficient: bool
-    factorization: SpptFactorization2 | SpptFactorization3
+    factorization: SpptFactorization
+
+
+@functools.lru_cache(maxsize=None)
+def _conditions(m: int) -> tuple[tuple[str, int, int, int], ...]:
+    """(key, j, k, l) for each SPPT condition S_jk S_jl^dagger = S_jl^dagger S_jk.
+
+    Normality (k = l) for every j < k comes first, then the cross conditions
+    j < k < l.  2xN and 3xN keep their established names.
+    """
+    normal = [(j, k, k) for j in range(m) for k in range(j + 1, m)]
+    cross = [(j, k, l) for j in range(m) for k in range(j + 1, m) for l in range(k + 1, m)]
+    out = []
+    for j, k, l in normal + cross:
+        if k == l:
+            key = "normality" if m == 2 else f"normality_s{j + 1}{k + 1}"
+        else:
+            key = "cross" if m == 3 else f"cross_s{j + 1}{k + 1}_s{j + 1}{l + 1}"
+        out.append((key, j, k, l))
+    return tuple(out)
 
 
 def _sqrt_with_pinv(m: np.ndarray, tol: Tolerance, scale: float):
@@ -115,214 +123,136 @@ def _clamped_sqrt(m: np.ndarray, tol: Tolerance) -> np.ndarray:
     return hermitize((v * np.sqrt(lam)) @ dagger(v))
 
 
-def _outside_mass(m: np.ndarray, proj: np.ndarray) -> float:
-    return fro_norm(m - proj @ m @ proj)
+def _factor(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Upper block-triangular matrix with diagonal blocks x[j] and s[j, l] x[j] above."""
+    m, n = x.shape[:2]
+    out = np.zeros((m * n, m * n), dtype=np.complex128)
+    for j in range(m):
+        out[j * n:(j + 1) * n, j * n:(j + 1) * n] = x[j]
+        for l in range(j + 1, m):
+            out[j * n:(j + 1) * n, l * n:(l + 1) * n] = s[j, l] @ x[j]
+    return out
 
 
-def factorize_2xn(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization2:
-    """Canonical-gauge block Cholesky factorization of a 2xN state."""
-    if state.dim_a != 2:
-        raise DimensionMismatch(f"expected dim_a = 2, got {state.dim_a}")
-    t = block_tensor(state)
-    rho11, rho12, rho22 = t[0, 0], t[0, 1], t[1, 1]
-    scale = max(1.0, fro_norm(state.rho))
-
-    x1, x1p, rank1 = _sqrt_with_pinv(hermitize(rho11), tol, scale)
-    s = x1p @ rho12 @ x1p
-    proj = hermitize(x1 @ x1p)
-    mass = _outside_mass(rho12, proj)
-    deficient = rank1 < state.dim_b and mass > tol.eps_residual * scale
-
-    m22 = hermitize(rho22 - x1 @ dagger(s) @ s @ x1)
-    try:
-        x2, _, _ = _sqrt_with_pinv(m22, tol, scale)
-    except NotPsd as exc:
-        if not deficient:
-            raise InconsistentBlocks(f"rho22 minus the explained part is not PSD: {exc}") from exc
-        x2 = _clamped_sqrt(m22, tol)
-
-    f = SpptFactorization2(
-        x1=x1,
-        x2=x2,
+def _finished(x, s, rho, rank_deficient: bool, unexplained_mass: float) -> SpptFactorization:
+    """The factorization record, with every residual computed from x and s."""
+    residuals = {}
+    for key, j, k, l in _conditions(len(x)):
+        sd = dagger(s[j, l])
+        residuals[key] = fro_norm(s[j, k] @ sd - sd @ s[j, k])
+    big_x = _factor(x, s)
+    return SpptFactorization(
+        x=x,
         s=s,
-        reconstruction_residual=0.0,
-        normality_residual=float(fro_norm(dagger(s) @ s - s @ dagger(s))),
-        rank_deficient=deficient,
-        unexplained_mass=mass,
-        rho=state.rho,
+        residuals=residuals,
+        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - rho),
+        rank_deficient=rank_deficient,
+        unexplained_mass=unexplained_mass,
+        rho=rho,
     )
-    recon = fro_norm(dagger(assemble_x(f)) @ assemble_x(f) - state.rho)
-    return SpptFactorization2(**{**f.__dict__, "reconstruction_residual": float(recon)})
 
 
-def factorize_3xn(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization3:
-    """Canonical-gauge block Cholesky factorization of a 3xN state."""
-    if state.dim_a != 3:
-        raise DimensionMismatch(f"expected dim_a = 3, got {state.dim_a}")
+def _unexplained(t: np.ndarray, x: np.ndarray, s: np.ndarray, j: int, l: int) -> np.ndarray:
+    """rho_jl minus the part explained by rows i < j, sum_i X_i S_ij^dagger S_il X_i."""
+    r = t[j, l]
+    for i in range(j):
+        r = r - x[i] @ dagger(s[i, j]) @ s[i, l] @ x[i]
+    return r
+
+
+def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
+    """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
     t = block_tensor(state)
+    m, n = state.dim_a, state.dim_b
     scale = max(1.0, fro_norm(state.rho))
-
-    x1, x1p, rank1 = _sqrt_with_pinv(hermitize(t[0, 0]), tol, scale)
-    s12 = x1p @ t[0, 1] @ x1p
-    s13 = x1p @ t[0, 2] @ x1p
-    proj1 = hermitize(x1 @ x1p)
-    mass12 = _outside_mass(t[0, 1], proj1)
-    mass13 = _outside_mass(t[0, 2], proj1)
-
-    deficient = rank1 < state.dim_b and max(mass12, mass13) > tol.eps_residual * scale
-    m22 = hermitize(t[1, 1] - x1 @ dagger(s12) @ s12 @ x1)
-    try:
-        x2, x2p, rank2 = _sqrt_with_pinv(m22, tol, scale)
-    except NotPsd as exc:
-        if not deficient:
-            raise InconsistentBlocks(f"rho22 minus the explained part is not PSD: {exc}") from exc
-        x2 = _clamped_sqrt(m22, tol)
-        x2p = np.zeros_like(x2)
-        rank2 = 0
-
-    m23 = t[1, 2] - x1 @ dagger(s12) @ s13 @ x1
-    s23 = x2p @ m23 @ x2p
-    proj2 = hermitize(x2 @ x2p)
-    mass23 = _outside_mass(m23, proj2)
-    deficient = deficient or (rank2 < state.dim_b and mass23 > tol.eps_residual * scale)
-
-    m33 = hermitize(t[2, 2] - x1 @ dagger(s13) @ s13 @ x1 - x2 @ dagger(s23) @ s23 @ x2)
-    try:
-        x3, _, _ = _sqrt_with_pinv(m33, tol, scale)
-    except NotPsd as exc:
-        if not deficient:
-            raise InconsistentBlocks(f"rho33 minus the explained part is not PSD: {exc}") from exc
-        x3 = _clamped_sqrt(m33, tol)
-
-    f = SpptFactorization3(
-        x1=x1,
-        x2=x2,
-        x3=x3,
-        s12=s12,
-        s13=s13,
-        s23=s23,
-        reconstruction_residual=0.0,
-        normality_residuals={
-            "s12": float(fro_norm(dagger(s12) @ s12 - s12 @ dagger(s12))),
-            "s13": float(fro_norm(dagger(s13) @ s13 - s13 @ dagger(s13))),
-            "s23": float(fro_norm(dagger(s23) @ s23 - s23 @ dagger(s23))),
-        },
-        cross_residual=float(fro_norm(s12 @ dagger(s13) - dagger(s13) @ s12)),
-        rank_deficient=deficient,
-        unexplained_mass=float(np.sqrt(mass12**2 + mass13**2 + mass23**2)),
-        rho=state.rho,
-    )
-    recon = fro_norm(dagger(assemble_x(f)) @ assemble_x(f) - state.rho)
-    return SpptFactorization3(**{**f.__dict__, "reconstruction_residual": float(recon)})
+    x = np.zeros((m, n, n), dtype=np.complex128)
+    s = np.zeros((m, m, n, n), dtype=np.complex128)
+    deficient = False
+    mass_sq = 0.0
+    for j in range(m):
+        m_jj = hermitize(_unexplained(t, x, s, j, j))
+        try:
+            x[j], xp, rank = _sqrt_with_pinv(m_jj, tol, scale)
+        except NotPsd as exc:
+            if j == 0:  # a diagonal block of rho itself
+                raise
+            if not deficient:
+                raise InconsistentBlocks(
+                    f"rho{j + 1}{j + 1} minus the explained part is not PSD: {exc}"
+                ) from exc
+            x[j], xp, rank = _clamped_sqrt(m_jj, tol), np.zeros((n, n)), 0
+        if j + 1 == m:
+            break
+        proj = hermitize(x[j] @ xp)
+        for l in range(j + 1, m):
+            r = _unexplained(t, x, s, j, l)
+            s[j, l] = xp @ r @ xp
+            mass = fro_norm(r - proj @ r @ proj)
+            mass_sq += mass**2
+            deficient = deficient or (rank < n and mass > tol.eps_residual * scale)
+    return _finished(x, s, state.rho, deficient, float(np.sqrt(mass_sq)))
 
 
-def assemble_x(f: SpptFactorization2 | SpptFactorization3) -> np.ndarray:
+def assemble_x(f: SpptFactorization) -> np.ndarray:
     """The upper block-triangular factor X with rho = X^dagger X."""
-    n = f.x1.shape[0]
-    zero = np.zeros((n, n), dtype=np.complex128)
-    if isinstance(f, SpptFactorization2):
-        grid = [[f.x1, f.s @ f.x1], [zero, f.x2]]
-    else:
-        grid = [
-            [f.x1, f.s12 @ f.x1, f.s13 @ f.x1],
-            [zero, f.x2, f.s23 @ f.x2],
-            [zero, zero, f.x3],
-        ]
-    return assemble_blocks(np.array(grid))
+    return _factor(f.x, f.s)
 
 
-def canonical_y(f: SpptFactorization2) -> np.ndarray:
-    """Y^dagger Y for the factor Y obtained by replacing S with S^dagger.
+def canonical_y(f: SpptFactorization) -> np.ndarray:
+    """Y^dagger Y for the factor Y obtained by replacing every S_jl with S_jl^dagger.
 
-    Equals the partial transpose of the factorized state exactly when S is
-    normal, which is the content of the SPPT certificate.
+    Equals the partial transpose of the factorized state exactly when the
+    normality and cross conditions of the SPPT certificate hold.
     """
-    x1, x2, s = f.x1, f.x2, f.s
-    grid = np.array(
-        [
-            [dagger(x1) @ x1, dagger(x1) @ dagger(s) @ x1],
-            [dagger(x1) @ s @ x1, dagger(x1) @ s @ dagger(s) @ x1 + dagger(x2) @ x2],
-        ]
-    )
-    return assemble_blocks(grid)
+    y = _factor(f.x, dagger(f.s))
+    return dagger(y) @ y
 
 
 def gauge_transform(
-    f: SpptFactorization2, g1, g2, tol: Tolerance = DEFAULT_TOL
-) -> SpptFactorization2:
-    """Apply the gauge freedom X1 -> G1 X1, X2 -> G2 X2, S -> G1 S G1^dagger.
+    f: SpptFactorization, unitaries, tol: Tolerance = DEFAULT_TOL
+) -> SpptFactorization:
+    """Apply the gauge freedom X_j -> G_j X_j, S_jl -> G_j S_jl G_j^dagger.
 
-    G1 and G2 must be unitary; the factorized state, the normality residual
-    and the SPPT verdict are invariant (the residuals are recomputed from
-    the transformed factors, so equality is numerical, not assumed).
+    unitaries holds one unitary G_j per A level.  The factorized state, the
+    normality and cross residuals and the SPPT verdict are invariant (the
+    residuals are recomputed from the transformed factors, so equality is
+    numerical, not assumed).
     """
-    g1 = np.asarray(g1, dtype=np.complex128)
-    g2 = np.asarray(g2, dtype=np.complex128)
-    n = f.x1.shape[0]
-    for name, g in (("g1", g1), ("g2", g2)):
+    m, n = f.x.shape[:2]
+    gs = [np.asarray(g, dtype=np.complex128) for g in unitaries]
+    if len(gs) != m:
+        raise DimensionMismatch(f"expected {m} unitaries, got {len(gs)}")
+    for j, g in enumerate(gs, 1):
         if g.shape != (n, n):
-            raise DimensionMismatch(f"{name} must be {n}x{n}, got {g.shape}")
+            raise DimensionMismatch(f"g{j} must be {n}x{n}, got {g.shape}")
         defect = fro_norm(dagger(g) @ g - np.eye(n))
         if defect > tol.eps_residual:
-            raise NotUnitary(f"{name} unitarity defect {defect:.3e}")
-    x1 = g1 @ f.x1
-    x2 = g2 @ f.x2
-    s = g1 @ f.s @ dagger(g1)
-    out = SpptFactorization2(
-        x1=x1,
-        x2=x2,
-        s=s,
-        reconstruction_residual=0.0,
-        normality_residual=float(fro_norm(dagger(s) @ s - s @ dagger(s))),
-        # both quantities are gauge-invariant; carried over unchanged
-        rank_deficient=f.rank_deficient,
-        unexplained_mass=f.unexplained_mass,
-        rho=f.rho,
-    )
-    recon = fro_norm(dagger(assemble_x(out)) @ assemble_x(out) - f.rho)
-    return SpptFactorization2(**{**out.__dict__, "reconstruction_residual": float(recon)})
+            raise NotUnitary(f"g{j} unitarity defect {defect:.3e}")
+    g = np.array(gs)
+    # rank_deficient and unexplained_mass are gauge-invariant; carried over
+    return _finished(g @ f.x, g[:, None] @ f.s @ dagger(g)[:, None], f.rho,
+                     f.rank_deficient, f.unexplained_mass)
 
 
 def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
-    """Strong-PPT verdict from the canonical factorization residuals."""
+    """Strong-PPT verdict from the canonical factorization residuals, any dim_a."""
     ppt = bipartite.is_ppt(state, tol)
     scale = max(1.0, fro_norm(state.rho))
-    if state.dim_a == 2:
-        f = factorize_2xn(state, tol)
-        s_sq = fro_norm(f.s) ** 2
-        residuals = {
-            "normality": f.normality_residual,
-            "reconstruction": f.reconstruction_residual,
-            "unexplained_mass": f.unexplained_mass,
-            "ppt_min_eigenvalue": ppt.min_eigenvalue,
-        }
-        normal_ok = f.normality_residual <= tol.eps_sppt * max(1.0, s_sq)
-    elif state.dim_a == 3:
-        f = factorize_3xn(state, tol)
-        residuals = {
-            "normality_s12": f.normality_residuals["s12"],
-            "normality_s13": f.normality_residuals["s13"],
-            "normality_s23": f.normality_residuals["s23"],
-            "cross": f.cross_residual,
-            "reconstruction": f.reconstruction_residual,
-            "unexplained_mass": f.unexplained_mass,
-            "ppt_min_eigenvalue": ppt.min_eigenvalue,
-        }
-        pairs = {"s12": f.s12, "s13": f.s13, "s23": f.s23}
-        normal_ok = all(
-            f.normality_residuals[k] <= tol.eps_sppt * max(1.0, fro_norm(m) ** 2)
-            for k, m in pairs.items()
-        )
-        cross_scale = max(1.0, fro_norm(f.s12) * fro_norm(f.s13))
-        normal_ok = normal_ok and f.cross_residual <= tol.eps_sppt * cross_scale
-    else:
-        raise DimensionMismatch(f"SPPT test defined for dim_a in {{2, 3}}, got {state.dim_a}")
-
+    f = factorize(state, tol)
+    normal_ok = all(
+        f.residuals[key] <= tol.eps_sppt * max(1.0, fro_norm(f.s[j, k]) * fro_norm(f.s[j, l]))
+        for key, j, k, l in _conditions(state.dim_a)
+    )
     recon_ok = f.reconstruction_residual <= tol.eps_residual * scale
     verdict = bool(normal_ok and recon_ok and ppt.is_ppt and not f.rank_deficient)
     return SpptVerdict(
         is_sppt=verdict,
-        residuals=residuals,
+        residuals={
+            **f.residuals,
+            "reconstruction": f.reconstruction_residual,
+            "unexplained_mass": f.unexplained_mass,
+            "ppt_min_eigenvalue": ppt.min_eigenvalue,
+        },
         rank_deficient=f.rank_deficient,
         factorization=f,
     )

@@ -112,8 +112,8 @@ class CqSpec:
 def build_cq_state(spec: CqSpec, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
     """Assemble rho = sum_k |f_k><f_k| x sigma_k with f_k the columns of u."""
     m = spec.dim_a
-    if m not in (2, 3):
-        raise InvalidSpec(f"dim_a must be 2 or 3, got {m}")
+    if m < 1:
+        raise InvalidSpec(f"dim_a must be at least 1, got {m}")
     u = np.asarray(spec.u, dtype=np.complex128)
     if u.shape != (m, m):
         raise InvalidSpec(f"u must be {m}x{m}, got {u.shape}")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcorr import BipartiteState
+from qcorr import BipartiteState, Tolerance
+from qcorr.errors import InconsistentBlocks, NotPsd
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +409,125 @@ def child_seeds(master: int, count: int) -> list[int]:
     """Deterministic stream of independent integer seeds."""
     rng = np.random.default_rng(master)
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
+
+
+# ---------------------------------------------------------------------------
+# unrolled 2xN and 3xN canonical factorizations: the strong-PPT test as it was
+# written before the block Cholesky took dim_a as a parameter, kept as an
+# oracle for qcorr.factorization
+
+
+def _dag(a: np.ndarray) -> np.ndarray:
+    return np.conj(a.T)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + _dag(a)) / 2
+
+
+def _fro(a) -> float:
+    return float(np.linalg.norm(a))
+
+
+def pseudo_inverse(a, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a Hermitian matrix.
+
+    Eigenvalues with magnitude at or below eps_rank times the largest
+    magnitude are treated as exact zeros.
+    """
+    h = np.asarray(a, dtype=np.complex128)
+    if h.size == 0:
+        return np.zeros_like(h)
+    lam, v = np.linalg.eigh(_herm(h))
+    cut = tol.eps_rank * float(np.max(np.abs(lam)))
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=np.abs(lam) > cut)
+    return _herm((v * inv) @ _dag(v))
+
+
+def _sqrt_pinv(m: np.ndarray, tol: Tolerance, scale: float):
+    """Clamped PSD sqrt of a Hermitian m, the pseudoinverse of that sqrt, its rank."""
+    w, v = np.linalg.eigh(m)
+    w, v = w[::-1], v[:, ::-1]
+    if w[-1] < -tol.eps_psd * scale:
+        raise NotPsd(f"min eigenvalue {w[-1]:.3e}")
+    lam = np.clip(w, 0.0, None)
+    keep = lam > tol.eps_rank * lam[0]
+    root = np.sqrt(lam)
+    inv = np.zeros_like(lam)
+    inv[keep] = 1.0 / root[keep]
+    return _herm((v * root) @ _dag(v)), _herm((v * inv) @ _dag(v)), int(np.count_nonzero(keep))
+
+
+def _completion(m: np.ndarray, deficient: bool, tol: Tolerance, scale: float):
+    """_sqrt_pinv of a Schur complement; clamped (pinv 0, rank 0) on a flagged extraction."""
+    try:
+        return _sqrt_pinv(_herm(m), tol, scale)
+    except NotPsd as exc:
+        if not deficient:
+            raise InconsistentBlocks(f"Schur complement is not PSD: {exc}") from exc
+        w, v = np.linalg.eigh(_herm(m))
+        return _herm((v * np.sqrt(np.clip(w, 0.0, None))) @ _dag(v)), np.zeros_like(m), 0
+
+
+def _outside(m: np.ndarray, x: np.ndarray, xp: np.ndarray) -> float:
+    proj = _herm(x @ xp)
+    return _fro(m - proj @ m @ proj)
+
+
+def _unrolled_2xn(r, n: int, scale: float, tol: Tolerance):
+    x1, x1p, rank1 = _sqrt_pinv(_herm(r[0][0]), tol, scale)
+    s = x1p @ r[0][1] @ x1p
+    mass = _outside(r[0][1], x1, x1p)
+    deficient = rank1 < n and mass > tol.eps_residual * scale
+    x2, _, _ = _completion(r[1][1] - x1 @ _dag(s) @ s @ x1, deficient, tol, scale)
+    x = np.block([[x1, s @ x1], [np.zeros_like(x1), x2]])
+    normality = _fro(_dag(s) @ s - s @ _dag(s))
+    ok = normality <= tol.eps_sppt * max(1.0, _fro(s) ** 2)
+    return x, {"normality": normality}, mass, deficient, ok
+
+
+def _unrolled_3xn(r, n: int, scale: float, tol: Tolerance):
+    x1, x1p, rank1 = _sqrt_pinv(_herm(r[0][0]), tol, scale)
+    s12 = x1p @ r[0][1] @ x1p
+    s13 = x1p @ r[0][2] @ x1p
+    mass12 = _outside(r[0][1], x1, x1p)
+    mass13 = _outside(r[0][2], x1, x1p)
+    deficient = rank1 < n and max(mass12, mass13) > tol.eps_residual * scale
+    x2, x2p, rank2 = _completion(r[1][1] - x1 @ _dag(s12) @ s12 @ x1, deficient, tol, scale)
+    m23 = r[1][2] - x1 @ _dag(s12) @ s13 @ x1
+    s23 = x2p @ m23 @ x2p
+    mass23 = _outside(m23, x2, x2p)
+    deficient = deficient or (rank2 < n and mass23 > tol.eps_residual * scale)
+    m33 = r[2][2] - x1 @ _dag(s13) @ s13 @ x1 - x2 @ _dag(s23) @ s23 @ x2
+    x3, _, _ = _completion(m33, deficient, tol, scale)
+    zero = np.zeros_like(x1)
+    x = np.block([[x1, s12 @ x1, s13 @ x1], [zero, x2, s23 @ x2], [zero, zero, x3]])
+    residuals = {f"normality_{k}": _fro(_dag(s) @ s - s @ _dag(s))
+                 for k, s in (("s12", s12), ("s13", s13), ("s23", s23))}
+    residuals["cross"] = _fro(s12 @ _dag(s13) - _dag(s13) @ s12)
+    ok = all(residuals[f"normality_{k}"] <= tol.eps_sppt * max(1.0, _fro(s) ** 2)
+             for k, s in (("s12", s12), ("s13", s13), ("s23", s23)))
+    ok = ok and residuals["cross"] <= tol.eps_sppt * max(1.0, _fro(s12) * _fro(s13))
+    mass = float(np.sqrt(mass12**2 + mass13**2 + mass23**2))
+    return x, residuals, mass, deficient, ok
+
+
+def unrolled_sppt(state: BipartiteState, tol: Tolerance = Tolerance()):
+    """(is_sppt, named residuals, rank_deficient) of a 2xN or 3xN state.
+
+    The residual names and their order are those of qcorr's SPPT report.
+    Raises NotPsd for an indefinite rho_11 and InconsistentBlocks for an
+    indefinite Schur complement on an extraction not flagged rank-deficient.
+    """
+    m, n = state.dim_a, state.dim_b
+    r = [[state.rho[k * n:(k + 1) * n, l * n:(l + 1) * n] for l in range(m)] for k in range(m)]
+    scale = max(1.0, _fro(state.rho))
+    unrolled = {2: _unrolled_2xn, 3: _unrolled_3xn}[m]
+    x, residuals, mass, deficient, normal_ok = unrolled(r, n, scale, tol)
+    residuals["reconstruction"] = _fro(_dag(x) @ x - state.rho)
+    residuals["unexplained_mass"] = mass
+    lam_min = float(np.linalg.eigvalsh(_herm(naive_partial_transpose(state.rho, m, n)))[0])
+    residuals["ppt_min_eigenvalue"] = lam_min
+    recon_ok = residuals["reconstruction"] <= tol.eps_residual * scale
+    verdict = bool(normal_ok and recon_ok and lam_min >= -tol.eps_psd and not deficient)
+    return verdict, residuals, deficient

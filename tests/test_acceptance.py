@@ -17,12 +17,13 @@ import time
 
 import numpy as np
 
-from helpers import brute_discord_2q, child_seeds, sample_xstate_params, simplex_grid
+from helpers import (brute_discord_2q, child_seeds, pseudo_inverse, sample_xstate_params,
+                     simplex_grid)
 from qcorr import (OptimizerConfig, Tolerance, bipartite, discord,
                    factorization, families, statefile)
 from qcorr.analysis import analyze, to_machine
 from qcorr.cli import EXIT_CLAIM, EXIT_INPUT, EXIT_OK, main
-from qcorr.matlib import commutator, dagger, fro_norm, pseudo_inverse
+from qcorr.matlib import commutator, dagger, fro_norm
 
 TOL = Tolerance()
 OPT = OptimizerConfig()
@@ -53,17 +54,17 @@ def test_criterion_02_cq_does_not_imply_sppt_for_3xn():
     for seed in child_seeds(2100, 100):
         spec = families.random_cq_spec(3, 4, seed)
         state = families.build_cq_state(spec)
-        f = factorization.factorize_3xn(state, TOL)
+        f = factorization.factorize(state, TOL)
 
         # the S12 non-normality is exactly a weighted commutator of the two
         # Hermitian contrasts H_i = X1^+ (sigma_i - sigma_0) X1^+, with
         # weights lam_i = u[0,i] * conj(u[1,i]) from the classical basis
         lam1 = spec.u[0, 1] * np.conj(spec.u[1, 1])
         lam2 = spec.u[0, 2] * np.conj(spec.u[1, 2])
-        x1p = pseudo_inverse(f.x1, TOL)
+        x1p = pseudo_inverse(f.x[0], TOL)
         h1 = x1p @ (spec.sigmas[1] - spec.sigmas[0]) @ x1p
         h2 = x1p @ (spec.sigmas[2] - spec.sigmas[0]) @ x1p
-        lhs = commutator(f.s12, dagger(f.s12))
+        lhs = commutator(f.s[0, 1], dagger(f.s[0, 1]))
         rhs = (lam1 * np.conj(lam2) - lam2 * np.conj(lam1)) * commutator(h1, h2)
         worst_identity = max(worst_identity, fro_norm(lhs - rhs))
         assert fro_norm(lhs - rhs) <= 1e-8
@@ -204,16 +205,16 @@ def test_criterion_09_factorization_soundness_and_gauge_invariance():
     for i, seed in enumerate(child_seeds(9000, 1000)):
         n = (1, 2, 3, 4, 8)[i % 5]
         state = bipartite.validate(families.random_ginibre_density(2 * n, seed), 2, n, TOL)
-        f = factorization.factorize_2xn(state, TOL)
+        f = factorization.factorize(state, TOL)
         worst_recon = max(worst_recon, f.reconstruction_residual)
         assert f.reconstruction_residual <= 1e-8
 
         g1 = families.random_unitary(n, seed + 1)
         g2 = families.random_unitary(n, seed + 2)
-        g = factorization.gauge_transform(f, g1, g2, TOL)
+        g = factorization.gauge_transform(f, (g1, g2), TOL)
         x = factorization.assemble_x(g)
         drift = max(fro_norm(dagger(x) @ x - state.rho),
-                    abs(g.normality_residual - f.normality_residual))
+                    abs(g.residuals["normality"] - f.residuals["normality"]))
         worst_gauge = max(worst_gauge, drift)
         assert drift <= 1e-8
     print(f"acceptance 09: PASS (1000 factorizations, worst reconstruction "

@@ -4,13 +4,16 @@ documented CSV schema, exercised in process through main(argv).
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from qcorr import random_cq, random_ginibre_density, read_statefile, validate, write_statefile
+from qcorr import (Tolerance, random_cq, random_ginibre_density, read_statefile, validate,
+                   write_statefile)
 from qcorr.cli import CSV_HEADER, EXIT_CLAIM, EXIT_INPUT, EXIT_OK, main
 
 
@@ -171,6 +174,18 @@ def test_remark_3xn_finds_witness_and_roundtrips(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["is_cq"] and rep["is_ppt"] and not rep["is_sppt"]
     assert rep["discord"] <= 1e-4
+
+
+def test_cq_3xn_sweep_script_row():
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "cq_3xn_sweep.py"
+    spec = importlib.util.spec_from_file_location("cq_3xn_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    row = [float(v) for v in sweep.sweep_row(2, 5, 7, Tolerance()).split(",")]
+    assert len(row) == len(sweep.HEADER.split(",")) == 7
+    assert np.all(np.isfinite(row))
+    assert row[:2] == [2.0, 5.0]
+    assert 0.0 <= row[2] <= 1.0
 
 
 # ---------------------------------------------------------------------------

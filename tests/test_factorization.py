@@ -1,7 +1,8 @@
 """Block Cholesky factorization and the strong-PPT certificate.
 
 Closed-form S for X-shaped states, exact reconstruction, the S-adjoint
-replacement identity, gauge invariance, and the qutrit-side variant.
+replacement identity, gauge invariance, the qutrit side, dim_a >= 4, and
+agreement with the unrolled 2xN and 3xN factorizations kept in helpers.
 """
 from __future__ import annotations
 
@@ -10,18 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import unrolled_sppt
 from qcorr import (
     BipartiteState,
     CqSpec,
     XStateParams,
     build_cq_state,
-    factorize_2xn,
-    factorize_3xn,
+    factorize,
     is_ppt,
     is_sppt,
     partial_transpose_a,
     random_cq,
     random_ginibre_density,
+    random_pure,
     random_sppt,
     random_unitary,
     validate,
@@ -30,6 +32,7 @@ from qcorr import (
 from qcorr.errors import (
     DimensionMismatch,
     InconsistentBlocks,
+    NotPsd,
     NotUnitary,
 )
 from qcorr.factorization import assemble_x, canonical_y, gauge_transform
@@ -53,17 +56,17 @@ def test_xstate_factor_closed_form():
     # X1 = diag(sqrt(a11), sqrt(b11)); S = X1^+ rho12 X1^+ has the two
     # couplings on the antidiagonal, scaled by 1/sqrt(a11 b11)
     p = XStateParams(a11=0.3, a22=0.2, b11=0.3, b22=0.2, a12=0.1j, b12=0.05)
-    f = factorize_2xn(xstate(p))
-    assert np.allclose(f.x1, np.diag([np.sqrt(0.3), np.sqrt(0.3)]), atol=1e-12)
+    f = factorize(xstate(p))
+    assert np.allclose(f.x[0], np.diag([np.sqrt(0.3), np.sqrt(0.3)]), atol=1e-12)
     denom = np.sqrt(0.3 * 0.3)
     expected_s = np.array([[0.0, 0.1j / denom], [0.05 / denom, 0.0]])
-    assert np.allclose(f.s, expected_s, atol=1e-12)
+    assert np.allclose(f.s[0, 1], expected_s, atol=1e-12)
 
 
 def test_reconstruction_is_tight_on_full_rank_states():
     for seed, (da, db) in [(0, (2, 1)), (1, (2, 2)), (2, (2, 3)), (3, (2, 5))]:
         s = ginibre_state(seed, da, db)
-        f = factorize_2xn(s)
+        f = factorize(s)
         x = assemble_x(f)
         assert fro_norm(dagger(x) @ x - s.rho) < 1e-10
         assert f.reconstruction_residual < 1e-10
@@ -72,48 +75,60 @@ def test_reconstruction_is_tight_on_full_rank_states():
 
 def test_canonical_x1_is_psd_sqrt_of_first_block():
     s = ginibre_state(4, 2, 3)
-    f = factorize_2xn(s)
-    assert np.allclose(f.x1 @ f.x1, s.rho[:3, :3], atol=1e-10)
-    assert fro_norm(f.x1 - dagger(f.x1)) < 1e-12
+    f = factorize(s)
+    assert np.allclose(f.x[0] @ f.x[0], s.rho[:3, :3], atol=1e-10)
+    assert fro_norm(f.x[0] - dagger(f.x[0])) < 1e-12
 
 
 def test_adjoint_replacement_matches_partial_transpose_iff_normal():
     # SPPT state: Y^dagger Y must equal rho^{T_A}
     s = random_sppt(3, rng_seed=10)
-    f = factorize_2xn(s)
+    f = factorize(s)
     assert fro_norm(canonical_y(f) - partial_transpose_a(s)) < 1e-10
     # state with non-normal S: the same construction must fail to match
     p = XStateParams(a11=0.3, a22=0.2, b11=0.3, b22=0.2, a12=0.15, b12=0.02)
     t = xstate(p)
-    g = factorize_2xn(t)
-    assert g.normality_residual > 1e-3
+    g = factorize(t)
+    assert g.residuals["normality"] > 1e-3
     assert fro_norm(canonical_y(g) - partial_transpose_a(t)) > 1e-3
 
 
 def test_gauge_transform_preserves_state_and_verdict():
     s = ginibre_state(6, 2, 4)
-    f = factorize_2xn(s)
+    f = factorize(s)
     g1 = random_unitary(4, rng_seed=1)
     g2 = random_unitary(4, rng_seed=2)
-    t = gauge_transform(f, g1, g2)
+    t = gauge_transform(f, (g1, g2))
     x = assemble_x(t)
     assert fro_norm(dagger(x) @ x - s.rho) < 1e-9
-    assert t.normality_residual == pytest.approx(f.normality_residual, abs=1e-8)
+    assert t.residuals["normality"] == pytest.approx(f.residuals["normality"], abs=1e-8)
     assert t.rank_deficient == f.rank_deficient
     # S transforms by conjugation, so its spectrum-related invariants survive
     assert fro_norm(t.s) == pytest.approx(fro_norm(f.s), abs=1e-10)
 
 
 def test_gauge_transform_rejects_non_unitary_and_wrong_shape():
-    f = factorize_2xn(ginibre_state(8, 2, 2))
+    f = factorize(ginibre_state(8, 2, 2))
     with pytest.raises(NotUnitary):
-        gauge_transform(f, np.diag([1.0, 2.0]), np.eye(2))
+        gauge_transform(f, (np.diag([1.0, 2.0]), np.eye(2)))
     with pytest.raises(DimensionMismatch):
-        gauge_transform(f, np.eye(3), np.eye(2))
+        gauge_transform(f, (np.eye(3), np.eye(2)))
+    with pytest.raises(DimensionMismatch):
+        gauge_transform(f, (np.eye(2),))
+
+
+def test_gauge_transform_on_three_levels():
+    s = ginibre_state(7, 3, 2)
+    f = factorize(s)
+    t = gauge_transform(f, [random_unitary(2, rng_seed=k) for k in range(3)])
+    x = assemble_x(t)
+    assert fro_norm(dagger(x) @ x - s.rho) < 1e-9
+    for key, value in f.residuals.items():
+        assert t.residuals[key] == pytest.approx(value, abs=1e-8)
 
 
 def test_rank_deficient_pure_state_is_flagged_not_certified():
-    f = factorize_2xn(bell_state())
+    f = factorize(bell_state())
     assert f.rank_deficient
     v = is_sppt(bell_state())
     assert not v.is_sppt
@@ -126,7 +141,24 @@ def test_inconsistent_blocks_raise():
     rho = np.array([[0.5, 0.4], [0.4, 0.1]], dtype=complex)
     state = BipartiteState(dim_a=2, dim_b=1, rho=rho)
     with pytest.raises(InconsistentBlocks):
-        factorize_2xn(state)
+        factorize(state)
+    with pytest.raises(InconsistentBlocks):
+        unrolled_sppt(state)
+
+
+def test_indefinite_blocks_raise_as_the_unrolled_factorizations_did():
+    # an indefinite rho11 is NotPsd; an indefinite third-row Schur complement
+    # after a full-rank extraction is InconsistentBlocks
+    for rho, error in [
+        (np.diag([-0.1, 0.6, 0.5]).astype(complex), NotPsd),
+        (np.array([[0.4, 0, 0.3], [0, 0.4, 0.3], [0.3, 0.3, 0.2]], dtype=complex),
+         InconsistentBlocks),
+    ]:
+        state = BipartiteState(dim_a=3, dim_b=1, rho=rho)
+        with pytest.raises(error):
+            factorize(state)
+        with pytest.raises(error):
+            unrolled_sppt(state)
 
 
 def test_sppt_family_certified_across_sizes():
@@ -150,17 +182,73 @@ def test_npt_state_is_never_sppt():
     assert v.residuals["ppt_min_eigenvalue"] < -0.4
 
 
-def test_verdict_requires_dim_a_two_or_three():
-    s = ginibre_state(12, 4, 2)
-    with pytest.raises(DimensionMismatch):
-        is_sppt(s)
+def classical_classical_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
+    # sum_ij p_ij |a_i><a_i| (x) |b_j><b_j| in random bases, built with np.kron
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(dim_a * dim_b)).reshape(dim_a, dim_b)
+    ua = random_unitary(dim_a, rng_seed=seed + 1)
+    ub = random_unitary(dim_b, rng_seed=seed + 2)
+    rho = sum(
+        p[i, j] * np.kron(np.outer(ua[:, i], ua[:, i].conj()), np.outer(ub[:, j], ub[:, j].conj()))
+        for i in range(dim_a)
+        for j in range(dim_b)
+    )
+    return validate(rho, dim_a, dim_b)
+
+
+def test_is_sppt_serves_any_dim_a():
+    # classical-classical states are SPPT whatever dim_a is
+    for seed, (da, db) in enumerate([(1, 3), (4, 2), (4, 3), (5, 2)]):
+        s = classical_classical_state(40 + seed, da, db)
+        v = is_sppt(s)
+        assert v.is_sppt, (da, db, v.residuals)
+        # the definition itself: replacing every S_jl by S_jl^dagger gives rho^{T_A}
+        assert fro_norm(canonical_y(v.factorization) - partial_transpose_a(s)) <= 1e-9
+    for seed, (da, db) in enumerate([(4, 2), (4, 3)]):
+        assert not is_sppt(ginibre_state(50 + seed, da, db)).is_sppt
+
+
+def test_residual_keys_for_four_levels():
+    v = is_sppt(ginibre_state(12, 4, 2))
+    assert list(v.residuals) == [
+        "normality_s12", "normality_s13", "normality_s14",
+        "normality_s23", "normality_s24", "normality_s34",
+        "cross_s12_s13", "cross_s12_s14", "cross_s13_s14", "cross_s23_s24",
+        "reconstruction", "unexplained_mass", "ppt_min_eigenvalue",
+    ]
+    assert v.residuals["reconstruction"] < 1e-10
+
+
+def test_is_sppt_matches_unrolled_factorizations():
+    # the 2xN and 3xN factorizations as they were unrolled, kept in helpers
+    verdicts = set()
+    for dim_a, dims_b in ((2, (1, 2, 3, 5, 8)), (3, (2, 3, 4, 6))):
+        for n in dims_b:
+            for seed in range(6):
+                states = [
+                    random_cq(dim_a, n, rng_seed=seed),
+                    ginibre_state(seed, dim_a, n),
+                    random_pure(dim_a, n, rng_seed=seed),
+                    random_sppt(n, rng_seed=seed) if dim_a == 2
+                    else classical_classical_state(seed, dim_a, n),
+                ]
+                for s in states:
+                    v = is_sppt(s)
+                    verdict, residuals, deficient = unrolled_sppt(s)
+                    assert v.is_sppt == verdict
+                    assert v.rank_deficient == deficient
+                    assert list(v.residuals) == list(residuals)
+                    for key, want in residuals.items():
+                        assert abs(v.residuals[key] - want) <= 1e-12, key
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_factorization_reconstructs_random_states(seed, dim_b):
     s = ginibre_state(seed, 2, dim_b)
-    f = factorize_2xn(s)
+    f = factorize(s)
     scale = max(1.0, fro_norm(s.rho))
     assert f.reconstruction_residual < 1e-8 * scale
     x = assemble_x(f)
@@ -182,10 +270,10 @@ def test_cq_states_on_a_qubit_have_normal_s(seed):
 
 def test_3xn_reconstruction_and_residual_keys():
     s = ginibre_state(21, 3, 3)
-    f = factorize_3xn(s)
+    f = factorize(s)
     x = assemble_x(f)
     assert fro_norm(dagger(x) @ x - s.rho) < 1e-9
-    assert set(f.normality_residuals) == {"s12", "s13", "s23"}
+    assert list(f.residuals) == ["normality_s12", "normality_s13", "normality_s23", "cross"]
     assert not f.rank_deficient
 
 
@@ -212,10 +300,10 @@ def test_3xn_equal_conditional_states_give_vanishing_s():
     u = random_unitary(3, rng_seed=5)
     sig = np.eye(4) / 12
     s = build_cq_state(CqSpec(dim_a=3, u=u, sigmas=(sig, sig, sig)))
-    f = factorize_3xn(s)
-    assert fro_norm(f.s12) < 1e-10
-    assert fro_norm(f.s13) < 1e-10
-    assert fro_norm(f.s23) < 1e-10
+    f = factorize(s)
+    assert fro_norm(f.s[0, 1]) < 1e-10
+    assert fro_norm(f.s[0, 2]) < 1e-10
+    assert fro_norm(f.s[1, 2]) < 1e-10
     assert is_sppt(s).is_sppt
 
 
@@ -223,7 +311,7 @@ def test_3xn_gauge_structure_of_cross_residual():
     # the two independently extracted factors must stay consistent:
     # cross residual small for an actually SPPT qutrit-side state
     s = ginibre_state(30, 3, 2)
-    f = factorize_3xn(s)
+    f = factorize(s)
     # generic states reconstruct but need not satisfy any normality bound
     assert f.reconstruction_residual < 1e-9
-    assert f.cross_residual >= 0.0
+    assert f.residuals["cross"] >= 0.0

@@ -87,8 +87,12 @@ def test_build_cq_state_rejects_bad_ingredients():
         build_cq_state(
             CqSpec(dim_a=2, u=np.eye(2), sigmas=(np.diag([0.6, -0.1]), np.eye(2) / 4))
         )
-    with pytest.raises(InvalidSpec):
-        build_cq_state(CqSpec(dim_a=4, u=np.eye(4), sigmas=(np.eye(2) / 16,) * 4))
+    # dim_a = 4 is accepted and matches the explicit projector sum
+    u = random_unitary(4, rng_seed=9)
+    sigmas = tuple(np.diag([w, 0.25 - w]) for w in (0.05, 0.1, 0.15, 0.2))
+    s = build_cq_state(CqSpec(dim_a=4, u=u, sigmas=sigmas))
+    direct = sum(np.kron(np.outer(u[:, k], u[:, k].conj()), sigmas[k]) for k in range(4))
+    assert np.allclose(s.rho, direct, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Dense-matrix helpers: closed-form cases, Moore-Penrose identities,
 and reconstruction properties on random Hermitian inputs.
+
+The PSD square root tests exercise factorization._sqrt_with_pinv, the one
+production square root; the Moore-Penrose tests exercise the pseudoinverse
+in tests/helpers.py, which criterion 02 uses.
 """
 from __future__ import annotations
 
@@ -8,23 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pseudo_inverse
 from qcorr import DEFAULT_TOL, Tolerance
-from qcorr.errors import DimensionMismatch, NotHermitian, NotPsd
-from qcorr.matlib import (
-    add,
-    commutator,
-    dagger,
-    fro_norm,
-    hermitian_eig,
-    hermiticity_defect,
-    hermitize,
-    kron,
-    matmul,
-    psd_sqrt,
-    pseudo_inverse,
-    scale,
-    trace,
-)
+from qcorr.errors import NotHermitian, NotPsd
+from qcorr.factorization import _sqrt_with_pinv
+from qcorr.matlib import commutator, dagger, fro_norm, hermitian_eig, hermitize
 
 
 def random_hermitian(seed: int, n: int) -> np.ndarray:
@@ -62,32 +54,6 @@ def test_fro_norm_matches_direct_sum():
     assert fro_norm(a) == pytest.approx(5.0, abs=1e-15)
 
 
-def test_trace_and_arith_small_cases():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.eye(2)
-    assert trace(a) == pytest.approx(5.0)
-    assert np.allclose(matmul(a, b), a)
-    assert np.allclose(add(a, b), a + b)
-    assert np.allclose(scale(2.0, a), 2 * a)
-
-
-def test_arith_shape_mismatch_raises():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        add(np.eye(2), np.eye(3))
-
-
-def test_kron_small_case_by_hand():
-    a = np.array([[0.0, 1.0], [2.0, 0.0]])
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    k = kron(a, b)
-    assert k.shape == (4, 4)
-    # top-right 2x2 block is a[0,1] * b
-    assert np.allclose(k[:2, 2:], b)
-    assert np.allclose(k[2:, :2], 2 * b)
-
-
 def test_commutator_antisymmetric_and_zero_for_commuting():
     a = random_hermitian(1, 4)
     b = random_hermitian(2, 4)
@@ -99,7 +65,7 @@ def test_commutator_antisymmetric_and_zero_for_commuting():
 def test_hermitize_projects_and_defect_vanishes():
     a = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
     h = hermitize(a)
-    assert hermiticity_defect(h) < 1e-15
+    assert fro_norm(h - dagger(h)) < 1e-15
     assert np.allclose(h, (a + a.conj().T) / 2)
 
 
@@ -116,9 +82,15 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:
+    return _sqrt_with_pinv(np.asarray(a, dtype=np.complex128), tol, scale)[0]
+
+
 def test_psd_sqrt_closed_form_diagonal():
-    r = psd_sqrt(np.diag([4.0, 1.0, 0.0]))
+    r, rp, rank = _sqrt_with_pinv(np.diag([4.0, 1.0, 0.0]), DEFAULT_TOL, 1.0)
     assert np.allclose(r, np.diag([2.0, 1.0, 0.0]), atol=1e-14)
+    assert np.allclose(rp, np.diag([0.5, 1.0, 0.0]), atol=1e-14)
+    assert rank == 2
 
 
 def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
@@ -152,7 +124,7 @@ def test_pseudo_inverse_moore_penrose_on_singular_input():
     p = pseudo_inverse(a)
     assert fro_norm(a @ p @ a - a) < 1e-12
     assert fro_norm(p @ a @ p - p) < 1e-12
-    assert hermiticity_defect(a @ p) < 1e-12
+    assert fro_norm(a @ p - dagger(a @ p)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,8 +133,8 @@ def test_psd_sqrt_squares_back_property(seed, n):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = g @ g.conj().T
-    r = psd_sqrt(a)
-    assert hermiticity_defect(r) < 1e-10 * max(1.0, fro_norm(a))
+    r = psd_sqrt(a, scale=max(1.0, fro_norm(a)))
+    assert fro_norm(r - dagger(r)) < 1e-10 * max(1.0, fro_norm(a))
     assert fro_norm(r @ r - a) < 1e-9 * max(1.0, fro_norm(a))
 
 
