@@ -48,7 +48,6 @@ def analyze(
     pt_spectrum = np.linalg.eigvalsh(hermitize(partial_transpose_a(state)))[::-1]
     ppt = bipartite.is_ppt(state, tol)
     sppt = factorization.is_sppt(state, tol)
-    com = discord.commutator_criterion(state)
     report = discord.discord_a(state, opt, tol)
     cq = discord.cq_detect(state, tol)
 
@@ -67,7 +66,7 @@ def analyze(
         pt_spectrum=[float(x) for x in pt_spectrum],
         ppt=ppt,
         sppt=sppt,
-        commutator=com,
+        commutator=cq.commutator,
         mutual_information=report.mutual_information,
         discord=report,
         cq=cq,

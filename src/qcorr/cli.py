@@ -56,9 +56,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-discord", type=float, default=DEFAULT_OPT.eps_opt,
                    help=f"discord optimizer accuracy (default {DEFAULT_OPT.eps_opt})")
     p.add_argument("--grid", type=int, default=None,
-                   help="grid resolution: theta points for the measurement search "
-                        f"(phi gets twice as many; default {DEFAULT_OPT.grid_theta}); "
-                        "for scan-inclusions, steps per parameter simplex (default 8)")
+                   help="scan-inclusions: steps per parameter simplex (default 8)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; chosen and printed when omitted")
     p.add_argument("--output", type=str, default=None, help="write the result here")
@@ -76,11 +74,7 @@ def _tol(args) -> Tolerance:
 
 
 def _opt(args) -> OptimizerConfig:
-    fields = {"eps_opt": args.tol_discord}
-    if args.grid is not None:
-        fields["grid_theta"] = max(2, args.grid)
-        fields["grid_phi"] = max(4, 2 * args.grid)
-    return dataclasses.replace(DEFAULT_OPT, **fields)
+    return OptimizerConfig(eps_opt=args.tol_discord)
 
 
 def _seed(args) -> int:
@@ -195,14 +189,15 @@ def cmd_remark_3xn(args) -> int:
 
 
 def _verdicts(state: bipartite.BipartiteState, tol: Tolerance):
-    """PPT, SPPT and CQ verdicts of one state, with its SPPT report."""
+    """PPT, SPPT and CQ verdicts of one state, with its SPPT and CQ reports."""
     sppt = factorization.is_sppt(state, tol)
+    cq = discord.cq_detect(state, tol)
     verdicts = {
         "ppt": bipartite.is_ppt(state, tol).is_ppt,
         "sppt": sppt.is_sppt,
-        "cq": discord.cq_detect(state, tol).is_cq,
+        "cq": cq.is_cq,
     }
-    return verdicts, sppt
+    return verdicts, sppt, cq
 
 
 def _xstate_rows(params: families.XStateParams, tol: Tolerance):
@@ -216,7 +211,7 @@ def _xstate_rows(params: families.XStateParams, tol: Tolerance):
     w = np.linalg.eigvalsh(families.xstate_matrix(params))
     numeric = {"positive": bool(w[0] >= -tol.eps_psd)}
     if analytic["positive"] and numeric["positive"]:
-        verdicts, _ = _verdicts(families.xstate(params, tol), tol)
+        verdicts, _, _ = _verdicts(families.xstate(params, tol), tol)
         numeric.update(ppt=verdicts["ppt"], sppt=verdicts["sppt"], zero_discord=verdicts["cq"])
     return analytic, numeric
 
@@ -270,9 +265,9 @@ def cmd_bell(args) -> int:
         "sppt": families.bell_is_sppt(params),
         "zero_discord": families.bell_zero_discord(params),
     }
-    verdicts, _ = _verdicts(state, tol)
+    verdicts, _, cq = _verdicts(state, tol)
     numeric = {"sppt": verdicts["sppt"], "zero_discord": verdicts["cq"]}
-    com = discord.commutator_criterion(state)
+    com = cq.commutator
     rep = discord.discord_a(state, opt, tol)
     mismatches = [k for k in numeric if analytic[k] != numeric[k]]
     if args.format == "machine":
@@ -306,7 +301,7 @@ def _simplex_grid(steps: int):
 
 def _scan_row(family, label, state, tol):
     """CSV row (discord left blank) and verdicts of one valid scan point."""
-    verdicts, sppt = _verdicts(state, tol)
+    verdicts, sppt, cq = _verdicts(state, tol)
     row = {
         "family": family,
         "label": label,
@@ -315,7 +310,7 @@ def _scan_row(family, label, state, tol):
         "is_sppt": verdicts["sppt"],
         "is_cq": verdicts["cq"],
         "normality_residual": f"{sppt.residuals['normality']:.6e}",
-        "commutator": f"{discord.commutator_criterion(state):.6e}",
+        "commutator": f"{cq.commutator:.6e}",
         "discord": "",
     }
     return row, verdicts

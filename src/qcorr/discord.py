@@ -1,15 +1,17 @@
 """Entropic correlation measures and classical-quantum structure detection.
 
 Everything here is in bits (base-2 logarithms).  Measurements on the A side
-are rank-1 projective: for a qubit they are parameterized by Bloch angles
-(theta, phi); for a qutrit A side the optimizer works over U(3) modulo
-column phases through a product of three phased Givens rotations.
+are rank-1 projective, given by an orthonormal basis of C^dim_a (for a
+qubit also by the Bloch angles (theta, phi) of its first vector).
 
 The classical correlation C_A is the supremum over measurements of
 S(rho_B) - sum_k p_k S(rho_B|k) and never exceeds the mutual information,
 so the search can stop as soon as it gets within a fraction of eps_opt of
-that bound; this early exit is exact for classical-quantum inputs, where
-the marginal eigenbasis already attains the supremum.
+that bound; this early exit, tried on the rho_A eigenbasis first, is exact
+for classical-quantum inputs, where that basis attains the supremum.
+Otherwise seeded candidate bases are scored and the best are refined by
+BFGS on the unitary group U(dim_a) modulo column phases, with the analytic
+gradient of the conditional entropy; the same code serves any dim_a.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bipartite import (
     BipartiteState,
@@ -61,36 +62,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the measurement search of discord_a.
+    """Settings of the measurement search of discord_a.
 
-    grid_theta x grid_phi coarse Bloch-sphere grid, then Nelder-Mead
-    refinement (refine_maxfev evaluations, refine_ftol objective tolerance).
-    eps_opt is the absolute accuracy the optimum is trusted to.  The *_3d
-    fields control the qutrit-side search: the rho_A eigenbasis, the
-    identity, then starts_3d - 2 seeded Haar unitaries drawn from PCG64 with
-    random_seed, each refined for at most refine_maxfev_3d evaluations.
-    None of the fields affects cq_detect.
+    eps_opt is the absolute accuracy the optimum is trusted to: the search
+    stops at the rho_A eigenbasis when that comes within a quarter of eps_opt
+    of the mutual information.  It does not affect cq_detect.
     """
 
-    grid_theta: int = 64
-    grid_phi: int = 128
-    refine_maxfev: int = 200
-    refine_ftol: float = 1e-9
     eps_opt: float = 1e-4
-    starts_3d: int = 6
-    refine_maxfev_3d: int = 400
-    random_seed: int = 20260815
 
 
 DEFAULT_OPT = OptimizerConfig()
-
-
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    theta = float(theta) % (2.0 * np.pi)
-    if theta > np.pi:
-        theta = 2.0 * np.pi - theta
-        phi = phi + np.pi
-    return theta, float(phi) % (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -133,11 +115,12 @@ class QubitMeasurement:
 class DiscordReport:
     """Mutual information, classical correlation and their difference.
 
-    discord = max(0, mutual_information - classical_correlation).  For a
-    qubit A side optimal_measurement carries the maximizing Bloch angles and
-    grid_resolution the number of coarse-grid points; for a qutrit A side
-    the maximizing basis is in optimal_basis (columns are the measurement
-    vectors) and optimal_measurement is None.
+    discord = max(0, mutual_information - classical_correlation).  The
+    maximizing basis is in optimal_basis (columns are the measurement
+    vectors); for a qubit A side optimal_measurement carries the Bloch
+    angles of its first column, otherwise it is None.  optimizer_evals
+    counts objective and gradient evaluations and grid_resolution the
+    candidate bases scored before refinement (0 after the early exit).
     """
 
     mutual_information: float
@@ -146,7 +129,7 @@ class DiscordReport:
     optimal_measurement: QubitMeasurement | None
     optimizer_evals: int
     grid_resolution: int
-    optimal_basis: np.ndarray | None = None
+    optimal_basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,13 +140,15 @@ class CqVerdict:
     blocks in the best product basis found; is_cq holds when it is at most
     eps_cq.  basis columns are the classical A-side vectors and sigma_list
     the (unnormalized, PSD-clamped) conditional B-side operators; both are
-    None when the state is not classical-quantum.
+    None when the state is not classical-quantum.  commutator is the
+    state's commutator_criterion, which cq_detect computes as its first gate.
     """
 
     is_cq: bool
     basis: np.ndarray | None
     off_block_residual: float
     sigma_list: list[np.ndarray] | None
+    commutator: float
 
 
 def _entropy_bits(w: np.ndarray) -> float:
@@ -247,147 +232,163 @@ def conditional_entropy(
     """Sum over outcomes of p_k S(sigma_B|k), in bits."""
     if state.dim_a != 2:
         raise DimensionMismatch(f"qubit measurement on dim_a = {state.dim_a}")
-    b = block_tensor(state)
-    coef = np.stack(
-        [np.einsum("i,j->ij", np.conj(m.vector(k)), m.vector(k)) for k in (+1, -1)]
-    )
-    return float(_cond_entropy_batch(coef, b, tol.eps_prob))
+    coef = _basis_coef(np.stack([m.vector(+1), m.vector(-1)], axis=1))
+    return float(_cond_entropy_batch(coef, block_tensor(state), tol.eps_prob))
+
+
+# Iterative searches stop once an iteration lowers their objective by no
+# more than this fraction of it.
+_PROGRESS_RTOL = 1e-15
+
+# The measurement search scores the rho_A eigenbasis, the identity and
+# _HAAR_BASES seeded Haar bases, then refines the best _REFINED of them.
+_HAAR_BASES = 64
+_HAAR_SEED = 20260815
+_REFINED = 3
+# A refinement stops once a step lowers the conditional entropy by no more
+# than _PROGRESS_RTOL of it (near the optimum h + _ARMIJO * t * slope rounds
+# to h, and Armijo would go on accepting steps that change nothing), or once
+# the gradient norm is below _GRAD_TOL; the step cap only guards against a
+# stalled loop.  Armijo backtracking halves the step at most _BACKTRACKS
+# times.
+_GRAD_TOL = 1e-10
+_MAX_STEPS = 200
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
 
 
 @lru_cache(maxsize=8)
-def _sphere_grid(n_theta: int, n_phi: int):
-    """Cached angle grid: thetas, phis and the outcome coefficient tensor."""
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt = np.repeat(theta, n_phi)
-    pp = np.tile(phi, n_theta)
-    c = np.cos(tt / 2.0)
-    s = np.sin(tt / 2.0)
-    e = np.exp(1j * pp)
-    vp = np.stack([c, e * s], axis=1)
-    vm = np.stack([-np.conj(e) * s, c], axis=1)
-    coef = np.stack(
-        [
-            np.einsum("gi,gj->gij", np.conj(vp), vp),
-            np.einsum("gi,gj->gij", np.conj(vm), vm),
-        ],
-        axis=1,
-    )
-    for arr in (tt, pp, coef):
-        arr.setflags(write=False)
-    return tt, pp, coef
-
-
-def _qubit_coef(theta: float, phi: float) -> np.ndarray:
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    vp = np.array([c, e * s], dtype=np.complex128)
-    vm = np.array([-np.conj(e) * s, c], dtype=np.complex128)
-    return np.stack(
-        [np.einsum("i,j->ij", np.conj(v), v) for v in (vp, vm)]
-    )
-
-
-def _cc_qubit(state: BipartiteState, opt: OptimizerConfig, tol: Tolerance, mi: float):
-    b = block_tensor(state)
-    s_b = _entropy_of(partial_trace_a(state))
-    tt, pp, coef = _sphere_grid(opt.grid_theta, opt.grid_phi)
-    values = s_b - _cond_entropy_batch(coef, b, tol.eps_prob)
-    g = int(np.argmax(values))
-    best = float(values[g])
-    theta, phi = float(tt[g]), float(pp[g])
-    evals = values.size
-    # the objective never exceeds mi, so within a sliver of it is converged
-    if mi - best > 0.25 * opt.eps_opt:
-        def neg(x):
-            return float(
-                _cond_entropy_batch(_qubit_coef(x[0], x[1]), b, tol.eps_prob) - s_b
-            )
-
-        res = minimize(
-            neg,
-            np.array([theta, phi]),
-            method="Nelder-Mead",
-            options={
-                "maxfev": opt.refine_maxfev,
-                "fatol": opt.refine_ftol,
-                "xatol": 1e-8,
-            },
-        )
-        evals += int(res.nfev)
-        if -float(res.fun) > best:
-            best = -float(res.fun)
-            theta, phi = _canonical_angles(float(res.x[0]), float(res.x[1]))
-    return max(0.0, best), QubitMeasurement(theta, phi), evals, values.size
-
-
-def _givens(n: int, p: int, q: int, theta: float, phi: float) -> np.ndarray:
-    g = np.eye(n, dtype=np.complex128)
-    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
-    g[p, p] = c
-    g[q, q] = c
-    g[p, q] = -np.conj(e) * s
-    g[q, p] = e * s
-    return g
-
-
-def _chart_u3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # covers U(3) modulo right (column) phases; x = 0 gives w itself
-    return (
-        w
-        @ _givens(3, 0, 1, x[0], x[1])
-        @ _givens(3, 0, 2, x[2], x[3])
-        @ _givens(3, 1, 2, x[4], x[5])
-    )
+def _haar_bases(m: int) -> np.ndarray:
+    """The seeded Haar candidate bases of C^m, shape (_HAAR_BASES, m, m)."""
+    rng = np.random.default_rng(_HAAR_SEED)
+    u = np.stack([random_unitary(m, rng) for _ in range(_HAAR_BASES)])
+    u.setflags(write=False)
+    return u
 
 
 def _basis_coef(u: np.ndarray) -> np.ndarray:
-    return np.einsum("ik,jk->kij", np.conj(u), u)
+    """Outcome coefficients of bases u (..., M, M) whose columns are the vectors."""
+    return np.einsum("...ik,...jk->...kij", np.conj(u), u)
 
 
-def _cc_qutrit(state: BipartiteState, opt: OptimizerConfig, tol: Tolerance, mi: float):
+def _expm_skew(k: np.ndarray) -> np.ndarray:
+    """exp(K) of a skew-Hermitian K, from the eigendecomposition of iK."""
+    w, v = np.linalg.eigh(1j * k)
+    return (v * np.exp(-1j * w)) @ dagger(v)
+
+
+def _cond_entropy_grad(u: np.ndarray, b: np.ndarray, eps_prob: float, iu) -> np.ndarray:
+    """Gradient of H(U) = sum_k p_k S(sigma_k) in the coordinates of _refine.
+
+    dH = -sum_k tr(dsigma_k log2(sigma_k / p_k)), zero eigenvalues left out
+    of the log.  With T_kl = sum_ij conj(u_ik) u_jl b_ij, U exp(K) moves
+    sigma_k = T_kk by sum_l (K_lk T_kl + h.c.), so dH = -2 Re sum K_lk G_lk
+    with G_lk = tr(T_kl log2(sigma_k / p_k)).
+    """
+    t = np.einsum("ik,jl,ijab->klab", np.conj(u), u, b)
+    sig = np.einsum("kkab->kab", t)
+    w, v = np.linalg.eigh(sig)
+    p = np.einsum("kaa->k", sig).real[:, None]
+    keep = (w > 0.0) & (p > eps_prob)
+    lw = np.log2(np.divide(w, p, out=np.ones_like(w), where=keep))
+    g = np.einsum("klab,kbi,ki,kai->lk", t, v, lw, np.conj(v))
+    z = 2.0 * (g.T - np.conj(g))[iu]
+    return np.concatenate([z.real, z.imag])
+
+
+def _refine(u: np.ndarray, h: float, b: np.ndarray, eps_prob: float):
+    """BFGS on U(M) modulo column phases, from basis u with H(u) = h.
+
+    Steps are U <- U exp(K) with K off-diagonal skew-Hermitian, M(M-1) real
+    coordinates: the real and imaginary parts of K above the diagonal.
+    Multiplying on the right keeps K in the frame of U's own columns, so the
+    column phases are exactly the diagonal that is left out; exp(K) U with
+    off-diagonal K would lose the descent direction at equatorial qubit
+    bases.
+    """
+    m = u.shape[0]
+    iu = np.triu_indices(m, 1)
+
+    def step(x):
+        k = np.zeros((m, m), dtype=np.complex128)
+        k[iu] = x[: iu[0].size] + 1j * x[iu[0].size :]
+        return _expm_skew(k - dagger(k))
+
+    g = _cond_entropy_grad(u, b, eps_prob, iu)
+    hinv = np.eye(g.size)
+    evals = 1
+    for it in range(_MAX_STEPS):
+        if np.linalg.norm(g) < _GRAD_TOL:
+            break
+        d = -hinv @ g
+        slope = float(g @ d)
+        if slope >= 0.0:
+            hinv = np.eye(g.size)
+            d, slope = -g, -float(g @ g)
+        t = 1.0
+        for _ in range(_BACKTRACKS):
+            u_new = u @ step(t * d)
+            h_new = float(_cond_entropy_batch(_basis_coef(u_new), b, eps_prob))
+            evals += 1
+            if h_new <= h + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        progress = h - h_new
+        if progress > 0.0:
+            u, h = u_new, h_new
+        if progress <= _PROGRESS_RTOL * abs(h):
+            break
+        g_new = _cond_entropy_grad(u, b, eps_prob, iu)
+        evals += 1
+        s, y = t * d, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if it == 0:
+                hinv = hinv * (sy / float(y @ y))
+            r = np.eye(g.size) - np.outer(s, y) / sy
+            hinv = r @ hinv @ r.T + np.outer(s, s) / sy
+        g = g_new
+    return u, h, evals
+
+
+def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, tol: Tolerance, mi: float):
+    """Best S(rho_B) - H(U) over orthonormal A bases U, any dim_a.
+
+    Returns (value, basis, objective evaluations, candidates scored).  The
+    rho_A eigenbasis is scored first: the value never exceeds mi, so within
+    a quarter of eps_opt of it the search is done (exact for classical-
+    quantum inputs).  Otherwise the eigenbasis, the identity and the seeded
+    Haar bases are scored in one batch and the best _REFINED refined.
+    """
+    m = state.dim_a
     b = block_tensor(state)
     s_b = _entropy_of(partial_trace_a(state))
-    eig_a = hermitian_eig(partial_trace_b(state), tol)
-    starts = [eig_a.eigenvectors, np.eye(3, dtype=np.complex128)]
-    rng = np.random.default_rng(opt.random_seed)
-    for _ in range(max(0, opt.starts_3d - 2)):
-        starts.append(random_unitary(3, rng))
+    eig = hermitian_eig(partial_trace_b(state), tol).eigenvectors
+    h_eig = float(_cond_entropy_batch(_basis_coef(eig), b, tol.eps_prob))
+    if mi - (s_b - h_eig) <= 0.25 * opt.eps_opt:
+        return max(0.0, s_b - h_eig), eig, 1, 0
 
-    best = -np.inf
-    u_best = starts[0]
-    evals = 0
-    x0 = np.zeros(6)
-    for w in starts:
-        def neg(x, w=w):
-            return float(
-                _cond_entropy_batch(_basis_coef(_chart_u3(x, w)), b, tol.eps_prob) - s_b
-            )
+    cands = np.concatenate([eig[None], np.eye(m, dtype=np.complex128)[None], _haar_bases(m)])
+    hs = _cond_entropy_batch(_basis_coef(cands), b, tol.eps_prob)
+    evals = 1 + len(cands)
+    best_h, best_u = np.inf, eig
+    for i in np.argsort(hs, kind="stable")[:_REFINED]:
+        u, h, n = _refine(cands[i], float(hs[i]), b, tol.eps_prob)
+        evals += n
+        if h < best_h:
+            best_h, best_u = h, u
+    return max(0.0, s_b - best_h), best_u, evals, len(cands)
 
-        val = -neg(x0)
-        evals += 1
-        if val > best:
-            best, u_best = val, w
-        if mi - best <= 0.25 * opt.eps_opt:
-            break
-        res = minimize(
-            neg,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": opt.refine_maxfev_3d,
-                "fatol": opt.refine_ftol,
-                "xatol": 1e-8,
-            },
-        )
-        evals += int(res.nfev)
-        if -float(res.fun) > best:
-            best = -float(res.fun)
-            u_best = _chart_u3(res.x, w)
-        if mi - best <= 0.25 * opt.eps_opt:
-            break
-    return max(0.0, best), u_best, evals, 0
+
+def _qubit_measurement(u: np.ndarray) -> QubitMeasurement:
+    """The measurement along the first column of a qubit basis."""
+    v0, v1 = u[:, 0]
+    phi = float(np.angle(v1) - np.angle(v0)) % (2.0 * np.pi)
+    # a tiny negative angle difference rounds up to 2 pi
+    phi = phi if phi < 2.0 * np.pi else 0.0
+    return QubitMeasurement(2.0 * float(np.arctan2(abs(v1), abs(v0))), phi)
 
 
 def classical_correlation_a(
@@ -398,9 +399,8 @@ def classical_correlation_a(
     """Maximal S(rho_B) - conditional entropy over qubit measurements on A."""
     if state.dim_a != 2:
         raise DimensionMismatch(f"qubit measurement search needs dim_a = 2, got {state.dim_a}")
-    mi = mutual_information(state, tol)
-    value, meas, _, _ = _cc_qubit(state, opt, tol, mi)
-    return value, meas
+    report = discord_a(state, opt, tol)
+    return report.classical_correlation, report.optimal_measurement
 
 
 def discord_a(
@@ -408,21 +408,14 @@ def discord_a(
     opt: OptimizerConfig = DEFAULT_OPT,
     tol: Tolerance = DEFAULT_TOL,
 ) -> DiscordReport:
-    """Quantum discord of the A side: mutual information minus C_A."""
+    """Quantum discord of the A side: mutual information minus C_A, any dim_a."""
     mi = mutual_information(state, tol)
-    if state.dim_a == 2:
-        cc, meas, evals, grid = _cc_qubit(state, opt, tol, mi)
-        basis = None
-    elif state.dim_a == 3:
-        cc, basis, evals, grid = _cc_qutrit(state, opt, tol, mi)
-        meas = None
-    else:
-        raise DimensionMismatch(f"discord search defined for dim_a in {{2, 3}}, got {state.dim_a}")
+    cc, basis, evals, grid = _classical_correlation(state, opt, tol, mi)
     return DiscordReport(
         mutual_information=mi,
         classical_correlation=cc,
         discord=max(0.0, mi - cc),
-        optimal_measurement=meas,
+        optimal_measurement=_qubit_measurement(basis) if state.dim_a == 2 else None,
         optimizer_evals=evals,
         grid_resolution=grid,
         optimal_basis=basis,
@@ -436,8 +429,7 @@ def commutator_criterion(state: BipartiteState) -> float:
 
 
 # Jacobi sweeps stop once a sweep lowers the off-block mass by no more than
-# this fraction of it; the sweep cap only guards against a stalled loop.
-_SWEEP_RTOL = 1e-15
+# _PROGRESS_RTOL of it; the sweep cap only guards against a stalled loop.
 _MAX_SWEEPS = 100
 
 
@@ -499,13 +491,10 @@ def cq_detect(
     basis = eig.eigenvectors.copy()
     bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
 
-    if commutator_criterion(state) > tol.eps_residual:
-        return CqVerdict(
-            is_cq=False,
-            basis=None,
-            off_block_residual=float(np.sqrt(_off_mass(bp))),
-            sigma_list=None,
-        )
+    com = commutator_criterion(state)
+    if com > tol.eps_residual:
+        return CqVerdict(is_cq=False, basis=None, off_block_residual=float(np.sqrt(_off_mass(bp))),
+                         sigma_list=None, commutator=com)
 
     # the eigenvalues descend, so a cluster is a run of gaps <= eps_degenerate
     lam = eig.eigenvalues
@@ -522,11 +511,13 @@ def cq_detect(
         for p, q in pairs:
             _rotate_pair(bp, basis, p, q)
         last, mass = mass, _off_mass(bp)
-        if disjoint or last - mass <= _SWEEP_RTOL * last:
+        if disjoint or last - mass <= _PROGRESS_RTOL * last:
             break
 
     off = float(np.sqrt(mass))
     if off > tol.eps_cq:
-        return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None)
+        return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None,
+                         commutator=com)
     sigma_list = [_psd_clamp(bp[k, k]) for k in range(m)]
-    return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=sigma_list)
+    return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=sigma_list,
+                     commutator=com)

@@ -45,6 +45,14 @@ def vn_entropy(mat) -> float:
     return entropy_bits(w)
 
 
+def blocks_of(state: BipartiteState) -> np.ndarray:
+    """The (M, M, N, N) block grid of a state, sliced block by block."""
+    m, n = state.dim_a, state.dim_b
+    rho = state.rho
+    return np.array([[rho[k * n:(k + 1) * n, l * n:(l + 1) * n] for l in range(m)]
+                     for k in range(m)])
+
+
 def eig2(a: float, d: float, b: complex) -> tuple[float, float]:
     """Eigenvalues of [[a, b], [conj(b), d]] from the quadratic formula."""
     m = 0.5 * (a + d)
@@ -302,12 +310,10 @@ def searched_off_mass(state: BipartiteState, eps_degenerate: float = 1e-8,
     bound on the least off-block mass, exact up to search accuracy for
     2-fold clusters.
     """
-    m, n = state.dim_a, state.dim_b
+    m = state.dim_a
     if m not in (2, 3):
         raise ValueError("searched_off_mass expects dim_a 2 or 3")
-    rho = state.rho
-    blocks = np.array([[rho[k * n:(k + 1) * n, l * n:(l + 1) * n] for l in range(m)]
-                       for k in range(m)])
+    blocks = blocks_of(state)
     rho_a = np.einsum("klaa->kl", blocks)
     lam, vec = np.linalg.eigh((rho_a + rho_a.conj().T) / 2)
     lam, vec = lam[::-1], vec[:, ::-1]
@@ -330,6 +336,130 @@ def searched_off_mass(state: BipartiteState, eps_degenerate: float = 1e-8,
         elif len(cl) == 3:
             total += _triple_min(sub, floor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# measured classical correlation: an explicit-loop evaluation for a given
+# basis, and the grid + simplex searches as they were written before the
+# measurement search took dim_a as a parameter, kept as oracles for
+# qcorr.discord.discord_a
+
+
+def measured_correlation(state: BipartiteState, basis: np.ndarray,
+                         eps_prob: float = 1e-12) -> float:
+    """S(rho_B) - sum_k p_k S(sigma_k) for the measurement along the columns
+    of basis, each conditional state summed block by block."""
+    m, n = state.dim_a, state.dim_b
+    blocks = blocks_of(state)
+    rho_b = sum(blocks[k, k] for k in range(m))
+    cond = 0.0
+    for k in range(m):
+        sig = np.zeros((n, n), dtype=np.complex128)
+        for i in range(m):
+            for j in range(m):
+                sig += np.conj(basis[i, k]) * basis[j, k] * blocks[i, j]
+        p = float(np.trace(sig).real)
+        if p > eps_prob:
+            cond += p * vn_entropy((sig + sig.conj().T) / (2.0 * p))
+    return vn_entropy(rho_b) - cond
+
+
+_CC_GRID = (64, 128)
+_CC_EPS_OPT = 1e-4
+_CC_EPS_PROB = 1e-12
+_CC_SEED = 20260815
+_CC_STARTS_3 = 6
+
+
+def _cond_entropy(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_k p_k S(sigma_k) for outcome coefficients coef (..., K, M, M)."""
+    sig = np.einsum("...kij,ijab->...kab", coef, blocks)
+    p = np.einsum("...kaa->...k", sig).real
+    w = np.clip(np.linalg.eigvalsh(sig), 0.0, None)
+    wlog = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+    live = p > _CC_EPS_PROB
+    plog = np.where(live, p * np.log2(np.where(live, p, 1.0)), 0.0)
+    return np.where(live, -wlog.sum(axis=-1) + plog, 0.0).sum(axis=-1)
+
+
+def _mutual_information(state: BipartiteState, blocks: np.ndarray) -> float:
+    rho_a = np.einsum("klaa->kl", blocks)
+    rho_b = np.einsum("kkab->ab", blocks)
+    return max(0.0, vn_entropy(rho_a) + vn_entropy(rho_b) - vn_entropy(state.rho))
+
+
+def _bloch_coef(theta, phi) -> np.ndarray:
+    """Outcome coefficients (..., 2, 2, 2) of the qubit basis at (theta, phi)."""
+    c = np.cos(np.asarray(theta) / 2.0)
+    s = np.sin(np.asarray(theta) / 2.0)
+    e = np.exp(1j * np.asarray(phi))
+    vp = np.stack([c, e * s], axis=-1)
+    vm = np.stack([-np.conj(e) * s, c], axis=-1)
+    return np.stack([np.einsum("...i,...j->...ij", np.conj(v), v) for v in (vp, vm)], axis=-3)
+
+
+def searched_cc_qubit(state: BipartiteState) -> float:
+    """Classical correlation of a 2xN state from a 64x128 Bloch grid, then
+    Nelder-Mead from the best grid point unless that is within a quarter of
+    1e-4 of the mutual information."""
+    from scipy.optimize import minimize
+
+    if state.dim_a != 2:
+        raise ValueError("searched_cc_qubit expects dim_a = 2")
+    blocks = blocks_of(state)
+    s_b = vn_entropy(np.einsum("kkab->ab", blocks))
+    mi = _mutual_information(state, blocks)
+    n_theta, n_phi = _CC_GRID
+    tt = np.repeat(np.linspace(0.0, np.pi, n_theta), n_phi)
+    pp = np.tile(np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False), n_theta)
+    values = s_b - _cond_entropy(_bloch_coef(tt, pp), blocks)
+    g = int(np.argmax(values))
+    best = float(values[g])
+    if mi - best > 0.25 * _CC_EPS_OPT:
+        res = minimize(lambda x: float(_cond_entropy(_bloch_coef(x[0], x[1]), blocks) - s_b),
+                       np.array([tt[g], pp[g]]), method="Nelder-Mead",
+                       options={"maxfev": 200, "fatol": 1e-9, "xatol": 1e-8})
+        best = max(best, -float(res.fun))
+    return max(0.0, best)
+
+
+def _chart3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (w @ _givens3(0, 1, x[0], x[1]) @ _givens3(0, 2, x[2], x[3])
+            @ _givens3(1, 2, x[4], x[5]))
+
+
+def searched_cc_qutrit(state: BipartiteState) -> float:
+    """Classical correlation of a 3xN state from Nelder-Mead over a Givens
+    chart of U(3): starts at the rho_A eigenbasis, the identity and four
+    seeded Haar bases, stopping within a quarter of 1e-4 of the mutual
+    information."""
+    from scipy.optimize import minimize
+
+    if state.dim_a != 3:
+        raise ValueError("searched_cc_qutrit expects dim_a = 3")
+    blocks = blocks_of(state)
+    s_b = vn_entropy(np.einsum("kkab->ab", blocks))
+    mi = _mutual_information(state, blocks)
+    rho_a = np.einsum("klaa->kl", blocks)
+    starts = [np.linalg.eigh((rho_a + rho_a.conj().T) / 2)[1][:, ::-1],
+              np.eye(3, dtype=np.complex128)]
+    rng = np.random.default_rng(_CC_SEED)
+    starts += [_haar3(rng) for _ in range(_CC_STARTS_3 - 2)]
+    best = -np.inf
+    for w in starts:
+        def neg(x, w=w):
+            u = _chart3(x, w)
+            return float(_cond_entropy(np.einsum("ik,jk->kij", np.conj(u), u), blocks) - s_b)
+
+        best = max(best, -neg(np.zeros(6)))
+        if mi - best <= 0.25 * _CC_EPS_OPT:
+            break
+        res = minimize(neg, np.zeros(6), method="Nelder-Mead",
+                       options={"maxfev": 400, "fatol": 1e-9, "xatol": 1e-8})
+        best = max(best, -float(res.fun))
+        if mi - best <= 0.25 * _CC_EPS_OPT:
+            break
+    return max(0.0, best)
 
 
 # ---------------------------------------------------------------------------

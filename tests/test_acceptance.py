@@ -186,13 +186,12 @@ def test_criterion_08_commutator_necessity():
         worst_cq = max(worst_cq, discord.commutator_criterion(state))
     assert worst_cq <= 1e-9
 
-    opt = OptimizerConfig(grid_theta=16, grid_phi=32)
     checked = 0
     for seed in child_seeds(8500, 1000):
         state = bipartite.validate(families.random_ginibre_density(4, seed), 2, 2, TOL)
         if discord.commutator_criterion(state) > 1e-6:
             checked += 1
-            rep = discord.discord_a(state, opt, TOL)
+            rep = discord.discord_a(state, OPT, TOL)
             assert rep.discord > 0.0, f"seed {seed}: commutator large but discord 0"
     assert checked >= 990
     print(f"acceptance 08: PASS (1000 CQ states worst commutator {worst_cq:.2e}; "

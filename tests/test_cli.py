@@ -118,6 +118,16 @@ def test_analyze_writes_output_file(tmp_path, capsys):
     assert doc["dims"] == [2, 2]
 
 
+def test_analyze_serves_dim_a_4(tmp_path, capsys):
+    state = validate(random_ginibre_density(8, 7), 4, 2)
+    rc = main(["analyze", write_state(tmp_path, "g42.json", state), "--format", "machine"])
+    assert rc == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dims"] == [4, 2]
+    assert 0.0 < doc["discord"] <= doc["mutual_information"]
+    assert doc["optimal_theta"] is None
+
+
 def test_analyze_impossible_tolerance_reports_inconsistency(tmp_path, capsys):
     # a classical-quantum qubit-side state must be SPPT; squeezing the
     # normality tolerance to an unreachable level makes the numerical SPPT
