@@ -24,11 +24,8 @@ from .discord import (
     CqVerdict,
     DiscordReport,
     OptimizerConfig,
-    QubitMeasurement,
-    classical_correlation_a,
     commutator_criterion,
     conditional_entropy,
-    conditional_state,
     cq_detect,
     discord_a,
     mutual_information,
@@ -87,14 +84,11 @@ __all__ = [
     "is_sppt",
     "OptimizerConfig",
     "DEFAULT_OPT",
-    "QubitMeasurement",
     "DiscordReport",
     "CqVerdict",
     "von_neumann_entropy",
     "mutual_information",
-    "conditional_state",
     "conditional_entropy",
-    "classical_correlation_a",
     "discord_a",
     "commutator_criterion",
     "cq_detect",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bipartite, discord, factorization
-from .bipartite import BipartiteState, PptVerdict, partial_transpose_a
+from . import discord, factorization
+from .bipartite import BipartiteState, PptVerdict
 from .discord import DEFAULT_OPT, CqVerdict, DiscordReport, OptimizerConfig
 from .factorization import SpptVerdict
 from .matlib import DEFAULT_TOL, Tolerance, hermitize
@@ -28,11 +28,8 @@ class AnalysisReport:
     state: BipartiteState
     trace: float
     spectrum: list[float]
-    pt_spectrum: list[float]
     ppt: PptVerdict
     sppt: SpptVerdict
-    commutator: float
-    mutual_information: float
     discord: DiscordReport
     cq: CqVerdict
     inconsistency: str | None
@@ -45,8 +42,6 @@ def analyze(
 ) -> AnalysisReport:
     """Run the whole pipeline on one validated state."""
     spectrum = np.linalg.eigvalsh(hermitize(state.rho))[::-1]
-    pt_spectrum = np.linalg.eigvalsh(hermitize(partial_transpose_a(state)))[::-1]
-    ppt = bipartite.is_ppt(state, tol)
     sppt = factorization.is_sppt(state, tol)
     report = discord.discord_a(state, opt, tol)
     cq = discord.cq_detect(state, tol)
@@ -63,36 +58,54 @@ def analyze(
         state=state,
         trace=float(np.trace(state.rho).real),
         spectrum=[float(x) for x in spectrum],
-        pt_spectrum=[float(x) for x in pt_spectrum],
-        ppt=ppt,
+        ppt=sppt.ppt,
         sppt=sppt,
-        commutator=cq.commutator,
-        mutual_information=report.mutual_information,
         discord=report,
         cq=cq,
         inconsistency=inconsistency,
     )
 
 
+# The measurement search fixes its basis to about 1e-8; when the smaller
+# component of a qubit measurement vector is no larger than that, the vector
+# sits at a pole and the relative phase of its components, the azimuth, is
+# rounding noise, so it is reported as 0.
+_POLE_TOL = 1e-8
+
+
+def _bloch_angles(d: DiscordReport) -> tuple[float | None, float | None]:
+    """Bloch angles (theta, phi) of the first measurement vector of a qubit
+    A side; (None, None) for any other dim_a."""
+    if d.optimal_basis.shape[0] != 2:
+        return None, None
+    v0, v1 = d.optimal_basis[:, 0]
+    theta = 2.0 * float(np.arctan2(abs(v1), abs(v0)))
+    if min(abs(v0), abs(v1)) <= _POLE_TOL:
+        return theta, 0.0
+    phi = float(np.angle(v1) - np.angle(v0)) % (2.0 * np.pi)
+    # a tiny negative angle difference rounds up to 2 pi
+    return theta, phi if phi < 2.0 * np.pi else 0.0
+
+
 def to_machine(report: AnalysisReport) -> dict:
     """JSON-serializable rendering; a superset of the human output."""
-    meas = report.discord.optimal_measurement
+    theta, phi = _bloch_angles(report.discord)
     return {
         "dims": [report.state.dim_a, report.state.dim_b],
         "trace": report.trace,
         "spectrum": report.spectrum,
-        "pt_spectrum": report.pt_spectrum,
+        "pt_spectrum": [float(x) for x in report.ppt.spectrum],
         "is_ppt": report.ppt.is_ppt,
         "ppt_min_eigenvalue": report.ppt.min_eigenvalue,
         "is_sppt": report.sppt.is_sppt,
         "sppt_residuals": dict(report.sppt.residuals),
         "rank_deficient": report.sppt.rank_deficient,
-        "commutator": report.commutator,
+        "commutator": report.cq.commutator,
         "mutual_information": report.discord.mutual_information,
         "classical_correlation": report.discord.classical_correlation,
         "discord": report.discord.discord,
-        "optimal_theta": None if meas is None else meas.theta,
-        "optimal_phi": None if meas is None else meas.phi,
+        "optimal_theta": theta,
+        "optimal_phi": phi,
         "optimizer_evals": report.discord.optimizer_evals,
         "grid_resolution": report.discord.grid_resolution,
         "is_cq": report.cq.is_cq,
@@ -108,11 +121,11 @@ def _fmt_spec(values: list[float]) -> str:
 def to_human(report: AnalysisReport) -> str:
     """Plain-text rendering of the report."""
     d = report.discord
-    meas = d.optimal_measurement
+    theta, phi = _bloch_angles(d)
     lines = [
         f"state               {report.state.dim_a}x{report.state.dim_b}, trace {report.trace:.12f}",
         f"spectrum            {_fmt_spec(report.spectrum)}",
-        f"pt spectrum         {_fmt_spec(report.pt_spectrum)}",
+        f"pt spectrum         {_fmt_spec(list(report.ppt.spectrum))}",
         f"ppt                 {'yes' if report.ppt.is_ppt else 'NO'}"
         f" (min eigenvalue {report.ppt.min_eigenvalue: .3e})",
         f"sppt                {'yes' if report.sppt.is_sppt else 'NO'}"
@@ -121,11 +134,11 @@ def to_human(report: AnalysisReport) -> str:
     if report.sppt.rank_deficient:
         lines.append("                    rank-deficient extraction: SPPT not decidable")
     lines += [
-        f"commutator          {report.commutator:.6e}",
+        f"commutator          {report.cq.commutator:.6e}",
         f"mutual information  {d.mutual_information:.6f} bits",
         f"classical corr      {d.classical_correlation:.6f} bits",
         f"discord             {d.discord:.6f} bits"
-        + (f" (theta={meas.theta:.6f}, phi={meas.phi:.6f})" if meas is not None else ""),
+        + (f" (theta={theta:.6f}, phi={phi:.6f})" if theta is not None else ""),
         f"cq                  {'yes' if report.cq.is_cq else 'NO'}"
         f" (off-block residual {report.cq.off_block_residual:.3e})",
     ]

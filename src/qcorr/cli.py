@@ -193,7 +193,7 @@ def _verdicts(state: bipartite.BipartiteState, tol: Tolerance):
     sppt = factorization.is_sppt(state, tol)
     cq = discord.cq_detect(state, tol)
     verdicts = {
-        "ppt": bipartite.is_ppt(state, tol).is_ppt,
+        "ppt": sppt.ppt.is_ppt,
         "sppt": sppt.is_sppt,
         "cq": cq.is_cq,
     }

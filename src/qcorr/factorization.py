@@ -69,13 +69,15 @@ class SpptVerdict:
     is_sppt requires every normality and cross residual under its threshold,
     a faithful reconstruction, numerical PPT, and a decidable extraction
     (rank_deficient false), so is_sppt implies is_ppt by construction.  For
-    dim_a >= 3 the verdict refers to the canonical gauge.
+    dim_a >= 3 the verdict refers to the canonical gauge.  ppt is the PPT
+    verdict the decision used.
     """
 
     is_sppt: bool
     residuals: dict[str, float]
     rank_deficient: bool
     factorization: SpptFactorization
+    ppt: bipartite.PptVerdict
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,4 +257,5 @@ def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
         },
         rank_deficient=f.rank_deficient,
         factorization=f,
+        ppt=ppt,
     )

@@ -12,8 +12,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from qcorr import (Tolerance, random_cq, random_ginibre_density, read_statefile, validate,
-                   write_statefile)
+from qcorr import (BellDiagonalParams, Tolerance, bell_diagonal, random_cq,
+                   random_ginibre_density, read_statefile, validate, write_statefile)
 from qcorr.cli import CSV_HEADER, EXIT_CLAIM, EXIT_INPUT, EXIT_OK, main
 
 
@@ -126,6 +126,18 @@ def test_analyze_serves_dim_a_4(tmp_path, capsys):
     assert doc["dims"] == [4, 2]
     assert 0.0 < doc["discord"] <= doc["mutual_information"]
     assert doc["optimal_theta"] is None
+
+
+def test_analyze_reports_zero_azimuth_at_a_pole(tmp_path, capsys):
+    # the optimal measurement of this state is along z; its azimuth would be
+    # the phase of a rounding-level component
+    path = write_state(tmp_path, "bd.json", bell_diagonal(BellDiagonalParams(0.4, 0.3, 0.2, 0.1)))
+    assert main(["analyze", path, "--format", "machine"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["optimal_phi"] == 0.0
+    assert doc["optimal_theta"] == pytest.approx(np.pi, abs=1e-9)
+    assert main(["analyze", path]) == EXIT_OK
+    assert "(theta=3.141593, phi=0.000000)" in capsys.readouterr().out
 
 
 def test_analyze_impossible_tolerance_reports_inconsistency(tmp_path, capsys):

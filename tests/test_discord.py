@@ -8,9 +8,11 @@ slice family) pin cq_detect.
 """
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -27,15 +29,12 @@ from qcorr import (
     DEFAULT_OPT,
     DEFAULT_TOL,
     OptimizerConfig,
-    QubitMeasurement,
     Tolerance,
     XStateParams,
     bell_diagonal,
     build_cq_state,
-    classical_correlation_a,
     commutator_criterion,
     conditional_entropy,
-    conditional_state,
     cq_detect,
     discord_a,
     mutual_information,
@@ -51,7 +50,7 @@ from qcorr import (
     von_neumann_entropy,
     xstate,
 )
-from qcorr.errors import DimensionMismatch, InvalidParams, NotDensityMatrix
+from qcorr.errors import DimensionMismatch, NotDensityMatrix, NotUnitary
 
 
 def ginibre_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
@@ -116,117 +115,61 @@ def test_mutual_information_nonnegative_and_bounded(seed):
 
 
 # ---------------------------------------------------------------------------
-# measurements and conditional states
+# conditional entropy of a measurement basis
 
 
-def test_projectors_complete_and_idempotent():
-    m = QubitMeasurement(theta=0.7, phi=1.3)
-    p_plus, p_minus = m.projectors()
-    assert np.array_equal(p_plus + p_minus, np.eye(2))
-    for p in (p_plus, p_minus):
-        assert np.allclose(p @ p, p, atol=1e-14)
-        assert np.trace(p).real == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(p_plus @ p_minus, 0.0, atol=1e-14)
-
-
-def test_measurement_vectors_are_orthonormal():
-    m = QubitMeasurement(theta=2.0, phi=5.5)
-    vp, vm = m.vector(+1), m.vector(-1)
-    assert np.vdot(vp, vp).real == pytest.approx(1.0, abs=1e-14)
-    assert abs(np.vdot(vp, vm)) < 1e-14
-
-
-def test_measurement_angle_validation():
-    with pytest.raises(InvalidParams):
-        QubitMeasurement(theta=-0.1, phi=0.0)
-    with pytest.raises(InvalidParams):
-        QubitMeasurement(theta=3.5, phi=0.0)
-    with pytest.raises(InvalidParams):
-        QubitMeasurement(theta=1.0, phi=2.0 * np.pi)
-    with pytest.raises(InvalidParams):
-        QubitMeasurement(theta=1.0, phi=1.0).vector(0)
-
-
-def test_conditional_state_on_bell_with_z_measurement():
-    z = QubitMeasurement(theta=0.0, phi=0.0)
-    p, sigma = conditional_state(bell_state(), z, +1)
-    assert p == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(sigma, np.diag([1.0, 0.0]), atol=1e-12)
-    p, sigma = conditional_state(bell_state(), z, -1)
-    assert p == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(sigma, np.diag([0.0, 1.0]), atol=1e-12)
-
-
-def test_conditional_state_on_maximally_mixed_is_uniform():
-    s = validate(np.eye(6) / 6, 2, 3)
-    for theta, phi in [(0.0, 0.0), (1.0, 2.0), (np.pi / 2, np.pi)]:
-        p, sigma = conditional_state(s, QubitMeasurement(theta=theta, phi=phi), +1)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(sigma, np.eye(3) / 3, atol=1e-12)
-
-
-def test_conditional_state_zero_probability_branch():
-    # A side fixed in |0>: measuring along -z never yields the + outcome
-    rho = np.kron(np.diag([1.0, 0.0]), np.diag([0.6, 0.4]))
-    s = validate(rho, 2, 2)
-    p, sigma = conditional_state(s, QubitMeasurement(theta=np.pi, phi=0.0), +1)
-    assert 0.0 <= p <= DEFAULT_TOL.eps_prob
-    assert np.allclose(sigma, np.eye(2) / 2)  # placeholder, not a physical update
-
-
-def test_conditional_state_requires_qubit_a_side():
-    s = ginibre_state(1, 3, 2)
-    with pytest.raises(DimensionMismatch):
-        conditional_state(s, QubitMeasurement(theta=0.0, phi=0.0), +1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.floats(0.0, np.pi),
-    st.floats(0.0, 2 * np.pi, exclude_max=True),
-)
-def test_outcome_probabilities_sum_to_one(seed, theta, phi):
-    s = ginibre_state(seed, 2, 3)
-    m = QubitMeasurement(theta=theta, phi=phi)
-    p_plus, sig_plus = conditional_state(s, m, +1)
-    p_minus, sig_minus = conditional_state(s, m, -1)
-    assert p_plus + p_minus == pytest.approx(1.0, abs=1e-10)
-    for p, sig in [(p_plus, sig_plus), (p_minus, sig_minus)]:
-        if p > DEFAULT_TOL.eps_prob:
-            assert np.trace(sig).real == pytest.approx(1.0, abs=1e-10)
-            assert np.min(np.linalg.eigvalsh(sig)) > -1e-10
+def bloch_basis(theta: float, phi: float) -> np.ndarray:
+    """Qubit basis whose first column has Bloch angles (theta, phi)."""
+    c, sn, e = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
+    return np.array([[c, -np.conj(e) * sn], [e * sn, c]], dtype=np.complex128)
 
 
 def test_conditional_entropy_matches_manual_sum():
-    s = ginibre_state(2, 2, 3)
-    m = QubitMeasurement(theta=1.1, phi=0.4)
-    total = 0.0
-    for k in (+1, -1):
-        p, sig = conditional_state(s, m, k)
-        if p > DEFAULT_TOL.eps_prob:
-            total += p * H.vn_entropy(sig)
-    assert conditional_entropy(s, m) == pytest.approx(total, abs=1e-10)
+    # S(rho_B) - H(U) against the block-by-block oracle, any dim_a
+    for dim_a, dim_b in [(2, 3), (3, 2), (3, 4), (4, 2)]:
+        s = ginibre_state([2, dim_a, dim_b], dim_a, dim_b)
+        sb = H.vn_entropy(partial_trace_a(s))
+        bases = [np.eye(dim_a)] + [random_unitary(dim_a, rng_seed=[dim_a, dim_b, k])
+                                   for k in range(3)]
+        for u in bases:
+            assert sb - conditional_entropy(s, u) == pytest.approx(
+                H.measured_correlation(s, u), abs=1e-12)
 
 
 def test_conditional_entropy_of_product_is_b_entropy():
-    a = np.diag([0.3, 0.7])
     b = np.diag([0.5, 0.3, 0.2])
-    s = validate(np.kron(a, b), 2, 3)
     sb = H.entropy_bits([0.5, 0.3, 0.2])
-    for theta, phi in [(0.0, 0.0), (0.8, 2.2), (np.pi / 2, 0.0)]:
-        assert conditional_entropy(s, QubitMeasurement(theta=theta, phi=phi)) == pytest.approx(
-            sb, abs=1e-10
-        )
+    for a in (np.diag([0.3, 0.7]), np.diag([0.2, 0.3, 0.5]), np.diag([0.1, 0.2, 0.3, 0.4])):
+        m = a.shape[0]
+        s = validate(np.kron(a, b), m, 3)
+        for u in (np.eye(m), random_unitary(m, rng_seed=[m, 1]),
+                  random_unitary(m, rng_seed=[m, 2])):
+            assert conditional_entropy(s, u) == pytest.approx(sb, abs=1e-10)
 
 
 def test_conditional_entropy_of_pure_state_vanishes():
     # remote states conditioned on a pure bipartite state are pure
-    s = bell_state()
-    for theta, phi in [(0.0, 0.0), (1.0, 1.0), (2.5, 4.0)]:
-        assert conditional_entropy(s, QubitMeasurement(theta=theta, phi=phi)) == pytest.approx(
-            0.0, abs=1e-10
-        )
+    for s in (bell_state(), random_pure(3, 4, rng_seed=5), random_pure(4, 2, rng_seed=6)):
+        for k in range(3):
+            u = random_unitary(s.dim_a, rng_seed=[s.dim_a, k])
+            assert conditional_entropy(s, u) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_conditional_entropy_zero_probability_branch():
+    # A side fixed in |0>: the outcome |1> never occurs and drops out
+    sigma = np.diag([0.6, 0.4])
+    s = validate(np.kron(np.diag([1.0, 0.0]), sigma), 2, 2)
+    swapped = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert conditional_entropy(s, swapped) == pytest.approx(H.vn_entropy(sigma), abs=1e-12)
+
+
+def test_conditional_entropy_rejects_bad_bases():
+    s = ginibre_state(1, 3, 2)
+    for u in (np.eye(2), np.eye(4), np.eye(3)[:, :2]):
+        with pytest.raises(DimensionMismatch):
+            conditional_entropy(s, u)
+    with pytest.raises(NotUnitary):
+        conditional_entropy(s, np.triu(np.ones((3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -237,33 +180,33 @@ def test_classical_correlation_of_product_vanishes():
     a = np.diag([0.3, 0.7])
     b = np.diag([0.6, 0.4])
     s = validate(np.kron(a, b), 2, 2)
-    value, m = classical_correlation_a(s)
-    assert 0.0 <= value <= 1e-9
-    assert isinstance(m, QubitMeasurement)
+    r = discord_a(s)
+    assert 0.0 <= r.classical_correlation <= 1e-9
+    assert r.optimal_basis.shape == (2, 2)
 
 
 def test_classical_correlation_of_classical_state_is_full():
-    value, m = classical_correlation_a(classically_correlated())
-    assert value == pytest.approx(1.0, abs=1e-9)
-    # optimal measurement is along z (theta at either pole)
-    assert min(m.theta, np.pi - m.theta) < 1e-3
+    r = discord_a(classically_correlated())
+    assert r.classical_correlation == pytest.approx(1.0, abs=1e-9)
+    # optimal measurement is along z: its first vector sits at a pole
+    assert np.min(np.abs(r.optimal_basis[:, 0])) < 5e-4
 
 
 def test_classical_correlation_achieves_its_reported_value():
     s = ginibre_state(3, 2, 2)
-    value, m = classical_correlation_a(s)
-    achieved = von_neumann_entropy(partial_trace_a(s)) - conditional_entropy(s, m)
-    assert value == pytest.approx(achieved, abs=1e-9)
+    r = discord_a(s)
+    achieved = von_neumann_entropy(partial_trace_a(s)) - conditional_entropy(s, r.optimal_basis)
+    assert r.classical_correlation == pytest.approx(achieved, abs=1e-9)
 
 
 def test_classical_correlation_dominates_coarse_grid():
     # soundness: the optimum can only improve on any explicit measurement
     s = ginibre_state(4, 2, 3)
-    value, _ = classical_correlation_a(s)
+    value = discord_a(s).classical_correlation
     sb = von_neumann_entropy(partial_trace_a(s))
     for theta in np.linspace(0.0, np.pi, 7):
         for phi in np.linspace(0.0, 2 * np.pi, 9, endpoint=False):
-            objective = sb - conditional_entropy(s, QubitMeasurement(theta=theta, phi=phi))
+            objective = sb - conditional_entropy(s, bloch_basis(theta, phi))
             assert value >= objective - 1e-9
 
 
@@ -360,11 +303,9 @@ def test_discord_against_qutrit_search_oracle():
 def test_discord_is_bit_reproducible():
     for s in (ginibre_state(21, 2, 3), ginibre_state(22, 3, 2), random_cq(2, 2, rng_seed=23)):
         a, b = discord_a(s), discord_a(s)
-        assert np.array_equal(a.optimal_basis, b.optimal_basis)
-        assert (a.classical_correlation, a.discord, a.optimizer_evals, a.grid_resolution,
-                a.optimal_measurement) == (b.classical_correlation, b.discord,
-                                           b.optimizer_evals, b.grid_resolution,
-                                           b.optimal_measurement)
+        assert a.optimal_basis.tobytes() == b.optimal_basis.tobytes()
+        assert (a.classical_correlation, a.discord, a.optimizer_evals, a.grid_resolution) == (
+            b.classical_correlation, b.discord, b.optimizer_evals, b.grid_resolution)
 
 
 def test_discord_early_exit_on_classical_quantum_states():
@@ -416,7 +357,6 @@ def test_discord_serves_any_dim_a():
     for s in cases:
         r = discord_a(s)
         assert r.discord <= DEFAULT_OPT.eps_opt
-        assert r.optimal_measurement is None
         assert np.allclose(r.optimal_basis.conj().T @ r.optimal_basis,
                            np.eye(s.dim_a), atol=1e-12)
     g = ginibre_state(106, 4, 2)
@@ -436,11 +376,20 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    # a deletion that leaves a stale entry in an __all__ fails here
+    import qcorr
+    modules = [qcorr] + [importlib.import_module(f"qcorr.{info.name}")
+                         for info in pkgutil.iter_modules(qcorr.__path__)]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name}"
+
+
 def test_discord_on_qutrit_a_side_reports_basis():
     s = random_cq(3, 2, rng_seed=17)
     r = discord_a(s)
     assert r.discord <= DEFAULT_OPT.eps_opt
-    assert r.optimal_measurement is None
     assert r.optimal_basis is not None
     assert np.allclose(
         r.optimal_basis.conj().T @ r.optimal_basis, np.eye(3), atol=1e-9
@@ -596,8 +545,10 @@ def test_cq_detect_serves_any_dim_a():
         kron_cq_state(np.eye(1), [1.0], 3, seed=81),
         kron_cq_state(random_unitary(4, rng_seed=82), [0.1, 0.2, 0.3, 0.4], 2, seed=83),
         kron_cq_state(random_unitary(4, rng_seed=84), [0.25] * 4, 3, seed=85),
+        kron_cq_state(random_unitary(5, rng_seed=86), [0.2] * 5, 2, seed=87),
     ]
     assert np.allclose(partial_trace_b(cases[2]), np.eye(4) / 4, atol=1e-12)
+    assert np.allclose(partial_trace_b(cases[3]), np.eye(5) / 5, atol=1e-12)
     for s in cases:
         v = cq_detect(s)
         assert v.is_cq
