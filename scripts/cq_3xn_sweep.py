@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from qcorr import Tolerance, factorization, families
-from qcorr.matlib import commutator, dagger, fro_norm
 
 HEADER = ("dim_b,samples,sppt_fraction,min_nonnormality,median_nonnormality,"
           "max_nonnormality,median_cross")
@@ -32,7 +31,7 @@ def sweep_row(n: int, samples: int, seed: int, tol: Tolerance) -> str:
     for i, s in enumerate(seeds):
         state = families.random_cq(3, n, int(s), tol)
         f = factorization.factorize(state, tol)
-        nonnormal[i] = fro_norm(commutator(f.s[0, 1], dagger(f.s[0, 1])))
+        nonnormal[i] = f.residuals["normality_s12"]
         cross[i] = f.residuals["cross"]
         sppt += factorization.is_sppt(state, tol).is_sppt
     return (f"{n},{samples},{sppt / samples:.4f},{nonnormal.min():.6e},"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discord, factorization
-from .bipartite import BipartiteState, PptVerdict
+from .bipartite import BipartiteState
 from .discord import DEFAULT_OPT, CqVerdict, DiscordReport, OptimizerConfig
 from .factorization import SpptVerdict
 from .matlib import DEFAULT_TOL, Tolerance, hermitize
@@ -28,7 +28,6 @@ class AnalysisReport:
     state: BipartiteState
     trace: float
     spectrum: list[float]
-    ppt: PptVerdict
     sppt: SpptVerdict
     discord: DiscordReport
     cq: CqVerdict
@@ -58,7 +57,6 @@ def analyze(
         state=state,
         trace=float(np.trace(state.rho).real),
         spectrum=[float(x) for x in spectrum],
-        ppt=sppt.ppt,
         sppt=sppt,
         discord=report,
         cq=cq,
@@ -94,9 +92,9 @@ def to_machine(report: AnalysisReport) -> dict:
         "dims": [report.state.dim_a, report.state.dim_b],
         "trace": report.trace,
         "spectrum": report.spectrum,
-        "pt_spectrum": [float(x) for x in report.ppt.spectrum],
-        "is_ppt": report.ppt.is_ppt,
-        "ppt_min_eigenvalue": report.ppt.min_eigenvalue,
+        "pt_spectrum": [float(x) for x in report.sppt.ppt.spectrum],
+        "is_ppt": report.sppt.ppt.is_ppt,
+        "ppt_min_eigenvalue": report.sppt.ppt.min_eigenvalue,
         "is_sppt": report.sppt.is_sppt,
         "sppt_residuals": dict(report.sppt.residuals),
         "rank_deficient": report.sppt.rank_deficient,
@@ -121,13 +119,14 @@ def _fmt_spec(values: list[float]) -> str:
 def to_human(report: AnalysisReport) -> str:
     """Plain-text rendering of the report."""
     d = report.discord
+    ppt = report.sppt.ppt
     theta, phi = _bloch_angles(d)
     lines = [
         f"state               {report.state.dim_a}x{report.state.dim_b}, trace {report.trace:.12f}",
         f"spectrum            {_fmt_spec(report.spectrum)}",
-        f"pt spectrum         {_fmt_spec(list(report.ppt.spectrum))}",
-        f"ppt                 {'yes' if report.ppt.is_ppt else 'NO'}"
-        f" (min eigenvalue {report.ppt.min_eigenvalue: .3e})",
+        f"pt spectrum         {_fmt_spec(list(ppt.spectrum))}",
+        f"ppt                 {'yes' if ppt.is_ppt else 'NO'}"
+        f" (min eigenvalue {ppt.min_eigenvalue: .3e})",
         f"sppt                {'yes' if report.sppt.is_sppt else 'NO'}"
         + "".join(f" {k}={v:.3e}" for k, v in sorted(report.sppt.residuals.items())),
     ]

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotHermitian, NotPsd, TraceNotOne
-from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm
+from .errors import (DimensionMismatch, IndexOutOfRange, NotDensityMatrix, NotHermitian,
+                     NotPsd, TraceNotOne)
+from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize
 
 __all__ = [
     "BipartiteState",
@@ -49,8 +50,9 @@ class BipartiteState:
 def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
     """Check Hermiticity, unit trace and positivity, then wrap the matrix.
 
-    Raises DimensionMismatch, NotHermitian, TraceNotOne or NotPsd naming
-    the violated invariant and its magnitude.
+    Raises DimensionMismatch, NotDensityMatrix (a NaN or infinite entry),
+    NotHermitian, TraceNotOne or NotPsd naming the violated invariant and
+    its magnitude.
     """
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatch(f"dimensions must be positive, got {dim_a}x{dim_b}")
@@ -58,13 +60,15 @@ def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> Bipar
     d = dim_a * dim_b
     if m.shape != (d, d):
         raise DimensionMismatch(f"expected shape ({d}, {d}) for a {dim_a}x{dim_b} state, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotDensityMatrix("matrix has NaN or infinite entries")
     defect = fro_norm(m - dagger(m))
     if defect > tol.eps_residual * max(1.0, fro_norm(m)):
         raise NotHermitian(f"hermiticity defect {defect:.3e}")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise TraceNotOne(f"trace {tr:.17g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    lam_min = float(npl.eigvalsh((m + dagger(m)) / 2)[0])
+    lam_min = float(npl.eigvalsh(hermitize(m))[0])
     if lam_min < -tol.eps_psd:
         raise NotPsd(f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd:.1e}")
     m.setflags(write=False)
@@ -124,7 +128,7 @@ class PptVerdict:
 def is_ppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> PptVerdict:
     """Spectral test: rho^{T_A} PSD within the eps_psd floor."""
     pt = partial_transpose_a(state)
-    w = npl.eigvalsh((pt + dagger(pt)) / 2)
+    w = npl.eigvalsh(hermitize(pt))
     lam_min = float(w[0])
     return PptVerdict(
         is_ppt=lam_min >= -tol.eps_psd,

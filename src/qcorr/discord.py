@@ -33,15 +33,7 @@ from .bipartite import (
 )
 from .errors import DimensionMismatch, NotDensityMatrix, NotUnitary
 from .families import random_unitary
-from .matlib import (
-    DEFAULT_TOL,
-    Tolerance,
-    commutator,
-    dagger,
-    fro_norm,
-    hermitian_eig,
-    hermitize,
-)
+from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize
 
 __all__ = [
     "OptimizerConfig",
@@ -130,6 +122,8 @@ def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
     a = np.asarray(sigma, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotDensityMatrix(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotDensityMatrix("matrix has NaN or infinite entries")
     scale = max(1.0, fro_norm(a))
     defect = fro_norm(a - dagger(a))
     if defect > tol.eps_residual * scale:
@@ -180,6 +174,8 @@ def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_T
     m = state.dim_a
     if u.shape != (m, m):
         raise DimensionMismatch(f"basis must be {m}x{m}, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise NotUnitary("basis has NaN or infinite entries")
     defect = fro_norm(dagger(u) @ u - np.eye(m))
     if defect > tol.eps_residual:
         raise NotUnitary(f"basis unitarity defect {defect:.3e}")
@@ -315,7 +311,7 @@ def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, tol: Tol
     m = state.dim_a
     b = block_tensor(state)
     s_b = _entropy_of(partial_trace_a(state))
-    eig = hermitian_eig(partial_trace_b(state), tol).eigenvectors
+    eig = np.linalg.eigh(hermitize(partial_trace_b(state)))[1][:, ::-1]
     h_eig = float(_cond_entropy_batch(_basis_coef(eig), b, tol.eps_prob))
     if mi - (s_b - h_eig) <= 0.25 * opt.eps_opt:
         return max(0.0, s_b - h_eig), eig, 1, 0
@@ -352,8 +348,8 @@ def discord_a(
 
 def commutator_criterion(state: BipartiteState) -> float:
     """Frobenius norm of [rho, rho_A x I_B]; zero is necessary for zero discord."""
-    rho_a = partial_trace_b(state)
-    return fro_norm(commutator(state.rho, np.kron(rho_a, np.eye(state.dim_b))))
+    k = np.kron(partial_trace_b(state), np.eye(state.dim_b))
+    return fro_norm(state.rho @ k - k @ state.rho)
 
 
 # Jacobi sweeps stop once a sweep lowers the off-block mass by no more than
@@ -421,8 +417,8 @@ def cq_detect(
     """
     m = state.dim_a
     b = block_tensor(state)
-    eig = hermitian_eig(partial_trace_b(state), tol)
-    basis = eig.eigenvectors.copy()
+    w, v = np.linalg.eigh(hermitize(partial_trace_b(state)))
+    lam, basis = w[::-1], v[:, ::-1].copy()
     bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
 
     com = commutator_criterion(state)
@@ -431,7 +427,6 @@ def cq_detect(
                          sigma_list=None, commutator=com)
 
     # the eigenvalues descend, so a cluster is a run of gaps <= eps_degenerate
-    lam = eig.eigenvalues
     cluster = np.cumsum(np.r_[0, lam[:-1] - lam[1:] > tol.eps_degenerate])
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
     # no cluster above 2 levels: each rotation is exact and touches no other

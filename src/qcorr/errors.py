@@ -27,10 +27,6 @@ class NotUnitary(QcorrError):
     """Unitarity defect exceeds the configured residual tolerance."""
 
 
-class NoConvergence(QcorrError):
-    """The underlying eigensolver failed to converge."""
-
-
 class TraceNotOne(QcorrError):
     """Trace deviates from one beyond the configured tolerance."""
 

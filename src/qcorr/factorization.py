@@ -28,7 +28,7 @@ import numpy as np
 from . import bipartite
 from .bipartite import BipartiteState, block_tensor
 from .errors import DimensionMismatch, InconsistentBlocks, NotPsd, NotUnitary
-from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitian_eig, hermitize
+from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize
 
 __all__ = [
     "SpptFactorization",
@@ -100,29 +100,26 @@ def _conditions(m: int) -> tuple[tuple[str, int, int, int], ...]:
 
 
 def _sqrt_with_pinv(m: np.ndarray, tol: Tolerance, scale: float):
-    """Clamped PSD sqrt plus the pseudoinverse of that sqrt, from one eigh."""
-    eig = hermitian_eig(m, tol)
-    lam_min = float(eig.eigenvalues[-1])
+    """Clamped PSD sqrt of the Hermitian part of m plus the pseudoinverse of
+    that sqrt, from one eigh.
+
+    Eigenvalues below -eps_psd * scale raise NotPsd; scale=np.inf clamps
+    every negative eigenvalue to zero instead.
+    """
+    w, v = np.linalg.eigh(hermitize(m))
+    w, v = w[::-1], v[:, ::-1]
+    lam_min = float(w[-1])
     if lam_min < -tol.eps_psd * scale:
         raise NotPsd(f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd * scale:.3e}")
-    lam = np.clip(eig.eigenvalues, 0.0, None)
+    lam = np.clip(w, 0.0, None)
     cut = tol.eps_rank * (float(lam[0]) if lam.size else 0.0)
     keep = lam > cut
     root = np.sqrt(lam)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / root[keep]
-    v = eig.eigenvectors
     x = hermitize((v * root) @ dagger(v))
     xp = hermitize((v * inv) @ dagger(v))
     return x, xp, int(np.count_nonzero(keep))
-
-
-def _clamped_sqrt(m: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # best-effort completion used only on flagged rank-deficient extractions
-    eig = hermitian_eig(m, tol)
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    v = eig.eigenvectors
-    return hermitize((v * np.sqrt(lam)) @ dagger(v))
 
 
 def _factor(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -172,7 +169,7 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
     deficient = False
     mass_sq = 0.0
     for j in range(m):
-        m_jj = hermitize(_unexplained(t, x, s, j, j))
+        m_jj = _unexplained(t, x, s, j, j)
         try:
             x[j], xp, rank = _sqrt_with_pinv(m_jj, tol, scale)
         except NotPsd as exc:
@@ -182,7 +179,8 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
                 raise InconsistentBlocks(
                     f"rho{j + 1}{j + 1} minus the explained part is not PSD: {exc}"
                 ) from exc
-            x[j], xp, rank = _clamped_sqrt(m_jj, tol), np.zeros((n, n)), 0
+            # best-effort completion of a flagged rank-deficient extraction
+            x[j], xp, rank = _sqrt_with_pinv(m_jj, tol, np.inf)[0], np.zeros((n, n)), 0
         if j + 1 == m:
             break
         proj = hermitize(x[j] @ xp)
@@ -227,6 +225,8 @@ def gauge_transform(
     for j, g in enumerate(gs, 1):
         if g.shape != (n, n):
             raise DimensionMismatch(f"g{j} must be {n}x{n}, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise NotUnitary(f"g{j} has NaN or infinite entries")
         defect = fro_norm(dagger(g) @ g - np.eye(n))
         if defect > tol.eps_residual:
             raise NotUnitary(f"g{j} unitarity defect {defect:.3e}")

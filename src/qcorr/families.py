@@ -117,6 +117,8 @@ def build_cq_state(spec: CqSpec, tol: Tolerance = DEFAULT_TOL) -> BipartiteState
     u = np.asarray(spec.u, dtype=np.complex128)
     if u.shape != (m, m):
         raise InvalidSpec(f"u must be {m}x{m}, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise InvalidSpec("u has NaN or infinite entries")
     defect = fro_norm(dagger(u) @ u - np.eye(m))
     if defect > 1e-10:
         raise InvalidSpec(f"u unitarity defect {defect:.3e} exceeds 1e-10")
@@ -128,6 +130,8 @@ def build_cq_state(spec: CqSpec, tol: Tolerance = DEFAULT_TOL) -> BipartiteState
     for s in sigmas:
         if s.shape != (n, n):
             raise InvalidSpec(f"conditional operators must share shape {(n, n)}, got {s.shape}")
+        if not np.isfinite(s).all():
+            raise InvalidSpec("conditional operator has NaN or infinite entries")
         if fro_norm(s - dagger(s)) > tol.eps_residual * max(1.0, fro_norm(s)):
             raise InvalidSpec("conditional operator is not Hermitian")
         w = np.linalg.eigvalsh(hermitize(s))

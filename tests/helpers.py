@@ -70,6 +70,31 @@ def binary_entropy(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# closed-form discord of Bell-diagonal states (S. Luo, PRA 77, 042303 (2008))
+
+
+def _xlog2x(x: float) -> float:
+    return x * np.log2(x) if x > 0.0 else 0.0
+
+
+def luo_bell_diagonal(p) -> tuple[float, float, float]:
+    """Mutual information, classical correlation and discord, in bits, of the
+    Bell-diagonal state with weights p over (Phi+, Phi-, Psi+, Psi-).
+
+    The state is (I + sum_i c_i sigma_i x sigma_i) / 4 with
+    c = (p1 - p2 + p3 - p4, -p1 + p2 + p3 - p4, p1 + p2 - p3 - p4).  Both
+    marginals are maximally mixed, so I = 2 - H(p); with c the largest
+    |c_i|, C = ((1 - c) log2(1 - c) + (1 + c) log2(1 + c)) / 2 and
+    D = I - C.
+    """
+    p1, p2, p3, p4 = p
+    c = max(abs(p1 - p2 + p3 - p4), abs(-p1 + p2 + p3 - p4), abs(p1 + p2 - p3 - p4))
+    mi = 2.0 - entropy_bits(p)
+    cc = (_xlog2x(1.0 - c) + _xlog2x(1.0 + c)) / 2.0
+    return mi, cc, mi - cc
+
+
+# ---------------------------------------------------------------------------
 # brute-force measured correlation for a qubit-qubit state
 
 

@@ -23,7 +23,7 @@ from qcorr import (OptimizerConfig, Tolerance, bipartite, discord,
                    factorization, families, statefile)
 from qcorr.analysis import analyze, to_machine
 from qcorr.cli import EXIT_CLAIM, EXIT_INPUT, EXIT_OK, main
-from qcorr.matlib import commutator, dagger, fro_norm
+from qcorr.matlib import dagger, fro_norm
 
 TOL = Tolerance()
 OPT = OptimizerConfig()
@@ -49,6 +49,9 @@ def test_criterion_01_cq_states_are_sppt_for_2xn():
 
 
 def test_criterion_02_cq_does_not_imply_sppt_for_3xn():
+    def commutator(a, b):
+        return a @ b - b @ a
+
     offenders = 0
     worst_identity = 0.0
     for seed in child_seeds(2100, 100):

@@ -1,5 +1,7 @@
-"""Bipartite state container: validation, block access conventions,
-partial transpose against a loop-written oracle, and reduced states.
+"""Bipartite state container: validation (including the rejection of
+non-finite input by every entry point that takes a caller's matrix), block
+access conventions, partial transpose against a loop-written oracle, and
+reduced states.
 """
 from __future__ import annotations
 
@@ -16,19 +18,28 @@ from qcorr import (
     block_tensor,
     bell_diagonal,
     BellDiagonalParams,
+    CqSpec,
+    build_cq_state,
+    conditional_entropy,
+    factorize,
+    gauge_transform,
     is_ppt,
     partial_trace_a,
     partial_trace_b,
     partial_transpose_a,
     random_ginibre_density,
     validate,
+    von_neumann_entropy,
 )
 from qcorr.bipartite import TRACE_ATOL
 from qcorr.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidSpec,
+    NotDensityMatrix,
     NotHermitian,
     NotPsd,
+    NotUnitary,
     TraceNotOne,
 )
 
@@ -81,6 +92,32 @@ def test_validate_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, -0.05, -0.05])
     with pytest.raises(NotPsd):
         validate(m, 2, 2)
+
+
+# NaN compares false against every tolerance bound, so each entry point that
+# takes a caller's matrix rejects non-finite entries before any arithmetic.
+NON_FINITE_CASES = {
+    "validate_diagonal": (NotDensityMatrix,
+                          lambda bad: validate(np.diag([bad, 1.0, 0.0, 0.0]), 2, 2)),
+    "validate_all_entries": (NotDensityMatrix, lambda bad: validate(np.full((4, 4), bad), 2, 2)),
+    "von_neumann_entropy": (NotDensityMatrix, lambda bad: von_neumann_entropy(np.diag([bad, 1.0]))),
+    "conditional_entropy": (NotUnitary,
+                            lambda bad: conditional_entropy(bell_state(), np.diag([bad, 1.0]))),
+    "gauge_transform": (NotUnitary, lambda bad: gauge_transform(
+        factorize(bell_state()), (np.diag([bad, 1.0]), np.eye(2)))),
+    "build_cq_state_sigma": (InvalidSpec, lambda bad: build_cq_state(
+        CqSpec(2, np.eye(2), (np.diag([bad, 0.5]), np.diag([0.0, 0.5]))))),
+    "build_cq_state_u": (InvalidSpec, lambda bad: build_cq_state(
+        CqSpec(2, np.diag([bad, 1.0]), (np.diag([0.5, 0.0]), np.diag([0.0, 0.5]))))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_input_raises_a_qcorr_error(case, bad):
+    error, call = NON_FINITE_CASES[case]
+    with pytest.raises(error):
+        call(bad)
 
 
 # ---------------------------------------------------------------------------

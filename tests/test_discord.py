@@ -8,6 +8,7 @@ slice family) pin cq_detect.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -217,6 +218,17 @@ def test_discord_of_bell_state_is_one():
     assert r.discord == pytest.approx(1.0, abs=1e-6)
 
 
+def test_discord_matches_luo_closed_form_on_bell_simplex():
+    points = H.simplex_grid(10)
+    assert len(points) == 286
+    for p in points:
+        r = discord_a(bell_diagonal(BellDiagonalParams(*p)))
+        mi, cc, d = H.luo_bell_diagonal(p)
+        assert abs(r.mutual_information - mi) <= 1e-9, p
+        assert abs(r.classical_correlation - cc) <= 1e-9, p
+        assert abs(r.discord - d) <= 1e-9, p
+
+
 def test_discord_report_is_consistent():
     s = ginibre_state(5, 2, 2)
     r = discord_a(s)
@@ -384,6 +396,37 @@ def test_every_exported_name_resolves():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name}"
+
+
+def test_no_private_top_level_name_is_unused():
+    # a private function, class or constant that nothing in the package
+    # references is dead code
+    pkg = pathlib.Path(__import__("qcorr").__file__).parent
+    trees = {f.name: ast.parse(f.read_text(encoding="utf-8")) for f in sorted(pkg.glob("*.py"))}
+    defined = {}
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = fname
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(f"{f}: {n}" for n, f in defined.items() if n not in used) == []
 
 
 def test_discord_on_qutrit_a_side_reports_basis():
