@@ -30,10 +30,10 @@ def sweep_row(n: int, samples: int, seed: int, tol: Tolerance) -> str:
     sppt = 0
     for i, s in enumerate(seeds):
         state = families.random_cq(3, n, int(s), tol)
-        f = factorization.factorize(state, tol)
-        nonnormal[i] = f.residuals["normality_s12"]
-        cross[i] = f.residuals["cross"]
-        sppt += factorization.is_sppt(state, tol).is_sppt
+        verdict = factorization.is_sppt(state, tol)
+        nonnormal[i] = verdict.residuals["normality_s12"]
+        cross[i] = verdict.residuals["cross"]
+        sppt += verdict.is_sppt
     return (f"{n},{samples},{sppt / samples:.4f},{nonnormal.min():.6e},"
             f"{np.median(nonnormal):.6e},{nonnormal.max():.6e},"
             f"{np.median(cross):.6e}")

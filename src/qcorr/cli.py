@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -46,31 +45,18 @@ CSV_HEADER = [
 ]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.eps_psd,
-                   help=f"PSD eigenvalue floor (default {DEFAULT_TOL.eps_psd})")
-    p.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.eps_residual,
-                   help=f"reconstruction/commutator tolerance (default {DEFAULT_TOL.eps_residual})")
-    p.add_argument("--tol-sppt", type=float, default=DEFAULT_TOL.eps_sppt,
-                   help=f"normality residual tolerance (default {DEFAULT_TOL.eps_sppt})")
-    p.add_argument("--tol-discord", type=float, default=DEFAULT_OPT.eps_opt,
-                   help=f"discord optimizer accuracy (default {DEFAULT_OPT.eps_opt})")
-    p.add_argument("--grid", type=int, default=None,
-                   help="scan-inclusions: steps per parameter simplex (default 8)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed; chosen and printed when omitted")
-    p.add_argument("--output", type=str, default=None, help="write the result here")
-    p.add_argument("--format", choices=("human", "machine"), default="human",
-                   help="human text or machine JSON")
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _tol(args) -> Tolerance:
-    return dataclasses.replace(
-        DEFAULT_TOL,
-        eps_psd=args.tol_psd,
-        eps_residual=args.tol_residual,
-        eps_sppt=args.tol_sppt,
-    )
+    return Tolerance(args.tol_psd, args.tol_residual, args.tol_sppt)
 
 
 def _opt(args) -> OptimizerConfig:
@@ -327,7 +313,7 @@ def _scan_x_row(label, family, params, tol):
 def cmd_scan_inclusions(args) -> int:
     tol = _tol(args)
     opt = _opt(args)
-    steps = args.grid if args.grid is not None else 8
+    steps = args.grid
     seed = _seed(args)
     rng = np.random.default_rng(seed)
 
@@ -411,43 +397,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "PPT, strong PPT, quantum discord, classical-quantum detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flag groups shared by several commands; common goes on all of them
+    common, disc, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    common.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.eps_psd,
+                        help=f"PSD eigenvalue floor (default {DEFAULT_TOL.eps_psd})")
+    common.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.eps_residual,
+                        help=f"reconstruction/commutator tolerance (default {DEFAULT_TOL.eps_residual})")
+    common.add_argument("--tol-sppt", type=float, default=DEFAULT_TOL.eps_sppt,
+                        help=f"normality residual tolerance (default {DEFAULT_TOL.eps_sppt})")
+    common.add_argument("--output", type=str, default=None, help="write the result here")
+    disc.add_argument("--tol-discord", type=float, default=DEFAULT_OPT.eps_opt,
+                      help=f"discord optimizer accuracy (default {DEFAULT_OPT.eps_opt})")
+    seed.add_argument("--seed", type=_int_at_least(0), default=None,
+                      help="RNG seed; chosen and printed when omitted")
+    fmt.add_argument("--format", choices=("human", "machine"), default="human",
+                     help="human text or machine JSON")
 
-    p = sub.add_parser("analyze", help="full report on a state file")
+    p = sub.add_parser("analyze", parents=[common, disc, fmt], help="full report on a state file")
     p.add_argument("path", help="state file (JSON)")
-    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("verify-theorem1", help="random CQ 2xN states are SPPT")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--dim-b", type=int, default=4)
-    _add_common(p)
+    p = sub.add_parser("verify-theorem1", parents=[common, seed, fmt],
+                       help="random CQ 2xN states are SPPT")
+    p.add_argument("--samples", type=_int_at_least(0), default=1000)
+    p.add_argument("--dim-b", type=_int_at_least(1), default=4)
     p.set_defaults(func=cmd_verify_theorem1)
 
-    p = sub.add_parser("remark-3xn", help="random CQ 3xN states: non-normal S12 witness")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--dim-b", type=int, default=4)
-    _add_common(p)
+    p = sub.add_parser("remark-3xn", parents=[common, seed, fmt],
+                       help="random CQ 3xN states: non-normal S12 witness")
+    p.add_argument("--samples", type=_int_at_least(0), default=100)
+    p.add_argument("--dim-b", type=_int_at_least(1), default=4)
     p.set_defaults(func=cmd_remark_3xn)
 
-    p = sub.add_parser("xstate", help="analytic X-state predicates vs the numerical pipeline")
-    p.add_argument("--a11", type=float, required=True)
-    p.add_argument("--a22", type=float, required=True)
-    p.add_argument("--b11", type=float, required=True)
-    p.add_argument("--b22", type=float, required=True)
-    p.add_argument("--a12", type=_complex_arg, default=0j)
-    p.add_argument("--b12", type=_complex_arg, default=0j)
-    _add_common(p)
+    p = sub.add_parser("xstate", parents=[common, fmt],
+                       help="analytic X-state predicates vs the numerical pipeline")
+    for name in ("--a11", "--a22", "--b11", "--b22"):
+        p.add_argument(name, type=float, required=True)
+    for name in ("--a12", "--b12"):
+        p.add_argument(name, type=_complex_arg, default=0j)
     p.set_defaults(func=cmd_xstate)
 
-    p = sub.add_parser("bell", help="Bell-diagonal predicates vs the numerical pipeline")
+    p = sub.add_parser("bell", parents=[common, disc, fmt],
+                       help="Bell-diagonal predicates vs the numerical pipeline")
     p.add_argument("--p", required=True, help="p1,p2,p3,p4 over (Phi+,Phi-,Psi+,Psi-)")
-    _add_common(p)
     p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser("scan-inclusions",
+    p = sub.add_parser("scan-inclusions", parents=[common, disc, seed],
                        help="tally PPT / SPPT / CQ membership over grids and samples (CSV)")
-    p.add_argument("--samples", type=int, default=200, help="random X-states to add")
-    _add_common(p)
+    p.add_argument("--samples", type=_int_at_least(0), default=200, help="random X-states to add")
+    p.add_argument("--grid", type=_int_at_least(0), default=8, help="steps per parameter simplex")
     p.set_defaults(func=cmd_scan_inclusions)
 
     return parser

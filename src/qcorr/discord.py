@@ -25,15 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bipartite import (
-    BipartiteState,
-    block_tensor,
-    partial_trace_a,
-    partial_trace_b,
-)
+from .bipartite import TRACE_ATOL, BipartiteState, block_tensor, partial_trace_a, partial_trace_b
 from .errors import DimensionMismatch, NotDensityMatrix, NotUnitary
 from .families import random_unitary
-from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize
+from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize, require_finite_nonnegative
 
 __all__ = [
     "OptimizerConfig",
@@ -55,10 +50,14 @@ class OptimizerConfig:
 
     eps_opt is the absolute accuracy the optimum is trusted to: the search
     stops at the rho_A eigenbasis when that comes within a quarter of eps_opt
-    of the mutual information.  It does not affect cq_detect.
+    of the mutual information.  It must be finite and non-negative (else
+    InvalidParams) and does not affect cq_detect.
     """
 
     eps_opt: float = 1e-4
+
+    def __post_init__(self):
+        require_finite_nonnegative(self)
 
 
 DEFAULT_OPT = OptimizerConfig()
@@ -89,7 +88,7 @@ class CqVerdict:
 
     off_block_residual is the Frobenius norm of the strict upper off-diagonal
     blocks in the best product basis found; is_cq holds when it is at most
-    eps_cq.  basis columns are the classical A-side vectors and sigma_list
+    _EPS_CQ.  basis columns are the classical A-side vectors and sigma_list
     the (unnormalized, PSD-clamped) conditional B-side operators; both are
     None when the state is not classical-quantum.  commutator is the
     state's commutator_criterion, which cq_detect computes as its first gate.
@@ -129,7 +128,7 @@ def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
     if defect > tol.eps_residual * scale:
         raise NotDensityMatrix(f"hermiticity defect {defect:.3e}")
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TRACE_ATOL:
         raise NotDensityMatrix(f"trace {tr:.12g} is not 1")
     w = np.linalg.eigvalsh(hermitize(a))
     if float(w[0]) < -tol.eps_psd * scale:
@@ -149,7 +148,7 @@ def mutual_information(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> f
     return max(0.0, s_a + s_b - s_ab)
 
 
-def _cond_entropy_batch(coef: np.ndarray, b: np.ndarray, eps_prob: float) -> np.ndarray:
+def _cond_entropy_batch(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum_k p_k S(sigma_k) for a batch of measurements.
 
     coef has shape (..., K, M, M) with coef[..., k, i, j] = conj(v_i) v_j for
@@ -159,8 +158,8 @@ def _cond_entropy_batch(coef: np.ndarray, b: np.ndarray, eps_prob: float) -> np.
     p = np.einsum("...kaa->...k", sig).real
     w = np.clip(np.linalg.eigvalsh(sig), 0.0, None)
     wlog = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-    plog = np.where(p > eps_prob, p * np.log2(np.where(p > eps_prob, p, 1.0)), 0.0)
-    contrib = np.where(p > eps_prob, -wlog.sum(axis=-1) + plog, 0.0)
+    plog = np.where(p > _EPS_PROB, p * np.log2(np.where(p > _EPS_PROB, p, 1.0)), 0.0)
+    contrib = np.where(p > _EPS_PROB, -wlog.sum(axis=-1) + plog, 0.0)
     return contrib.sum(axis=-1)
 
 
@@ -179,12 +178,14 @@ def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_T
     defect = fro_norm(dagger(u) @ u - np.eye(m))
     if defect > tol.eps_residual:
         raise NotUnitary(f"basis unitarity defect {defect:.3e}")
-    return float(_cond_entropy_batch(_basis_coef(u), block_tensor(state), tol.eps_prob))
+    return float(_cond_entropy_batch(_basis_coef(u), block_tensor(state)))
 
 
 # Iterative searches stop once an iteration lowers their objective by no
 # more than this fraction of it.
 _PROGRESS_RTOL = 1e-15
+# Measurement outcomes of probability at most _EPS_PROB count as zero.
+_EPS_PROB = 1e-12
 
 # The measurement search scores the rho_A eigenbasis, the identity and
 # _HAAR_BASES seeded Haar bases, then refines the best _REFINED of them.
@@ -223,7 +224,7 @@ def _expm_skew(k: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ dagger(v)
 
 
-def _cond_entropy_grad(u: np.ndarray, b: np.ndarray, eps_prob: float, iu) -> np.ndarray:
+def _cond_entropy_grad(u: np.ndarray, b: np.ndarray, iu) -> np.ndarray:
     """Gradient of H(U) = sum_k p_k S(sigma_k) in the coordinates of _refine.
 
     dH = -sum_k tr(dsigma_k log2(sigma_k / p_k)), zero eigenvalues left out
@@ -235,14 +236,14 @@ def _cond_entropy_grad(u: np.ndarray, b: np.ndarray, eps_prob: float, iu) -> np.
     sig = np.einsum("kkab->kab", t)
     w, v = np.linalg.eigh(sig)
     p = np.einsum("kaa->k", sig).real[:, None]
-    keep = (w > 0.0) & (p > eps_prob)
+    keep = (w > 0.0) & (p > _EPS_PROB)
     lw = np.log2(np.divide(w, p, out=np.ones_like(w), where=keep))
     g = np.einsum("klab,kbi,ki,kai->lk", t, v, lw, np.conj(v))
     z = 2.0 * (g.T - np.conj(g))[iu]
     return np.concatenate([z.real, z.imag])
 
 
-def _refine(u: np.ndarray, h: float, b: np.ndarray, eps_prob: float):
+def _refine(u: np.ndarray, h: float, b: np.ndarray):
     """BFGS on U(M) modulo column phases, from basis u with H(u) = h.
 
     Steps are U <- U exp(K) with K off-diagonal skew-Hermitian, M(M-1) real
@@ -260,7 +261,7 @@ def _refine(u: np.ndarray, h: float, b: np.ndarray, eps_prob: float):
         k[iu] = x[: iu[0].size] + 1j * x[iu[0].size :]
         return _expm_skew(k - dagger(k))
 
-    g = _cond_entropy_grad(u, b, eps_prob, iu)
+    g = _cond_entropy_grad(u, b, iu)
     hinv = np.eye(g.size)
     evals = 1
     for it in range(_MAX_STEPS):
@@ -274,7 +275,7 @@ def _refine(u: np.ndarray, h: float, b: np.ndarray, eps_prob: float):
         t = 1.0
         for _ in range(_BACKTRACKS):
             u_new = u @ step(t * d)
-            h_new = float(_cond_entropy_batch(_basis_coef(u_new), b, eps_prob))
+            h_new = float(_cond_entropy_batch(_basis_coef(u_new), b))
             evals += 1
             if h_new <= h + _ARMIJO * t * slope:
                 break
@@ -286,7 +287,7 @@ def _refine(u: np.ndarray, h: float, b: np.ndarray, eps_prob: float):
             u, h = u_new, h_new
         if progress <= _PROGRESS_RTOL * abs(h):
             break
-        g_new = _cond_entropy_grad(u, b, eps_prob, iu)
+        g_new = _cond_entropy_grad(u, b, iu)
         evals += 1
         s, y = t * d, g_new - g
         sy = float(s @ y)
@@ -299,7 +300,7 @@ def _refine(u: np.ndarray, h: float, b: np.ndarray, eps_prob: float):
     return u, h, evals
 
 
-def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, tol: Tolerance, mi: float):
+def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, mi: float):
     """Best S(rho_B) - H(U) over orthonormal A bases U, any dim_a.
 
     Returns (value, basis, objective evaluations, candidates scored).  The
@@ -312,16 +313,16 @@ def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, tol: Tol
     b = block_tensor(state)
     s_b = _entropy_of(partial_trace_a(state))
     eig = np.linalg.eigh(hermitize(partial_trace_b(state)))[1][:, ::-1]
-    h_eig = float(_cond_entropy_batch(_basis_coef(eig), b, tol.eps_prob))
+    h_eig = float(_cond_entropy_batch(_basis_coef(eig), b))
     if mi - (s_b - h_eig) <= 0.25 * opt.eps_opt:
         return max(0.0, s_b - h_eig), eig, 1, 0
 
     cands = np.concatenate([eig[None], np.eye(m, dtype=np.complex128)[None], _haar_bases(m)])
-    hs = _cond_entropy_batch(_basis_coef(cands), b, tol.eps_prob)
+    hs = _cond_entropy_batch(_basis_coef(cands), b)
     evals = 1 + len(cands)
     best_h, best_u = np.inf, eig
     for i in np.argsort(hs, kind="stable")[:_REFINED]:
-        u, h, n = _refine(cands[i], float(hs[i]), b, tol.eps_prob)
+        u, h, n = _refine(cands[i], float(hs[i]), b)
         evals += n
         if h < best_h:
             best_h, best_u = h, u
@@ -335,7 +336,7 @@ def discord_a(
 ) -> DiscordReport:
     """Quantum discord of the A side: mutual information minus C_A, any dim_a."""
     mi = mutual_information(state, tol)
-    cc, basis, evals, grid = _classical_correlation(state, opt, tol, mi)
+    cc, basis, evals, grid = _classical_correlation(state, opt, mi)
     return DiscordReport(
         mutual_information=mi,
         classical_correlation=cc,
@@ -355,6 +356,10 @@ def commutator_criterion(state: BipartiteState) -> float:
 # Jacobi sweeps stop once a sweep lowers the off-block mass by no more than
 # _PROGRESS_RTOL of it; the sweep cap only guards against a stalled loop.
 _MAX_SWEEPS = 100
+# rho_A eigenvalues whose gap is at most _EPS_DEGENERATE form one cluster; a
+# state is classical-quantum when its off-block residual is at most _EPS_CQ.
+_EPS_DEGENERATE = 1e-8
+_EPS_CQ = 1e-6
 
 
 def _off_mass(blocks: np.ndarray) -> float:
@@ -400,7 +405,7 @@ def cq_detect(
     The search space is the orthonormal A-side bases; any such basis must
     diagonalize rho_A, so the blocks are rotated to the rho_A eigenbasis and
     only rotations inside degenerate eigenvalue clusters (gap at most
-    eps_degenerate) remain free.  Those rotations leave the off-block mass
+    _EPS_DEGENERATE) remain free.  Those rotations leave the off-block mass
     between clusters unchanged; inside the clusters it is minimized by
     Jacobi sweeps over index pairs, each pair rotation in closed form (see
     _rotate_pair), so a 2-fold cluster is solved by one rotation, and when
@@ -411,9 +416,9 @@ def cq_detect(
     tests they stop at a squared residual of 1.738e-2, where restarts from
     Haar bases reach 1.731e-2), so the reported residual is an upper bound.
     An accepted state is certified all the same: see CqVerdict.  A commutator
-    above eps_residual short-circuits to a negative verdict, reporting the
-    plain eigenbasis residual.  opt is accepted for compatibility and no
-    longer affects the result.
+    above tol.eps_residual, the only setting read, short-circuits to a
+    negative verdict, reporting the plain eigenbasis residual.  opt is
+    accepted for compatibility and no longer affects the result.
     """
     m = state.dim_a
     b = block_tensor(state)
@@ -426,8 +431,8 @@ def cq_detect(
         return CqVerdict(is_cq=False, basis=None, off_block_residual=float(np.sqrt(_off_mass(bp))),
                          sigma_list=None, commutator=com)
 
-    # the eigenvalues descend, so a cluster is a run of gaps <= eps_degenerate
-    cluster = np.cumsum(np.r_[0, lam[:-1] - lam[1:] > tol.eps_degenerate])
+    # the eigenvalues descend, so a cluster is a run of gaps <= _EPS_DEGENERATE
+    cluster = np.cumsum(np.r_[0, lam[:-1] - lam[1:] > _EPS_DEGENERATE])
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
     # no cluster above 2 levels: each rotation is exact and touches no other
     # pair, so one sweep is the minimum
@@ -444,7 +449,7 @@ def cq_detect(
             break
 
     off = float(np.sqrt(mass))
-    if off > tol.eps_cq:
+    if off > _EPS_CQ:
         return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None,
                          commutator=com)
     sigma_list = [_psd_clamp(bp[k, k]) for k in range(m)]

@@ -44,7 +44,7 @@ class InvalidSpec(QcorrError):
 
 
 class InvalidParams(QcorrError):
-    """Family parameters violate their invariants."""
+    """Family parameters or numerical settings violate their invariants."""
 
 
 class ParseError(QcorrError):

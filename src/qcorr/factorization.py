@@ -99,6 +99,10 @@ def _conditions(m: int) -> tuple[tuple[str, int, int, int], ...]:
     return tuple(out)
 
 
+# Eigenvalues at most _EPS_RANK times the largest count as zero in a pseudoinverse.
+_EPS_RANK = 1e-10
+
+
 def _sqrt_with_pinv(m: np.ndarray, tol: Tolerance, scale: float):
     """Clamped PSD sqrt of the Hermitian part of m plus the pseudoinverse of
     that sqrt, from one eigh.
@@ -112,7 +116,7 @@ def _sqrt_with_pinv(m: np.ndarray, tol: Tolerance, scale: float):
     if lam_min < -tol.eps_psd * scale:
         raise NotPsd(f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd * scale:.3e}")
     lam = np.clip(w, 0.0, None)
-    cut = tol.eps_rank * (float(lam[0]) if lam.size else 0.0)
+    cut = _EPS_RANK * (float(lam[0]) if lam.size else 0.0)
     keep = lam > cut
     root = np.sqrt(lam)
     inv = np.zeros_like(lam)

@@ -1,18 +1,20 @@
-"""The toolkit's numerical thresholds and three matrix one-liners.
+"""The toolkit's settable thresholds and three matrix one-liners.
 
 Matrices are plain numpy complex128 arrays throughout, and linear algebra
-is numpy.linalg called directly.  Every numerical threshold used by the
-toolkit lives in the Tolerance record and is passed explicitly; nothing
-reads global state.  dagger, fro_norm and hermitize check nothing: the
-modules that call them validate their inputs first.
+is numpy.linalg called directly.  The thresholds a caller may set live in
+the Tolerance record and are passed explicitly; fixed cutoffs are private
+constants next to their only user.  dagger, fro_norm and hermitize check
+nothing: the modules that call them validate their inputs first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.linalg as npl
+
+from .errors import InvalidParams
 
 __all__ = [
     "Tolerance",
@@ -23,27 +25,29 @@ __all__ = [
 ]
 
 
+def require_finite_nonnegative(record) -> None:
+    """Raise InvalidParams unless every field of a dataclass is finite and >= 0."""
+    for f in fields(record):
+        if not 0.0 <= (value := getattr(record, f.name)) < np.inf:  # false for NaN
+            raise InvalidParams(f"{f.name} must be finite and non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds, threaded explicitly through every check.
+    """Numerical thresholds, each finite and non-negative (else InvalidParams).
 
-    eps_psd         eigenvalue floor for positivity tests
-    eps_residual    Frobenius residual bound for matrix identities
-    eps_rank        relative eigenvalue cutoff for pseudo-inverses
-    eps_sppt        normality and cross residual bound, relative to
-                    max(1, |S_jk|_F |S_jl|_F) (max(1, |S|_F^2) for normality)
-    eps_cq          off-block Frobenius norm bound for classical-quantum tests
-    eps_degenerate  spectral gap below which eigenvalues form one cluster
-    eps_prob        measurement probabilities at or below this count as zero
+    eps_psd       eigenvalue floor for positivity tests
+    eps_residual  Frobenius residual bound for matrix identities
+    eps_sppt      normality and cross residual bound, relative to
+                  max(1, |S_jk|_F |S_jl|_F) (max(1, |S|_F^2) for normality)
     """
 
     eps_psd: float = 1e-9
     eps_residual: float = 1e-8
-    eps_rank: float = 1e-10
     eps_sppt: float = 1e-7
-    eps_cq: float = 1e-6
-    eps_degenerate: float = 1e-8
-    eps_prob: float = 1e-12
+
+    def __post_init__(self):
+        require_finite_nonnegative(self)
 
 
 DEFAULT_TOL = Tolerance()

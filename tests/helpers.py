@@ -584,17 +584,22 @@ def _fro(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def pseudo_inverse(a, tol: Tolerance = Tolerance()) -> np.ndarray:
+# relative eigenvalue cutoff of the oracle pseudoinverses, fixed here rather
+# than read from qcorr so that the oracles stay independent of it
+EPS_RANK = 1e-10
+
+
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian matrix.
 
-    Eigenvalues with magnitude at or below eps_rank times the largest
+    Eigenvalues with magnitude at or below EPS_RANK times the largest
     magnitude are treated as exact zeros.
     """
     h = np.asarray(a, dtype=np.complex128)
     if h.size == 0:
         return np.zeros_like(h)
     lam, v = np.linalg.eigh(_herm(h))
-    cut = tol.eps_rank * float(np.max(np.abs(lam)))
+    cut = EPS_RANK * float(np.max(np.abs(lam)))
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=np.abs(lam) > cut)
     return _herm((v * inv) @ _dag(v))
 
@@ -606,7 +611,7 @@ def _sqrt_pinv(m: np.ndarray, tol: Tolerance, scale: float):
     if w[-1] < -tol.eps_psd * scale:
         raise NotPsd(f"min eigenvalue {w[-1]:.3e}")
     lam = np.clip(w, 0.0, None)
-    keep = lam > tol.eps_rank * lam[0]
+    keep = lam > EPS_RANK * lam[0]
     root = np.sqrt(lam)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / root[keep]

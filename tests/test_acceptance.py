@@ -64,7 +64,7 @@ def test_criterion_02_cq_does_not_imply_sppt_for_3xn():
         # weights lam_i = u[0,i] * conj(u[1,i]) from the classical basis
         lam1 = spec.u[0, 1] * np.conj(spec.u[1, 1])
         lam2 = spec.u[0, 2] * np.conj(spec.u[1, 2])
-        x1p = pseudo_inverse(f.x[0], TOL)
+        x1p = pseudo_inverse(f.x[0])
         h1 = x1p @ (spec.sigmas[1] - spec.sigmas[0]) @ x1p
         h2 = x1p @ (spec.sigmas[2] - spec.sigmas[0]) @ x1p
         lhs = commutator(f.s[0, 1], dagger(f.s[0, 1]))

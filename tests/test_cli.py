@@ -14,7 +14,9 @@ import pytest
 
 from qcorr import (BellDiagonalParams, Tolerance, bell_diagonal, random_cq,
                    random_ginibre_density, read_statefile, validate, write_statefile)
-from qcorr.cli import CSV_HEADER, EXIT_CLAIM, EXIT_INPUT, EXIT_OK, main
+from qcorr.cli import CSV_HEADER, EXIT_CLAIM, EXIT_INPUT, EXIT_OK, build_parser, main
+
+FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "state_01.json")
 
 
 def write_state(tmp_path, name, state, metadata=None):
@@ -323,3 +325,72 @@ def test_scan_inclusions_stdout_csv(capsys):
         1 for r in rows if r["is_ppt"] == "True" and r["is_sppt"] == "False"
     )
     assert f"PPT-but-not-SPPT {ppt_not_sppt}" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# option surface and argument validation
+
+TOLS = ["--tol-psd", "--tol-residual", "--tol-sppt", "--output"]
+FLAGS = {
+    "analyze": TOLS + ["--tol-discord", "--format"],
+    "verify-theorem1": TOLS + ["--seed", "--format", "--samples", "--dim-b"],
+    "remark-3xn": TOLS + ["--seed", "--format", "--samples", "--dim-b"],
+    "xstate": TOLS + ["--format", "--a11", "--a22", "--b11", "--b22", "--a12", "--b12"],
+    "bell": TOLS + ["--tol-discord", "--format", "--p"],
+    "scan-inclusions": TOLS + ["--tol-discord", "--seed", "--samples", "--grid"],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    found = {
+        name: sorted(o for a in p._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help")
+        for name, p in sub.choices.items()
+    }
+    assert found == {name: sorted(flags) for name, flags in FLAGS.items()}
+    assert sum(map(len, found.values())) == 48
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", FIXTURE, "--grid", "3"],
+    ["analyze", FIXTURE, "--seed", "9"],
+    ["xstate", "--a11", ".25", "--a22", ".25", "--b11", ".25", "--b22", ".25", "--tol-discord", "1"],
+    ["scan-inclusions", "--format", "machine"],
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tol-psd", "nan", "eps_psd"),
+    ("--tol-psd", "-1", "eps_psd"),
+    ("--tol-residual", "-inf", "eps_residual"),
+    ("--tol-sppt", "inf", "eps_sppt"),
+    ("--tol-discord", "nan", "eps_opt"),
+])
+def test_non_finite_or_negative_tolerance_is_an_input_error(flag, value, field, capsys):
+    rc = main(["analyze", FIXTURE, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert f"InvalidParams: {field} must be finite and non-negative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem1", "--samples", "-3"],
+    ["remark-3xn", "--samples", "-2"],
+    ["verify-theorem1", "--dim-b", "-1"],
+    ["remark-3xn", "--dim-b", "0"],
+    ["scan-inclusions", "--grid", "-1"],
+    ["scan-inclusions", "--samples", "-1"],
+    ["verify-theorem1", "--seed", "-1"],
+])
+def test_negative_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "must be at least" in capsys.readouterr().err

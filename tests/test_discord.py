@@ -28,9 +28,7 @@ from qcorr import (
     BipartiteState,
     CqSpec,
     DEFAULT_OPT,
-    DEFAULT_TOL,
     OptimizerConfig,
-    Tolerance,
     XStateParams,
     bell_diagonal,
     build_cq_state,
@@ -479,7 +477,7 @@ def test_cq_detect_accepts_and_reconstructs():
         s = random_cq(dim_a, dim_b, rng_seed=seed)
         v = cq_detect(s)
         assert v.is_cq
-        assert v.off_block_residual <= DEFAULT_TOL.eps_cq
+        assert v.off_block_residual <= 1e-6
         assert np.allclose(rebuild_from_verdict(v, dim_b), s.rho, atol=1e-7)
         total = sum(float(np.trace(sig).real) for sig in v.sigma_list)
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -562,9 +560,6 @@ def test_cq_detect_rejects_perturbed_cq_state():
     v = cq_detect(t)
     assert not v.is_cq
     assert v.off_block_residual > 1e-5
-    # the same state passes once both the commutator gate and the residual
-    # acceptance are loosened to cover the perturbation
-    assert cq_detect(t, Tolerance(eps_cq=0.1, eps_residual=1.0)).is_cq
 
 
 def test_cq_detect_zero_discord_xstates():
@@ -595,7 +590,7 @@ def test_cq_detect_serves_any_dim_a():
     for s in cases:
         v = cq_detect(s)
         assert v.is_cq
-        assert v.off_block_residual <= DEFAULT_TOL.eps_cq
+        assert v.off_block_residual <= 1e-6
         assert np.allclose(rebuild_from_verdict(v, s.dim_b), s.rho, atol=1e-7)
     g = ginibre_state(0, 4, 2)
     v = cq_detect(g)

@@ -7,14 +7,16 @@ in tests/helpers.py, which criterion 02 uses.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pseudo_inverse
-from qcorr import DEFAULT_TOL, Tolerance
-from qcorr.errors import NotPsd
+from qcorr import DEFAULT_TOL, OptimizerConfig, Tolerance
+from qcorr.errors import InvalidParams, NotPsd
 from qcorr.factorization import _sqrt_with_pinv
 from qcorr.matlib import dagger, fro_norm, hermitize
 
@@ -29,11 +31,21 @@ def test_default_tolerances_frozen():
     t = DEFAULT_TOL
     assert t.eps_psd == 1e-9
     assert t.eps_residual == 1e-8
-    assert t.eps_rank == 1e-10
     assert t.eps_sppt == 1e-7
-    assert t.eps_cq == 1e-6
-    assert t.eps_degenerate == 1e-8
-    assert t.eps_prob == 1e-12
+    assert [f.name for f in dataclasses.fields(t)] == ["eps_psd", "eps_residual", "eps_sppt"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: Tolerance(eps_psd=v),
+    lambda v: Tolerance(eps_residual=v),
+    lambda v: Tolerance(eps_sppt=v),
+    lambda v: OptimizerConfig(eps_opt=v),
+], ids=["eps_psd", "eps_residual", "eps_sppt", "eps_opt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-12])
+def test_settings_reject_non_finite_or_negative_values(make, value):
+    with pytest.raises(InvalidParams, match="must be finite and non-negative"):
+        make(value)
+    assert make(0.0) is not None
 
 
 def test_tolerance_is_immutable():
