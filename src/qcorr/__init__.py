@@ -11,7 +11,6 @@ from .bipartite import (
     BipartiteState,
     PptVerdict,
     assemble_blocks,
-    block,
     block_tensor,
     is_ppt,
     partial_trace_a,
@@ -70,7 +69,6 @@ __all__ = [
     "BipartiteState",
     "PptVerdict",
     "validate",
-    "block",
     "block_tensor",
     "assemble_blocks",
     "partial_transpose_a",

@@ -42,7 +42,7 @@ def analyze(
     """Run the whole pipeline on one validated state."""
     spectrum = np.linalg.eigvalsh(hermitize(state.rho))[::-1]
     sppt = factorization.is_sppt(state, tol)
-    report = discord.discord_a(state, opt, tol)
+    report = discord.discord_a(state, opt)
     cq = discord.cq_detect(state, tol)
 
     inconsistency = None

@@ -2,8 +2,9 @@
 
 A state on C^M (x) C^N is stored as an (M*N) x (M*N) matrix whose row
 index (k-1)*N + j addresses A basis state k and B basis state j, both
-1-based.  block(state, k, l) is the N x N submatrix at block row k and
-block column l; the partial transpose over A swaps block indices.
+1-based.  block_tensor(state) views the matrix as an (M, M, N, N) array t
+whose t[k-1, l-1] is the N x N submatrix at block row k and block column l;
+the partial transpose over A swaps block indices.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import (DimensionMismatch, IndexOutOfRange, NotDensityMatrix, NotHermitian,
-                     NotPsd, TraceNotOne)
+from .errors import DimensionMismatch, NotDensityMatrix, NotHermitian, NotPsd, TraceNotOne
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize
 
 __all__ = [
     "BipartiteState",
     "PptVerdict",
     "validate",
-    "block",
     "block_tensor",
     "assemble_blocks",
     "partial_transpose_a",
@@ -75,16 +74,8 @@ def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> Bipar
     return BipartiteState(dim_a=dim_a, dim_b=dim_b, rho=m)
 
 
-def block(state: BipartiteState, k: int, l: int) -> np.ndarray:
-    """N x N block at block row k, block column l (1-based)."""
-    m, n = state.dim_a, state.dim_b
-    if not (1 <= k <= m and 1 <= l <= m):
-        raise IndexOutOfRange(f"block index ({k}, {l}) outside 1..{m}")
-    return state.rho[(k - 1) * n : k * n, (l - 1) * n : l * n]
-
-
 def block_tensor(state: BipartiteState) -> np.ndarray:
-    """All blocks as an array t with t[k-1, l-1] = block(state, k, l)."""
+    """All blocks as an (M, M, N, N) view t: t[k-1, l-1] is block (k, l), 1-based."""
     m, n = state.dim_a, state.dim_b
     return state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
@@ -104,12 +95,12 @@ def partial_transpose_a(state: BipartiteState) -> np.ndarray:
 
 
 def partial_trace_a(state: BipartiteState) -> np.ndarray:
-    """Trace out A: the dim_b x dim_b reduced state sum_k block(k, k)."""
+    """Trace out A: sum_k t[k-1, k-1] over the blocks t = block_tensor(state)."""
     return np.einsum("kkab->ab", block_tensor(state))
 
 
 def partial_trace_b(state: BipartiteState) -> np.ndarray:
-    """Trace out B: the dim_a x dim_a reduced state with entries tr block(k, l)."""
+    """Trace out B: the dim_a x dim_a matrix of tr t[k-1, l-1], t = block_tensor(state)."""
     return np.einsum("klaa->kl", block_tensor(state))
 
 

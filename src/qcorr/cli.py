@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, bipartite, discord, factorization, families, statefile
 from .discord import DEFAULT_OPT, OptimizerConfig
-from .errors import QcorrError
+from .errors import InvalidParams, QcorrError
 from .matlib import DEFAULT_TOL, Tolerance
 
 __all__ = ["main"]
@@ -84,12 +84,8 @@ def _flag(value: bool) -> str:
 
 def cmd_analyze(args) -> int:
     tol = _tol(args)
-    try:
-        state, meta = statefile.read_statefile(args.path, tol)
-        report = analysis.analyze(state, tol, _opt(args))
-    except QcorrError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    state, meta = statefile.read_statefile(args.path, tol)
+    report = analysis.analyze(state, tol, _opt(args))
     if args.format == "machine":
         doc = analysis.to_machine(report)
         if meta:
@@ -204,15 +200,11 @@ def _xstate_rows(params: families.XStateParams, tol: Tolerance):
 
 def cmd_xstate(args) -> int:
     tol = _tol(args)
-    try:
-        params = families.XStateParams(
-            a11=args.a11, a22=args.a22, b11=args.b11, b22=args.b22,
-            a12=args.a12, b12=args.b12,
-        )
-        analytic, numeric = _xstate_rows(params, tol)
-    except QcorrError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    params = families.XStateParams(
+        a11=args.a11, a22=args.a22, b11=args.b11, b22=args.b22,
+        a12=args.a12, b12=args.b12,
+    )
+    analytic, numeric = _xstate_rows(params, tol)
     mismatches = [k for k in numeric if analytic[k] != numeric[k]]
     if args.format == "machine":
         _emit(args, json.dumps({
@@ -240,13 +232,12 @@ def cmd_bell(args) -> int:
     opt = _opt(args)
     try:
         p = [float(x) for x in args.p.split(",")]
-        if len(p) != 4:
-            raise QcorrError(f"--p needs 4 probabilities, got {len(p)}")
-        params = families.BellDiagonalParams(*p)
-        state = families.bell_diagonal(params, tol)
-    except (ValueError, QcorrError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ValueError as exc:
+        raise InvalidParams(f"--p: {exc}") from exc
+    if len(p) != 4:
+        raise InvalidParams(f"--p needs 4 probabilities, got {len(p)}")
+    params = families.BellDiagonalParams(*p)
+    state = families.bell_diagonal(params, tol)
     analytic = {
         "sppt": families.bell_is_sppt(params),
         "zero_discord": families.bell_zero_discord(params),
@@ -254,7 +245,7 @@ def cmd_bell(args) -> int:
     verdicts, _, cq = _verdicts(state, tol)
     numeric = {"sppt": verdicts["sppt"], "zero_discord": verdicts["cq"]}
     com = cq.commutator
-    rep = discord.discord_a(state, opt, tol)
+    rep = discord.discord_a(state, opt)
     mismatches = [k for k in numeric if analytic[k] != numeric[k]]
     if args.format == "machine":
         _emit(args, json.dumps({
@@ -352,7 +343,7 @@ def cmd_scan_inclusions(args) -> int:
         label = f"bell({p[0]:.3g},{p[1]:.3g},{p[2]:.3g},{p[3]:.3g})"
         row, verdicts = _scan_row("bell", label, state, tol)
         _note(verdicts)
-        row["discord"] = f"{discord.discord_a(state, opt, tol).discord:.6e}"
+        row["discord"] = f"{discord.discord_a(state, opt).discord:.6e}"
         rows.append(row)
 
     for i in range(args.samples):

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bipartite import TRACE_ATOL, BipartiteState, block_tensor, partial_trace_a, partial_trace_b
+from .bipartite import BipartiteState, block_tensor, partial_trace_a, partial_trace_b, validate
 from .errors import DimensionMismatch, NotDensityMatrix, NotUnitary
 from .families import random_unitary
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize, require_finite_nonnegative
@@ -117,30 +117,21 @@ def _entropy_bits(w: np.ndarray) -> float:
 
 
 def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
-    """S(sigma) = -tr(sigma log2 sigma) of a density matrix, in bits."""
+    """S(sigma) = -tr(sigma log2 sigma) of a density matrix, in bits.
+
+    Beyond the square shape, validate (as a 1 x N state) does the checking.
+    """
     a = np.asarray(sigma, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotDensityMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NotDensityMatrix("matrix has NaN or infinite entries")
-    scale = max(1.0, fro_norm(a))
-    defect = fro_norm(a - dagger(a))
-    if defect > tol.eps_residual * scale:
-        raise NotDensityMatrix(f"hermiticity defect {defect:.3e}")
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise NotDensityMatrix(f"trace {tr:.12g} is not 1")
-    w = np.linalg.eigvalsh(hermitize(a))
-    if float(w[0]) < -tol.eps_psd * scale:
-        raise NotDensityMatrix(f"min eigenvalue {float(w[0]):.3e} is negative")
-    return _entropy_bits(w)
+    return _entropy_of(validate(a, 1, a.shape[0], tol).rho)
 
 
 def _entropy_of(m: np.ndarray) -> float:
     return _entropy_bits(np.linalg.eigvalsh(hermitize(m)))
 
 
-def mutual_information(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> float:
+def mutual_information(state: BipartiteState) -> float:
     """I(rho) = S(rho_A) + S(rho_B) - S(rho), clamped at 0."""
     s_a = _entropy_of(partial_trace_b(state))
     s_b = _entropy_of(partial_trace_a(state))
@@ -329,13 +320,9 @@ def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, mi: floa
     return max(0.0, s_b - best_h), best_u, evals, len(cands)
 
 
-def discord_a(
-    state: BipartiteState,
-    opt: OptimizerConfig = DEFAULT_OPT,
-    tol: Tolerance = DEFAULT_TOL,
-) -> DiscordReport:
+def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> DiscordReport:
     """Quantum discord of the A side: mutual information minus C_A, any dim_a."""
-    mi = mutual_information(state, tol)
+    mi = mutual_information(state)
     cc, basis, evals, grid = _classical_correlation(state, opt, mi)
     return DiscordReport(
         mutual_information=mi,

@@ -11,15 +11,15 @@ class DimensionMismatch(QcorrError):
     """Operands have incompatible or unexpected shapes."""
 
 
-class IndexOutOfRange(QcorrError):
-    """Block or entry index outside the declared dimensions."""
+class NotDensityMatrix(QcorrError):
+    """Not a density matrix; the subclasses NotHermitian, TraceNotOne and NotPsd say why."""
 
 
-class NotHermitian(QcorrError):
+class NotHermitian(NotDensityMatrix):
     """Hermiticity defect exceeds the configured residual tolerance."""
 
 
-class NotPsd(QcorrError):
+class NotPsd(NotDensityMatrix):
     """An eigenvalue lies below the configured positivity floor."""
 
 
@@ -27,12 +27,8 @@ class NotUnitary(QcorrError):
     """Unitarity defect exceeds the configured residual tolerance."""
 
 
-class TraceNotOne(QcorrError):
+class TraceNotOne(NotDensityMatrix):
     """Trace deviates from one beyond the configured tolerance."""
-
-
-class NotDensityMatrix(QcorrError):
-    """Input fails one of the density-matrix requirements."""
 
 
 class InconsistentBlocks(QcorrError):

@@ -17,6 +17,7 @@ zero by many orders of magnitude more than the slack.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class XStateParams:
     """Two-qubit X-state parameters.
 
     The diagonal weights are real and sum to 1; a12 couples |00> with |11>
-    and b12 couples |01> with |10>.  Positivity of the assembled state is
-    equivalent to a11 a22 >= |a12|^2 and b11 b22 >= |b12|^2.
+    and b12 couples |01> with |10>; all six are finite.  Positivity of the
+    assembled state is equivalent to a11 a22 >= |a12|^2 and b11 b22 >= |b12|^2.
     """
 
     a11: float
@@ -71,6 +72,8 @@ class XStateParams:
 
     def __post_init__(self) -> None:
         diag = (self.a11, self.a22, self.b11, self.b22)
+        if not all(map(cmath.isfinite, (*diag, self.a12, self.b12))):
+            raise InvalidParams(f"non-finite parameter in {(*diag, self.a12, self.b12)}")
         if any(d < -EQ_ATOL for d in diag):
             raise InvalidParams(f"negative diagonal weight in {diag}")
         total = float(sum(diag))
@@ -80,7 +83,7 @@ class XStateParams:
 
 @dataclass(frozen=True)
 class BellDiagonalParams:
-    """Probabilities over the Bell basis, ordered (Phi+, Phi-, Psi+, Psi-)."""
+    """Finite probabilities over the Bell basis, ordered (Phi+, Phi-, Psi+, Psi-)."""
 
     p1: float
     p2: float
@@ -89,6 +92,8 @@ class BellDiagonalParams:
 
     def __post_init__(self) -> None:
         p = (self.p1, self.p2, self.p3, self.p4)
+        if not all(map(cmath.isfinite, p)):
+            raise InvalidParams(f"non-finite probability in {p}")
         if any(x < -EQ_ATOL for x in p):
             raise InvalidParams(f"negative probability in {p}")
         if abs(sum(p) - 1.0) > TRACE_ATOL:

@@ -76,7 +76,7 @@ def test_criterion_02_cq_does_not_imply_sppt_for_3xn():
             offenders += 1
             assert discord.cq_detect(state, TOL).is_cq
             assert bipartite.is_ppt(state, TOL).is_ppt
-            assert discord.discord_a(state, OPT, TOL).discord <= 1e-4
+            assert discord.discord_a(state, OPT).discord <= 1e-4
     assert offenders >= 95
     print(f"acceptance 02: PASS ({offenders}/100 CQ 3x4 states with non-normal "
           f"S12, identity residual {worst_identity:.2e})")
@@ -111,7 +111,7 @@ def test_criterion_03_xstate_criteria_match_numerics():
     assert disagreements == 0
     assert ppt_not_sppt is not None
     assert sppt_candidate is not None
-    d = discord.discord_a(families.xstate(sppt_candidate, TOL), OPT, TOL).discord
+    d = discord.discord_a(families.xstate(sppt_candidate, TOL), OPT).discord
     assert d > 1e-3
     print(f"acceptance 03: PASS (10000 X states, 0 disagreements; witnesses "
           f"PPT-not-SPPT and SPPT with discord {d:.4f})")
@@ -128,7 +128,7 @@ def test_criterion_04_bell_diagonal_criteria_on_simplex_grid():
         worst_comm = max(worst_comm, discord.commutator_criterion(state))
     assert worst_comm <= 1e-10
     probe = families.bell_diagonal(families.BellDiagonalParams(0.7, 0.1, 0.1, 0.1), TOL)
-    d = discord.discord_a(probe, OPT, TOL).discord
+    d = discord.discord_a(probe, OPT).discord
     assert d > 0.01
     print(f"acceptance 04: PASS ({len(points)} grid points agree, worst "
           f"commutator {worst_comm:.2e}, probe discord {d:.4f})")
@@ -140,7 +140,7 @@ def test_criterion_05_zero_discord_bell_family():
         params = families.BellDiagonalParams((1 + q) / 4, (1 - q) / 4,
                                              (1 + q) / 4, (1 - q) / 4)
         state = families.bell_diagonal(params, TOL)
-        d = discord.discord_a(state, OPT, TOL).discord
+        d = discord.discord_a(state, OPT).discord
         worst = max(worst, d)
         assert d <= 1e-4
         assert discord.cq_detect(state, TOL).is_cq
@@ -149,7 +149,7 @@ def test_criterion_05_zero_discord_bell_family():
             p = [0.0, 0.0, 0.0, 0.0]
             p[i] = p[j] = 0.5
             state = families.bell_diagonal(families.BellDiagonalParams(*p), TOL)
-            d = discord.discord_a(state, OPT, TOL).discord
+            d = discord.discord_a(state, OPT).discord
             worst = max(worst, d)
             assert d <= 1e-4
     print(f"acceptance 05: PASS (5 family members and 6 projector-pair "
@@ -162,7 +162,7 @@ def test_criterion_06_pure_state_discord_equals_marginal_entropy():
     for i, seed in enumerate(seeds):
         n = (2, 3, 4)[i % 3]
         state = families.random_pure(2, n, seed)
-        d = discord.discord_a(state, OPT, TOL).discord
+        d = discord.discord_a(state, OPT).discord
         ent = discord.von_neumann_entropy(bipartite.partial_trace_b(state), TOL)
         worst = max(worst, abs(d - ent))
         assert abs(d - ent) <= 1e-3
@@ -174,7 +174,7 @@ def test_criterion_07_optimizer_matches_brute_force_oracle():
     worst = 0.0
     for seed in child_seeds(7000, 50):
         state = bipartite.validate(families.random_ginibre_density(4, seed), 2, 2, TOL)
-        fast = discord.discord_a(state, OPT, TOL).discord
+        fast = discord.discord_a(state, OPT).discord
         slow = brute_discord_2q(state)
         worst = max(worst, abs(fast - slow))
         assert abs(fast - slow) <= 1e-3
@@ -194,7 +194,7 @@ def test_criterion_08_commutator_necessity():
         state = bipartite.validate(families.random_ginibre_density(4, seed), 2, 2, TOL)
         if discord.commutator_criterion(state) > 1e-6:
             checked += 1
-            rep = discord.discord_a(state, OPT, TOL)
+            rep = discord.discord_a(state, OPT)
             assert rep.discord > 0.0, f"seed {seed}: commutator large but discord 0"
     assert checked >= 990
     print(f"acceptance 08: PASS (1000 CQ states worst commutator {worst_cq:.2e}; "

@@ -14,7 +14,6 @@ from helpers import naive_partial_transpose
 from qcorr import (
     BipartiteState,
     assemble_blocks,
-    block,
     block_tensor,
     bell_diagonal,
     BellDiagonalParams,
@@ -34,7 +33,6 @@ from qcorr import (
 from qcorr.bipartite import TRACE_ATOL
 from qcorr.errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidSpec,
     NotDensityMatrix,
     NotHermitian,
@@ -94,6 +92,13 @@ def test_validate_rejects_negative_eigenvalue():
         validate(m, 2, 2)
 
 
+@pytest.mark.parametrize("error", [NotHermitian, TraceNotOne, NotPsd])
+def test_each_violated_requirement_is_a_not_density_matrix(error):
+    # von_neumann_entropy raises whatever validate raises, and its callers
+    # catch NotDensityMatrix
+    assert issubclass(error, NotDensityMatrix)
+
+
 # NaN compares false against every tolerance bound, so each entry point that
 # takes a caller's matrix rejects non-finite entries before any arithmetic.
 NON_FINITE_CASES = {
@@ -138,21 +143,13 @@ def test_block_slices_match_manual_indexing():
     for k in range(1, 4):
         for l in range(1, 4):
             manual = s.rho[(k - 1) * 2 : k * 2, (l - 1) * 2 : l * 2]
-            assert np.array_equal(block(s, k, l), manual)
-
-
-def test_block_rejects_out_of_range_indices():
-    s = ginibre_state(0, 2, 2)
-    for k, l in [(0, 1), (1, 0), (3, 1), (1, 3)]:
-        with pytest.raises(IndexOutOfRange):
-            block(s, k, l)
+            assert np.array_equal(block_tensor(s)[k - 1, l - 1], manual)
 
 
 def test_block_tensor_assemble_roundtrip_is_exact():
     s = ginibre_state(7, 3, 4)
     t = block_tensor(s)
     assert t.shape == (3, 3, 4, 4)
-    assert np.array_equal(t[1, 2], block(s, 2, 3))
     assert np.array_equal(assemble_blocks(t), s.rho)
 
 
@@ -165,7 +162,8 @@ def test_assemble_blocks_rejects_malformed_grid():
 
 def test_hermiticity_transfers_to_blocks():
     s = ginibre_state(9, 2, 3)
-    assert np.allclose(block(s, 1, 2), block(s, 2, 1).conj().T)
+    t = block_tensor(s)
+    assert np.allclose(t[0, 1], t[1, 0].conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,15 @@ def test_bell_rejects_bad_probability_strings(capsys):
     assert main(["bell", "--p", "0.5,0.5,0.5,-0.5"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("flag, value", [("--a11", "nan"), ("--a12", "nanj"), ("--b12", "inf")])
+def test_xstate_rejects_non_finite_parameters(flag, value, capsys):
+    # a NaN weight passes every sign and sum check, and a NaN coupling would
+    # reach eigvalsh, so both are rejected as input errors up front
+    args = {"--a11": "0.3", "--a22": "0.2", "--b11": "0.3", "--b22": "0.2", flag: value}
+    assert main(["xstate", *(x for kv in args.items() for x in kv)]) == EXIT_INPUT
+    assert "error: InvalidParams: non-finite" in capsys.readouterr().err
+
+
 def test_xstate_boundary_disagreement_is_a_claim_failure(capsys):
     # couplings differing by 1e-10: unequal to the exact predicate, but far
     # below the numerical normality tolerance; the disagreement is the whole

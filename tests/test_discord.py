@@ -427,6 +427,25 @@ def test_no_private_top_level_name_is_unused():
     assert sorted(f"{f}: {n}" for n, f in defined.items() if n not in used) == []
 
 
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is a setting that does
+    # nothing.  cq_detect's opt stays because bench/workloads.py passes it
+    # positionally; ROADMAP item 1 removes it.
+    allowed = {"discord.cq_detect.opt"}
+    pkg = pathlib.Path(__import__("qcorr").__file__).parent
+    unread = []
+    for f in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{f.stem}.{node.name}.{p}" for p in params if p not in loaded]
+    assert sorted(set(unread) - allowed) == []
+
+
 def test_discord_on_qutrit_a_side_reports_basis():
     s = random_cq(3, 2, rng_seed=17)
     r = discord_a(s)

@@ -223,6 +223,23 @@ def test_bell_diagonal_params_validation():
         BellDiagonalParams(0.3, 0.3, 0.3, 0.3)
 
 
+NON_FINITE_PARAMS = {
+    "x_diagonal": lambda bad: XStateParams(a11=bad, a22=0.2, b11=0.3, b22=0.2, a12=0.0, b12=0.0),
+    "x_a12_real": lambda bad: XStateParams(a11=0.3, a22=0.2, b11=0.3, b22=0.2, a12=bad, b12=0.0),
+    "x_b12_imag": lambda bad: XStateParams(a11=0.3, a22=0.2, b11=0.3, b22=0.2, a12=0.0,
+                                           b12=complex(0.0, bad)),
+    "bell": lambda bad: BellDiagonalParams(bad, 0.3, 0.2, 0.1),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PARAMS))
+def test_non_finite_family_parameters_are_invalid(case, bad):
+    # NaN passes every sign and sum check, so finiteness is checked first
+    with pytest.raises(InvalidParams, match="non-finite"):
+        NON_FINITE_PARAMS[case](bad)
+
+
 def test_induced_xstate_reassembles_the_density_matrix():
     p = BellDiagonalParams(0.55, 0.15, 0.2, 0.1)
     assert np.allclose(xstate_matrix(induced_xstate(p)), bell_diagonal(p).rho, atol=1e-15)

@@ -3,7 +3,9 @@ and structured parse errors.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -122,3 +124,19 @@ def test_write_statefile_ends_with_newline(tmp_path):
     path = tmp_path / "s.json"
     write_statefile(path, ginibre_state(7, 2, 2))
     assert path.read_text().endswith("\n")
+
+
+def test_fixture_generator_reproduces_the_stored_fixtures():
+    # the generator is the only record of how the frozen fixtures were made,
+    # so every state it builds must still equal the stored one bit for bit
+    root = pathlib.Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location("make_fixtures", root / "scripts" / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    roster = make_fixtures.build_roster()
+    assert len(roster) == 20
+    for idx, (name, state, _) in enumerate(roster, start=1):
+        stored, meta = read_statefile(root / "tests" / "fixtures" / f"state_{idx:02d}.json")
+        assert meta["name"] == name
+        assert (stored.dim_a, stored.dim_b) == (state.dim_a, state.dim_b), name
+        assert np.array_equal(stored.rho, state.rho), name
