@@ -91,7 +91,8 @@ def assemble_blocks(blocks) -> np.ndarray:
 
 def partial_transpose_a(state: BipartiteState) -> np.ndarray:
     """Blockwise transpose over the A index: block (k, l) -> block (l, k)."""
-    return assemble_blocks(block_tensor(state).transpose(1, 0, 2, 3))
+    m, n = state.dim_a, state.dim_b
+    return state.rho.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
 
 
 def partial_trace_a(state: BipartiteState) -> np.ndarray:

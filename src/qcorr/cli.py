@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -381,8 +382,21 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word starting '-' then a digit, '.' digit, inf or nan as a value.
+
+    argparse's own pattern knows only plain decimals and took -1e-3, -0.2j,
+    -inf or -0.1,0.5,0.3,0.3 for an option, so only --flag=value worked.  No
+    qcorr flag starts so.  Subparsers are built with this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcorr",
         description="Correlation-class analysis of bipartite states: "
                     "PPT, strong PPT, quantum discord, classical-quantum detection.",

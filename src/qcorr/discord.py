@@ -335,9 +335,16 @@ def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> Disc
 
 
 def commutator_criterion(state: BipartiteState) -> float:
-    """Frobenius norm of [rho, rho_A x I_B]; zero is necessary for zero discord."""
-    k = np.kron(partial_trace_b(state), np.eye(state.dim_b))
-    return fro_norm(state.rho @ k - k @ state.rho)
+    """Frobenius norm of [rho, rho_A x I_B]; zero is necessary for zero discord.
+
+    Block (i, j) of the commutator is
+    C_ij = sum_k (rho_ik (rho_A)_kj - (rho_A)_ik rho_kj) with rho_ik the N x N
+    blocks, formed on the block view of rho: M^3 N^2 products instead of the
+    (MN)^3 of two dense products with rho_A x I_B.
+    """
+    t = block_tensor(state)
+    rho_a = partial_trace_b(state)
+    return fro_norm(np.einsum("ikab,kj->ijab", t, rho_a) - np.einsum("ik,kjab->ijab", rho_a, t))
 
 
 # Jacobi sweeps stop once a sweep lowers the off-block mass by no more than
@@ -350,8 +357,9 @@ _EPS_CQ = 1e-6
 
 
 def _off_mass(blocks: np.ndarray) -> float:
-    m = blocks.shape[0]
-    return float(sum(fro_norm(blocks[k, l]) ** 2 for k in range(m) for l in range(k + 1, m)))
+    """Squared Frobenius norm of the blocks above the block diagonal."""
+    g = np.einsum("klab,klab->kl", blocks.conj(), blocks).real.tolist()
+    return float(sum(sum(row[k + 1:]) for k, row in enumerate(g)))
 
 
 def _rotate_pair(bp: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
@@ -375,11 +383,6 @@ def _rotate_pair(bp: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
     bp[pq] = np.einsum("ik,i...->k...", u.conj(), bp[pq])
     bp[:, pq] = np.einsum("jl,kj...->kl...", u, bp[:, pq])
     basis[:, pq] = basis[:, pq] @ u
-
-
-def _psd_clamp(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(m))
-    return hermitize((v * np.clip(w, 0.0, None)) @ dagger(v))
 
 
 def cq_detect(
@@ -419,7 +422,7 @@ def cq_detect(
                          sigma_list=None, commutator=com)
 
     # the eigenvalues descend, so a cluster is a run of gaps <= _EPS_DEGENERATE
-    cluster = np.cumsum(np.r_[0, lam[:-1] - lam[1:] > _EPS_DEGENERATE])
+    cluster = np.cumsum(np.concatenate(([0], lam[:-1] - lam[1:] > _EPS_DEGENERATE)))
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
     # no cluster above 2 levels: each rotation is exact and touches no other
     # pair, so one sweep is the minimum
@@ -439,6 +442,8 @@ def cq_detect(
     if off > _EPS_CQ:
         return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None,
                          commutator=com)
-    sigma_list = [_psd_clamp(bp[k, k]) for k in range(m)]
-    return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=sigma_list,
+    # the diagonal blocks, each clamped to its PSD part, from one batched eigh
+    w, v = np.linalg.eigh(hermitize(np.einsum("kkab->kab", bp)))
+    sigma = hermitize((v * np.maximum(w, 0.0)[:, None]) @ dagger(v))
+    return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=list(sigma),
                      commutator=com)

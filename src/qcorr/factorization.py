@@ -2,9 +2,13 @@
 
 For an MxN state, any M >= 1, the factor X is upper block-triangular with
 diagonal blocks X_j, Hermitian PSD (the canonical gauge), and blocks
-S_jl X_j above the diagonal.  It is built row by row: the Schur complement
-M_jj = rho_jj - sum_{i<j} X_i S_ij^dagger S_ij X_i gives X_j = sqrt(M_jj),
-and S_jl = X_j^+ (rho_jl - sum_{i<j} X_i S_ij^dagger S_il X_i) X_j^+.
+S_jl X_j above the diagonal.  It is built row by row.  Row j first forms
+the part of rho_jl, l >= j, that rows i < j leave unexplained,
+r_l = rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i), for all l at once as
+one batched product over (i, l).  Its first entry is the Schur complement
+M_jj, which gives X_j = sqrt(M_jj) and X_j^+ from one eigh; the rest give
+the whole row S_jl = X_j^+ r_l X_j^+, l > j, in one batched product.  The
+last row needs no pseudoinverse, since no S is extracted from it.
 
 The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
 gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
@@ -13,7 +17,8 @@ for j < k < l; together these make the replacement exact.  For 2xN this is
 the single condition that S = S_12 is normal.
 
 When X_j is rank-deficient and the off blocks of row j carry mass outside
-its range, no S reproduces them and the canonical extraction cannot decide
+its range (at full rank there is no outside, and the mass is zero), no S
+reproduces them and the canonical extraction cannot decide
 SPPT; the factorization is then flagged rank_deficient, the unexplained mass
 is reported, and the verdict is negative rather than silently passed.
 """
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bipartite
-from .bipartite import BipartiteState, block_tensor
+from .bipartite import BipartiteState, assemble_blocks, block_tensor
 from .errors import DimensionMismatch, InconsistentBlocks, NotPsd, NotUnitary
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize
 
@@ -81,86 +86,73 @@ class SpptVerdict:
 
 
 @functools.lru_cache(maxsize=None)
-def _conditions(m: int) -> tuple[tuple[str, int, int, int], ...]:
-    """(key, j, k, l) for each SPPT condition S_jk S_jl^dagger = S_jl^dagger S_jk.
+def _conditions(m: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Names and index arrays j, k, l of the SPPT conditions
+    S_jk S_jl^dagger = S_jl^dagger S_jk.
 
     Normality (k = l) for every j < k comes first, then the cross conditions
     j < k < l.  2xN and 3xN keep their established names.
     """
     normal = [(j, k, k) for j in range(m) for k in range(j + 1, m)]
     cross = [(j, k, l) for j in range(m) for k in range(j + 1, m) for l in range(k + 1, m)]
-    out = []
+    keys = []
     for j, k, l in normal + cross:
         if k == l:
-            key = "normality" if m == 2 else f"normality_s{j + 1}{k + 1}"
+            keys.append("normality" if m == 2 else f"normality_s{j + 1}{k + 1}")
         else:
-            key = "cross" if m == 3 else f"cross_s{j + 1}{k + 1}_s{j + 1}{l + 1}"
-        out.append((key, j, k, l))
-    return tuple(out)
+            keys.append("cross" if m == 3 else f"cross_s{j + 1}{k + 1}_s{j + 1}{l + 1}")
+    index = np.array(normal + cross, dtype=np.intp).reshape(-1, 3).T
+    index.setflags(write=False)
+    return (tuple(keys), *index)
 
 
 # Eigenvalues at most _EPS_RANK times the largest count as zero in a pseudoinverse.
 _EPS_RANK = 1e-10
 
 
-def _sqrt_with_pinv(m: np.ndarray, tol: Tolerance, scale: float):
+def _sqrt_with_pinv(m: np.ndarray, tol: Tolerance, scale: float, pinv: bool = True):
     """Clamped PSD sqrt of the Hermitian part of m plus the pseudoinverse of
-    that sqrt, from one eigh.
+    that sqrt and its rank, from one eigh; (sqrt, None, None) without pinv.
 
     Eigenvalues below -eps_psd * scale raise NotPsd; scale=np.inf clamps
     every negative eigenvalue to zero instead.
     """
     w, v = np.linalg.eigh(hermitize(m))
-    w, v = w[::-1], v[:, ::-1]
-    lam_min = float(w[-1])
+    lam_min = float(w[0])
     if lam_min < -tol.eps_psd * scale:
         raise NotPsd(f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd * scale:.3e}")
-    lam = np.clip(w, 0.0, None)
-    cut = _EPS_RANK * (float(lam[0]) if lam.size else 0.0)
-    keep = lam > cut
+    lam = np.maximum(w, 0.0)
     root = np.sqrt(lam)
-    inv = np.zeros_like(lam)
-    inv[keep] = 1.0 / root[keep]
-    x = hermitize((v * root) @ dagger(v))
-    xp = hermitize((v * inv) @ dagger(v))
+    if not pinv:
+        return hermitize((v * root) @ dagger(v)), None, None
+    keep = lam > _EPS_RANK * lam[-1]
+    inv = np.divide(1.0, root, out=np.zeros_like(root), where=keep)
+    x, xp = hermitize((v * np.array([root, inv])[:, None]) @ dagger(v))
     return x, xp, int(np.count_nonzero(keep))
 
 
 def _factor(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Upper block-triangular matrix with diagonal blocks x[j] and s[j, l] x[j] above."""
-    m, n = x.shape[:2]
-    out = np.zeros((m * n, m * n), dtype=np.complex128)
-    for j in range(m):
-        out[j * n:(j + 1) * n, j * n:(j + 1) * n] = x[j]
-        for l in range(j + 1, m):
-            out[j * n:(j + 1) * n, l * n:(l + 1) * n] = s[j, l] @ x[j]
-    return out
+    blocks = s @ x[:, None]  # s is zero on and below the block diagonal
+    blocks[np.diag_indices(len(x))] = x
+    return assemble_blocks(blocks)
 
 
 def _finished(x, s, rho, rank_deficient: bool, unexplained_mass: float) -> SpptFactorization:
     """The factorization record, with every residual computed from x and s."""
-    residuals = {}
-    for key, j, k, l in _conditions(len(x)):
-        sd = dagger(s[j, l])
-        residuals[key] = fro_norm(s[j, k] @ sd - sd @ s[j, k])
+    keys, j, k, l = _conditions(len(x))
+    a, bd = s[j, k], dagger(s[j, l])
+    residuals = np.linalg.norm(a @ bd - bd @ a, axis=(-2, -1))
     big_x = _factor(x, s)
     return SpptFactorization(
         x=x,
         s=s,
-        residuals=residuals,
+        residuals=dict(zip(keys, residuals.tolist())),
         reconstruction_residual=fro_norm(dagger(big_x) @ big_x - rho),
         rank_deficient=rank_deficient,
         unexplained_mass=unexplained_mass,
         rho=rho,
     )
-
-
-def _unexplained(t: np.ndarray, x: np.ndarray, s: np.ndarray, j: int, l: int) -> np.ndarray:
-    """rho_jl minus the part explained by rows i < j, sum_i X_i S_ij^dagger S_il X_i."""
-    r = t[j, l]
-    for i in range(j):
-        r = r - x[i] @ dagger(s[i, j]) @ s[i, l] @ x[i]
-    return r
 
 
 def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
@@ -173,9 +165,13 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
     deficient = False
     mass_sq = 0.0
     for j in range(m):
-        m_jj = _unexplained(t, x, s, j, j)
+        # r[l - j] = rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i), l >= j; r[0] = M_jj
+        r = t[j, j:]
+        if j:
+            r = r - ((x[:j] @ dagger(s[:j, j]))[:, None] @ (s[:j, j:] @ x[:j, None])).sum(axis=0)
+        last = j + 1 == m
         try:
-            x[j], xp, rank = _sqrt_with_pinv(m_jj, tol, scale)
+            x[j], xp, rank = _sqrt_with_pinv(r[0], tol, scale, pinv=not last)
         except NotPsd as exc:
             if j == 0:  # a diagonal block of rho itself
                 raise
@@ -184,16 +180,15 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
                     f"rho{j + 1}{j + 1} minus the explained part is not PSD: {exc}"
                 ) from exc
             # best-effort completion of a flagged rank-deficient extraction
-            x[j], xp, rank = _sqrt_with_pinv(m_jj, tol, np.inf)[0], np.zeros((n, n)), 0
-        if j + 1 == m:
+            x[j], xp, rank = _sqrt_with_pinv(r[0], tol, np.inf, pinv=False)[0], np.zeros((n, n)), 0
+        if last:
             break
-        proj = hermitize(x[j] @ xp)
-        for l in range(j + 1, m):
-            r = _unexplained(t, x, s, j, l)
-            s[j, l] = xp @ r @ xp
-            mass = fro_norm(r - proj @ r @ proj)
-            mass_sq += mass**2
-            deficient = deficient or (rank < n and mass > tol.eps_residual * scale)
+        s[j, j + 1:] = xp @ r[1:] @ xp
+        if rank < n:  # the off blocks' mass outside the range of X_j; none at full rank
+            proj = hermitize(x[j] @ xp)
+            mass = np.linalg.norm(r[1:] - proj @ r[1:] @ proj, axis=(-2, -1))
+            mass_sq += float(mass @ mass)
+            deficient = deficient or float(mass.max()) > tol.eps_residual * scale
     return _finished(x, s, state.rho, deficient, float(np.sqrt(mass_sq)))
 
 
@@ -245,10 +240,10 @@ def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
     ppt = bipartite.is_ppt(state, tol)
     scale = max(1.0, fro_norm(state.rho))
     f = factorize(state, tol)
-    normal_ok = all(
-        f.residuals[key] <= tol.eps_sppt * max(1.0, fro_norm(f.s[j, k]) * fro_norm(f.s[j, l]))
-        for key, j, k, l in _conditions(state.dim_a)
-    )
+    _, j, k, l = _conditions(state.dim_a)
+    norms = np.linalg.norm(f.s, axis=(-2, -1))
+    bound = tol.eps_sppt * np.maximum(1.0, norms[j, k] * norms[j, l])
+    normal_ok = bool(np.all(np.fromiter(f.residuals.values(), float, len(j)) <= bound))
     recon_ok = f.reconstruction_residual <= tol.eps_residual * scale
     verdict = bool(normal_ok and recon_ok and ppt.is_ppt and not f.rank_deficient)
     return SpptVerdict(

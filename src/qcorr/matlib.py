@@ -3,16 +3,17 @@
 Matrices are plain numpy complex128 arrays throughout, and linear algebra
 is numpy.linalg called directly.  The thresholds a caller may set live in
 the Tolerance record and are passed explicitly; fixed cutoffs are private
-constants next to their only user.  dagger, fro_norm and hermitize check
-nothing: the modules that call them validate their inputs first.
+constants next to their only user.  dagger, fro_norm and hermitize take
+numpy arrays and check nothing, not even the dtype: the modules that call
+them validate their inputs first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import numpy.linalg as npl
 
 from .errors import InvalidParams
 
@@ -53,17 +54,16 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conjugate(np.swapaxes(np.asarray(a, dtype=np.complex128), -1, -2))
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
 
 
-def fro_norm(a) -> float:
-    """Frobenius norm."""
-    return float(npl.norm(np.asarray(a)))
+def fro_norm(a: np.ndarray) -> float:
+    """Frobenius norm over all entries."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
-def hermitize(a) -> np.ndarray:
+def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a^dagger) / 2; removes rounding asymmetry."""
-    return (a + dagger(a)) / 2
-
+    return (a + dagger(a)) * 0.5

@@ -69,6 +69,20 @@ def binary_entropy(x) -> np.ndarray:
     return out
 
 
+
+def dense_commutator(state: BipartiteState) -> float:
+    """Frobenius norm of [rho, rho_A x I_B] from the dense Kronecker product.
+
+    The form qcorr's commutator criterion had before it went blockwise: two
+    (MN)^3 products with rho_A x I_B, rho_A summed block by block.
+    """
+    m, n = state.dim_a, state.dim_b
+    rho = state.rho
+    rho_a = np.array([[np.trace(rho[k * n:(k + 1) * n, l * n:(l + 1) * n]) for l in range(m)]
+                      for k in range(m)])
+    big = np.kron(rho_a, np.eye(n))
+    return float(np.linalg.norm(rho @ big - big @ rho))
+
 # ---------------------------------------------------------------------------
 # closed-form discord of Bell-diagonal states (S. Luo, PRA 77, 042303 (2008))
 

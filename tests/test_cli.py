@@ -265,6 +265,23 @@ def test_bell_rejects_bad_probability_strings(capsys):
     assert main(["bell", "--p", "0.5,0.5,0.5,-0.5"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("flag, value, code", [
+    ("--a12", "-1e-3", EXIT_OK), ("--b12", "-0.2j", EXIT_OK), ("--a12", "-.1", EXIT_OK),
+    ("--a12", "-inf", EXIT_INPUT), ("--b12", "-NaNj", EXIT_INPUT),
+])
+def test_xstate_negative_values_parse_as_the_equals_form_does(flag, value, code, capsys):
+    base = ["xstate", "--a11", ".3", "--a22", ".2", "--b11", ".3", "--b22", ".2"]
+    rc = main([*base, f"{flag}={value}"])
+    want = capsys.readouterr()
+    assert main([*base, flag, value]) == rc == code
+    assert capsys.readouterr() == want
+
+
+def test_bell_negative_leading_weight_reaches_the_probability_check(capsys):
+    assert main(["bell", "--p", "-0.1,0.5,0.3,0.3"]) == EXIT_INPUT
+    assert "error: InvalidParams:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--a11", "nan"), ("--a12", "nanj"), ("--b12", "inf")])
 def test_xstate_rejects_non_finite_parameters(flag, value, capsys):
     # a NaN weight passes every sign and sum check, and a NaN coupling would

@@ -479,6 +479,16 @@ def test_commutator_positive_for_generic_states():
     assert commutator_criterion(ginibre_state(4, 3, 2)) > 1e-3
 
 
+@pytest.mark.parametrize("dim_a,dim_b", [(1, 3), (2, 1), (2, 8), (3, 4), (4, 2)])
+def test_commutator_matches_the_dense_kronecker_form(dim_a, dim_b):
+    # the blockwise einsum against the dense rho_A x I_B products it replaced
+    for seed in range(3):
+        for s in (ginibre_state(seed, dim_a, dim_b), random_cq(dim_a, dim_b, rng_seed=seed),
+                  random_pure(dim_a, dim_b, rng_seed=seed)):
+            want = H.dense_commutator(s)
+            assert abs(commutator_criterion(s) - want) <= 1e-12 * max(1.0, np.linalg.norm(s.rho))
+
+
 # ---------------------------------------------------------------------------
 # classical-quantum detection
 
@@ -500,6 +510,21 @@ def test_cq_detect_accepts_and_reconstructs():
         assert np.allclose(rebuild_from_verdict(v, dim_b), s.rho, atol=1e-7)
         total = sum(float(np.trace(sig).real) for sig in v.sigma_list)
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("dim_a,dim_b,seed", [(2, 4, 3), (3, 3, 4), (5, 2, 5)])
+def test_sigma_list_is_the_per_block_psd_clamp(dim_a, dim_b, seed):
+    # the batched eigh against clamping each rotated diagonal block on its own
+    s = random_cq(dim_a, dim_b, rng_seed=seed)
+    v = cq_detect(s)
+    assert v.is_cq
+    blocks = H.blocks_of(s)
+    for k in range(dim_a):
+        f = v.basis[:, k]
+        b = sum(np.conj(f[i]) * f[j] * blocks[i, j] for i in range(dim_a) for j in range(dim_a))
+        w, u = np.linalg.eigh((b + b.conj().T) / 2)
+        clamped = (u * np.clip(w, 0.0, None)) @ u.conj().T
+        assert np.abs(v.sigma_list[k] - (clamped + clamped.conj().T) / 2).max() <= 1e-14
 
 
 def test_cq_detect_rejects_generic_states():
