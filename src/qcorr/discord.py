@@ -11,7 +11,9 @@ that bound; this early exit, tried on the rho_A eigenbasis first, is exact
 for classical-quantum inputs, where that basis attains the supremum.
 Otherwise seeded candidate bases are scored and the best are refined by
 BFGS on the unitary group U(dim_a) modulo column phases, with the analytic
-gradient of the conditional entropy; the same code serves any dim_a.
+gradient of the conditional entropy; the same code serves any dim_a.  A
+line-search trial decomposes its conditional states once, and the gradient
+at an accepted trial reuses that decomposition.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -69,9 +71,10 @@ class DiscordReport:
 
     discord = max(0, mutual_information - classical_correlation).  The
     maximizing basis is in optimal_basis (columns are the measurement
-    vectors).  optimizer_evals counts objective and gradient evaluations
-    and grid_resolution the candidate bases scored before refinement (0
-    after the early exit).
+    vectors).  optimizer_evals counts objective and gradient evaluations,
+    one per basis scored or tried and one per gradient (also where that
+    reuses its trial's decomposition), and grid_resolution the candidate
+    bases scored before refinement (0 after the early exit).
     """
 
     mutual_information: float
@@ -108,12 +111,14 @@ class CqVerdict:
     commutator: float
 
 
-def _entropy_bits(w: np.ndarray) -> float:
-    w = np.clip(np.asarray(w, dtype=np.float64), 0.0, None)
-    nz = w > 0.0
-    if not np.any(nz):
-        return 0.0
-    return float(-(w[nz] * np.log2(w[nz])).sum())
+def _entropy_terms(w: np.ndarray, p: np.ndarray):
+    """H = sum_k p_k S(sigma_k / p_k) = -sum_ka w_ka log2(w_ka / p_k), shape
+    (...,), and the logs log2(w / p), from the spectra w (..., K, N) and traces
+    p (..., K) of unnormalized sigma_k.  The log is 0 where w_ka <= 0 or
+    p_k <= _EPS_PROB, so those terms drop out."""
+    keep = (w > 0.0) & (p[..., None] > _EPS_PROB)
+    lw = np.log2(np.divide(w, p[..., None], out=np.ones_like(w), where=keep))
+    return -(w * lw).sum(axis=(-2, -1)), lw
 
 
 def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -128,7 +133,8 @@ def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def _entropy_of(m: np.ndarray) -> float:
-    return _entropy_bits(np.linalg.eigvalsh(hermitize(m)))
+    # S(m) is the conditional entropy of one outcome of probability 1
+    return float(_entropy_terms(np.linalg.eigvalsh(hermitize(m))[None], np.ones(1))[0])
 
 
 def mutual_information(state: BipartiteState) -> float:
@@ -146,12 +152,7 @@ def _cond_entropy_batch(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
     outcome vector v of outcome k; returns shape (...,).
     """
     sig = np.einsum("...kij,ijab->...kab", coef, b)
-    p = np.einsum("...kaa->...k", sig).real
-    w = np.clip(np.linalg.eigvalsh(sig), 0.0, None)
-    wlog = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-    plog = np.where(p > _EPS_PROB, p * np.log2(np.where(p > _EPS_PROB, p, 1.0)), 0.0)
-    contrib = np.where(p > _EPS_PROB, -wlog.sum(axis=-1) + plog, 0.0)
-    return contrib.sum(axis=-1)
+    return _entropy_terms(np.linalg.eigvalsh(sig), np.einsum("...kaa->...k", sig).real)[0]
 
 
 def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -209,54 +210,56 @@ def _basis_coef(u: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...jk->...kij", np.conj(u), u)
 
 
-def _expm_skew(k: np.ndarray) -> np.ndarray:
-    """exp(K) of a skew-Hermitian K, from the eigendecomposition of iK."""
-    w, v = np.linalg.eigh(1j * k)
-    return (v * np.exp(-1j * w)) @ dagger(v)
-
-
-def _cond_entropy_grad(u: np.ndarray, b: np.ndarray, iu) -> np.ndarray:
-    """Gradient of H(U) = sum_k p_k S(sigma_k) in the coordinates of _refine.
-
-    dH = -sum_k tr(dsigma_k log2(sigma_k / p_k)), zero eigenvalues left out
-    of the log.  With T_kl = sum_ij conj(u_ik) u_jl b_ij, U exp(K) moves
-    sigma_k = T_kk by sum_l (K_lk T_kl + h.c.), so dH = -2 Re sum K_lk G_lk
-    with G_lk = tr(T_kl log2(sigma_k / p_k)).
-    """
+def _trial(u: np.ndarray, b: np.ndarray):
+    """H(U) = sum_k p_k S(sigma_k) from T_kl = sum_ij conj(u_ik) u_jl b_ij and one
+    batched eigh of the sigma_k = T_kk; T, the eigenvectors and log2(w / p) are
+    kept for _gradient."""
     t = np.einsum("ik,jl,ijab->klab", np.conj(u), u, b)
     sig = np.einsum("kkab->kab", t)
     w, v = np.linalg.eigh(sig)
-    p = np.einsum("kaa->k", sig).real[:, None]
-    keep = (w > 0.0) & (p > _EPS_PROB)
-    lw = np.log2(np.divide(w, p, out=np.ones_like(w), where=keep))
+    h, lw = _entropy_terms(w, np.einsum("kaa->k", sig).real)
+    return float(h), (t, v, lw)
+
+
+def _gradient(trial, iu) -> np.ndarray:
+    """Gradient of H at a _trial's basis, in the coordinates of _refine.
+
+    dH = -sum_k tr(dsigma_k log2(sigma_k / p_k)), zero eigenvalues left out
+    of the log.  U exp(K) moves sigma_k = T_kk by sum_l (K_lk T_kl + h.c.),
+    so dH = -2 Re sum K_lk G_lk with G_lk = tr(T_kl log2(sigma_k / p_k)).
+    """
+    t, v, lw = trial
     g = np.einsum("klab,kbi,ki,kai->lk", t, v, lw, np.conj(v))
     z = 2.0 * (g.T - np.conj(g))[iu]
     return np.concatenate([z.real, z.imag])
 
 
-def _refine(u: np.ndarray, h: float, b: np.ndarray):
-    """BFGS on U(M) modulo column phases, from basis u with H(u) = h.
+def _refine(u: np.ndarray, b: np.ndarray):
+    """BFGS on U(M) modulo column phases, from basis u.
 
     Steps are U <- U exp(K) with K off-diagonal skew-Hermitian, M(M-1) real
     coordinates: the real and imaginary parts of K above the diagonal.
     Multiplying on the right keeps K in the frame of U's own columns, so the
     column phases are exactly the diagonal that is left out; exp(K) U with
     off-diagonal K would lose the descent direction at equatorial qubit
-    bases.
+    bases.  A line-search trial costs one eigh for exp(K) and one _trial,
+    whose decomposition the gradient reuses if the trial is accepted.
     """
     m = u.shape[0]
     iu = np.triu_indices(m, 1)
 
-    def step(x):
+    def step(x):  # exp(K), from the eigendecomposition of iK
         k = np.zeros((m, m), dtype=np.complex128)
         k[iu] = x[: iu[0].size] + 1j * x[iu[0].size :]
-        return _expm_skew(k - dagger(k))
+        w, v = np.linalg.eigh(1j * (k - dagger(k)))
+        return (v * np.exp(-1j * w)) @ dagger(v)
 
-    g = _cond_entropy_grad(u, b, iu)
+    h, kept = _trial(u, b)
+    g = _gradient(kept, iu)
     hinv = np.eye(g.size)
     evals = 1
     for it in range(_MAX_STEPS):
-        if np.linalg.norm(g) < _GRAD_TOL:
+        if np.sqrt(g @ g) < _GRAD_TOL:
             break
         d = -hinv @ g
         slope = float(g @ d)
@@ -266,7 +269,7 @@ def _refine(u: np.ndarray, h: float, b: np.ndarray):
         t = 1.0
         for _ in range(_BACKTRACKS):
             u_new = u @ step(t * d)
-            h_new = float(_cond_entropy_batch(_basis_coef(u_new), b))
+            h_new, kept = _trial(u_new, b)
             evals += 1
             if h_new <= h + _ARMIJO * t * slope:
                 break
@@ -278,7 +281,7 @@ def _refine(u: np.ndarray, h: float, b: np.ndarray):
             u, h = u_new, h_new
         if progress <= _PROGRESS_RTOL * abs(h):
             break
-        g_new = _cond_entropy_grad(u, b, iu)
+        g_new = _gradient(kept, iu)
         evals += 1
         s, y = t * d, g_new - g
         sy = float(s @ y)
@@ -313,7 +316,7 @@ def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, mi: floa
     evals = 1 + len(cands)
     best_h, best_u = np.inf, eig
     for i in np.argsort(hs, kind="stable")[:_REFINED]:
-        u, h, n = _refine(cands[i], float(hs[i]), b)
+        u, h, n = _refine(cands[i], b)
         evals += n
         if h < best_h:
             best_h, best_u = h, u

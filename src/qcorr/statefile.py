@@ -38,11 +38,17 @@ def state_to_dict(state: BipartiteState, metadata: dict | None = None) -> dict:
     return doc
 
 
+def _entry_error(i: int, pair) -> ParseError:
+    return ParseError(f"matrix entry {i} must be a finite [re, im] pair, got {pair!r}")
+
+
 def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, dict]:
     """Parse and validate a document; returns the state and its metadata.
 
-    Structural problems raise ParseError; a well-formed matrix that is not
-    a valid density matrix raises the specific validation error instead.
+    Matrix entries are [re, im] pairs of JSON numbers; a boolean, NaN, an
+    infinity or an integer beyond the float range raises ParseError naming
+    the entry, as do other structural problems.  A well-formed matrix that
+    is not a valid density matrix raises the specific validation error instead.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
@@ -59,19 +65,23 @@ def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, 
     if not isinstance(entries, list) or len(entries) != want:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
         raise ParseError(f"matrix must hold {want} entries, got {got}")
-    flat = np.empty(want, dtype=np.complex128)
     for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and np.isfinite(x) for x in pair)
-        ):
-            raise ParseError(f"matrix entry {i} must be a finite [re, im] pair, got {pair!r}")
-        flat[i] = complex(pair[0], pair[1])
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], (int, float)) and isinstance(pair[1], (int, float))
+                and bool not in (type(pair[0]), type(pair[1]))):
+            raise _entry_error(i, pair)
+    try:
+        pairs = np.array(entries, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        big = float(np.finfo(np.float64).max)
+        pairs = np.array([[x if abs(x) <= big else np.inf for x in p] for p in entries])
+    if not np.isfinite(pairs).all():
+        i = int(np.argmin(np.isfinite(pairs).all(axis=1)))
+        raise _entry_error(i, entries[i])
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError(f"metadata must be an object, got {metadata!r}")
-    state = validate(flat.reshape(m * n, m * n), m, n, tol)
+    state = validate(pairs.view(np.complex128).reshape(m * n, m * n), m, n, tol)
     return state, metadata
 
 

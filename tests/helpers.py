@@ -421,6 +421,41 @@ def _cond_entropy(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.where(live, -wlog.sum(axis=-1) + plog, 0.0).sum(axis=-1)
 
 
+def _expm_taylor(k: np.ndarray, terms: int = 20) -> np.ndarray:
+    """exp(k) of a small matrix by its Taylor series."""
+    out = term = np.eye(k.shape[0], dtype=np.complex128)
+    for j in range(1, terms):
+        term = term @ k / j
+        out = out + term
+    return out
+
+
+def cond_entropy_gradient(blocks: np.ndarray, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of sum_k p_k S(sigma_k) at basis u.
+
+    The coordinates are the real parts, then the imaginary parts, of the
+    entries of an off-diagonal skew-Hermitian K above the diagonal (row by
+    row), the basis moving as u exp(K); exp(K) comes from its Taylor series.
+    """
+    m = u.shape[0]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    def value(x):
+        k = np.zeros((m, m), dtype=np.complex128)
+        for idx, (i, j) in enumerate(pairs):
+            k[i, j] = x[idx] + 1j * x[len(pairs) + idx]
+            k[j, i] = -np.conj(k[i, j])
+        v = u @ _expm_taylor(k)
+        return float(_cond_entropy(np.einsum("ik,jk->kij", np.conj(v), v), blocks))
+
+    grad = np.zeros(2 * len(pairs))
+    for c in range(grad.size):
+        e = np.zeros(grad.size)
+        e[c] = h
+        grad[c] = (value(e) - value(-e)) / (2.0 * h)
+    return grad
+
+
 def _mutual_information(state: BipartiteState, blocks: np.ndarray) -> float:
     rho_a = np.einsum("klaa->kl", blocks)
     rho_b = np.einsum("kkab->ab", blocks)

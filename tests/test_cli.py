@@ -104,6 +104,15 @@ def test_analyze_rejects_malformed_json(tmp_path, capsys):
     assert "ParseError" in err
 
 
+def test_analyze_rejects_an_integer_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dims": [1, 1], "matrix": [[1' + "0" * 400 + ', 0]]}')
+    rc = main(["analyze", str(path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert "ParseError" in err and "matrix entry 0" in err
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path / "absent.json")])
     assert rc == EXIT_INPUT

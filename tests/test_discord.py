@@ -49,6 +49,8 @@ from qcorr import (
     von_neumann_entropy,
     xstate,
 )
+from qcorr import discord as D
+from qcorr.bipartite import assemble_blocks, block_tensor
 from qcorr.errors import DimensionMismatch, NotDensityMatrix, NotUnitary
 
 
@@ -169,6 +171,81 @@ def test_conditional_entropy_rejects_bad_bases():
             conditional_entropy(s, u)
     with pytest.raises(NotUnitary):
         conditional_entropy(s, np.triu(np.ones((3, 3))))
+
+
+# ---------------------------------------------------------------------------
+# the refinement's fused trial: H, its analytic gradient and its decompositions
+
+
+def refinement_cases():
+    """(state, basis) pairs: Ginibre 2x3, 3x2, 3x4 at Haar bases, a pure 2x4
+    state (rank-deficient sigma_k) and a basis with a zero-probability outcome."""
+    cases = []
+    for m, n in [(2, 3), (3, 2), (3, 4)]:
+        s = ginibre_state([31, m, n], m, n)
+        cases += [(s, random_unitary(m, rng_seed=[m, n, k])) for k in range(2)]
+    cases.append((random_pure(2, 4, rng_seed=7), random_unitary(2, rng_seed=[2, 4, 0])))
+    # a 2x3 state padded to 3x3: the third A level carries no weight
+    padded = np.zeros((3, 3, 3, 3), dtype=np.complex128)
+    padded[:2, :2] = H.blocks_of(ginibre_state(32, 2, 3))
+    u = np.eye(3, dtype=np.complex128)
+    u[:2, :2] = random_unitary(2, rng_seed=5)
+    cases.append((validate(assemble_blocks(padded), 3, 3), u))
+    return cases
+
+
+def test_refinement_gradient_matches_central_differences():
+    for s, u in refinement_cases():
+        _, trial = D._trial(u, block_tensor(s))
+        g = D._gradient(trial, np.triu_indices(s.dim_a, 1))
+        assert np.abs(g - H.cond_entropy_gradient(H.blocks_of(s), u)).max() < 1e-6
+
+
+def test_fused_trial_entropy_matches_the_candidate_batch():
+    for s, u in refinement_cases():
+        b = block_tensor(s)
+        h, _ = D._trial(u, b)
+        assert abs(h - float(D._cond_entropy_batch(D._basis_coef(u), b))) < 1e-14
+
+
+def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypatch, linalg_calls):
+    # pins the fused trial: the step's exp(K) and the sigma_k batch are the
+    # only eigh calls of a trial, a gradient reuses its trial's, and outside
+    # the refinement discord_a makes one eigh (rho_A) and six eigvalsh: three
+    # in mutual_information, S(rho_B), the rho_A-eigenbasis score and the
+    # candidate batch
+    s = ginibre_state([1, 2], 2, 3)
+    inside = {"_trial": [], "_gradient": []}
+    refinements = []
+
+    def counting(name):
+        real = getattr(D, name)
+
+        def wrapper(*args):
+            before = linalg_calls["eigh"]
+            out = real(*args)
+            inside[name].append(linalg_calls["eigh"] - before)
+            return out
+        return wrapper
+
+    real_refine = D._refine
+
+    def refine(*args):
+        refinements.append(1)
+        return real_refine(*args)
+
+    for name in inside:
+        monkeypatch.setattr(D, name, counting(name))
+    monkeypatch.setattr(D, "_refine", refine)
+    linalg_calls.update(eigh=0, eigvalsh=0)
+    r = discord_a(s)
+    n_refine = len(refinements)
+    trials = len(inside["_trial"]) - n_refine  # each refinement starts with one
+    assert r.grid_resolution > 0 and n_refine == D._REFINED and trials > 0
+    assert set(inside["_trial"]) == {1} and set(inside["_gradient"]) == {0}
+    assert linalg_calls == {"eigh": 1 + n_refine + 2 * trials, "eigvalsh": 6}
+    # a trial and a gradient each count one evaluation, as before the fusion
+    assert r.optimizer_evals == 1 + r.grid_resolution + trials + len(inside["_gradient"])
 
 
 # ---------------------------------------------------------------------------

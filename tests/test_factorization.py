@@ -321,24 +321,13 @@ def test_3xn_gauge_structure_of_cross_residual():
 # decomposition count of the verdict path
 
 
-def test_verdicts_make_one_eigh_per_a_level_and_nothing_more(monkeypatch):
+def test_verdicts_make_one_eigh_per_a_level_and_nothing_more(linalg_calls):
     # pins the design: is_sppt takes one eigh per row of the block Cholesky
     # and one eigvalsh for PPT; the commutator criterion takes none
     from qcorr import commutator_criterion
 
-    calls = {"eigh": 0, "eigvalsh": 0}
-
-    def counting(name):
-        real = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
+    calls = linalg_calls
     states = {m: ginibre_state(60 + m, m, 3) for m in (2, 3, 4)}
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
     for m, s in states.items():
         calls.update(eigh=0, eigvalsh=0)
         assert not is_sppt(s).rank_deficient

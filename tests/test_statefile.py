@@ -96,6 +96,23 @@ def test_structural_errors_raise_parse_error(mutate):
         state_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "entry", [[True, 0.0], [0.0, False], [10**400, 0], [0.5, -(10**400)], [2**1024, 0]]
+)
+def test_booleans_and_integers_beyond_the_float_range_raise_parse_error(entry):
+    doc = state_to_dict(ginibre_state(8, 1, 2))
+    doc["matrix"][2] = entry
+    with pytest.raises(ParseError, match="matrix entry 2 "):
+        state_from_dict(doc)
+
+
+def test_int_float_and_numpy_float_entries_are_numbers():
+    doc = {"dims": [1, 2], "matrix": [[1, 0], [0, 0.0], [0, 0], [np.float64(0.0), -0.0]]}
+    t, _ = state_from_dict(doc)
+    assert np.array_equal(t.rho, np.diag([1.0, 0.0]))
+    assert np.signbit(t.rho[1, 1].imag)
+
+
 def test_non_dict_document_raises_parse_error():
     with pytest.raises(ParseError):
         state_from_dict([1, 2, 3])
