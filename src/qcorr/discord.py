@@ -5,15 +5,20 @@ are rank-1 projective, given by an orthonormal basis of C^dim_a whose
 columns are the measurement vectors.
 
 The classical correlation C_A is the supremum over measurements of
-S(rho_B) - sum_k p_k S(rho_B|k) and never exceeds the mutual information,
-so the search can stop as soon as it gets within a fraction of eps_opt of
-that bound; this early exit, tried on the rho_A eigenbasis first, is exact
-for classical-quantum inputs, where that basis attains the supremum.
-Otherwise seeded candidate bases are scored and the best are refined by
-BFGS on the unitary group U(dim_a) modulo column phases, with the analytic
-gradient of the conditional entropy; the same code serves any dim_a.  A
-line-search trial decomposes its conditional states once, and the gradient
-at an accepted trial reuses that decomposition.
+S(rho_B) - H with H = sum_k p_k S(rho_B|k) >= 0, so it never exceeds the
+mutual information nor S(rho_B), and the search can stop as soon as it gets
+within a fraction of eps_opt of either bound.  This early exit, tried on
+the rho_A eigenbasis first, is exact for classical-quantum inputs, where
+that basis attains the mutual information, and for pure states, where it
+is a Schmidt basis with H = 0.  Otherwise seeded candidate bases are scored
+and the best are refined by BFGS on the unitary group U(dim_a) modulo
+column phases, with the analytic gradient of the conditional entropy; the
+same code serves any dim_a.  A line-search trial decomposes its conditional
+states once, and the gradient at an accepted trial reuses that
+decomposition.  Each contraction over the blocks of rho is one matmul.  The
+line search has a rounding floor: a halved step is not tried once its
+predicted decrease is a rounding-level fraction of H, and the refinement
+ends there.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -52,8 +57,8 @@ class OptimizerConfig:
 
     eps_opt is the absolute accuracy the optimum is trusted to: the search
     stops at the rho_A eigenbasis when that comes within a quarter of eps_opt
-    of the mutual information.  It must be finite and non-negative (else
-    InvalidParams) and does not affect cq_detect.
+    of the mutual information or of S(rho_B).  It must be finite and
+    non-negative (else InvalidParams) and does not affect cq_detect.
     """
 
     eps_opt: float = 1e-4
@@ -133,25 +138,51 @@ def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def _entropy_of(m: np.ndarray) -> float:
-    # S(m) is the conditional entropy of one outcome of probability 1
-    return float(_entropy_terms(np.linalg.eigvalsh(hermitize(m))[None], np.ones(1))[0])
+    return _spectrum_entropy(np.linalg.eigvalsh(hermitize(m)))
+
+
+def _spectrum_entropy(w: np.ndarray) -> float:
+    # S is the conditional entropy of one outcome of probability 1
+    return float(_entropy_terms(w[None], np.ones(1))[0])
+
+
+def _marginals(state: BipartiteState):
+    """(I(rho), S(rho_B), the rho_A eigenbasis by descending eigenvalue), from
+    one eigh of rho_A, whose eigenvalues give S(rho_A), and one eigvalsh each
+    of rho_B and rho."""
+    w, v = np.linalg.eigh(hermitize(partial_trace_b(state)))
+    s_b = _entropy_of(partial_trace_a(state))
+    return max(0.0, _spectrum_entropy(w) + s_b - _entropy_of(state.rho)), s_b, v[:, ::-1]
 
 
 def mutual_information(state: BipartiteState) -> float:
     """I(rho) = S(rho_A) + S(rho_B) - S(rho), clamped at 0."""
-    s_a = _entropy_of(partial_trace_b(state))
-    s_b = _entropy_of(partial_trace_a(state))
-    s_ab = _entropy_of(state.rho)
-    return max(0.0, s_a + s_b - s_ab)
+    return _marginals(state)[0]
+
+
+def _block_stack(state: BipartiteState) -> np.ndarray:
+    """The N x N blocks of rho in row-major (k, l) order, shape (M^2, N, N).
+    Read as an M^2 x N^2 matrix it turns a sum over the block indices into
+    one matmul (see _contract)."""
+    m, n = state.dim_a, state.dim_b
+    return block_tensor(state).reshape(m * m, n, n)
+
+
+def _contract(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_ij coef[..., i, j] b_ij, shape (..., N, N), over the blocks b_ij of
+    a _block_stack b, as one matmul."""
+    lead = coef.shape[:-2]
+    return (coef.reshape(*lead, -1) @ b.reshape(len(b), -1)).reshape(*lead, *b.shape[1:])
 
 
 def _cond_entropy_batch(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum_k p_k S(sigma_k) for a batch of measurements.
 
     coef has shape (..., K, M, M) with coef[..., k, i, j] = conj(v_i) v_j for
-    outcome vector v of outcome k; returns shape (...,).
+    outcome vector v of outcome k, and b is a _block_stack; returns shape
+    (...,).
     """
-    sig = np.einsum("...kij,ijab->...kab", coef, b)
+    sig = _contract(coef, b)
     return _entropy_terms(np.linalg.eigvalsh(sig), np.einsum("...kaa->...k", sig).real)[0]
 
 
@@ -170,11 +201,12 @@ def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_T
     defect = fro_norm(dagger(u) @ u - np.eye(m))
     if defect > tol.eps_residual:
         raise NotUnitary(f"basis unitarity defect {defect:.3e}")
-    return float(_cond_entropy_batch(_basis_coef(u), block_tensor(state)))
+    return float(_cond_entropy_batch(_basis_coef(u), _block_stack(state)))
 
 
 # Iterative searches stop once an iteration lowers their objective by no
-# more than this fraction of it.
+# more than this fraction of it; values of an objective this close (a few
+# ulps) count as tied.
 _PROGRESS_RTOL = 1e-15
 # Measurement outcomes of probability at most _EPS_PROB count as zero.
 _EPS_PROB = 1e-12
@@ -211,10 +243,10 @@ def _basis_coef(u: np.ndarray) -> np.ndarray:
 
 
 def _trial(u: np.ndarray, b: np.ndarray):
-    """H(U) = sum_k p_k S(sigma_k) from T_kl = sum_ij conj(u_ik) u_jl b_ij and one
-    batched eigh of the sigma_k = T_kk; T, the eigenvectors and log2(w / p) are
-    kept for _gradient."""
-    t = np.einsum("ik,jl,ijab->klab", np.conj(u), u, b)
+    """H(U) = sum_k p_k S(sigma_k) from T_kl = sum_ij conj(u_ik) u_jl b_ij, one
+    matmul over the _block_stack b, and one batched eigh of the sigma_k = T_kk;
+    T, the eigenvectors and log2(w / p) are kept for _gradient."""
+    t = _contract(np.einsum("ik,jl->klij", np.conj(u), u), b)
     sig = np.einsum("kkab->kab", t)
     w, v = np.linalg.eigh(sig)
     h, lw = _entropy_terms(w, np.einsum("kaa->k", sig).real)
@@ -224,14 +256,32 @@ def _trial(u: np.ndarray, b: np.ndarray):
 def _gradient(trial, iu) -> np.ndarray:
     """Gradient of H at a _trial's basis, in the coordinates of _refine.
 
-    dH = -sum_k tr(dsigma_k log2(sigma_k / p_k)), zero eigenvalues left out
-    of the log.  U exp(K) moves sigma_k = T_kk by sum_l (K_lk T_kl + h.c.),
-    so dH = -2 Re sum K_lk G_lk with G_lk = tr(T_kl log2(sigma_k / p_k)).
+    dH = -sum_k tr(dsigma_k L_k) with L_k = V_k diag(log2(w_k / p_k)) V_k^+,
+    zero eigenvalues left out of the log.  U exp(K) moves sigma_k = T_kk by
+    sum_l (K_lk T_kl + h.c.), so dH = -2 Re sum K_lk G_lk with
+    G_lk = tr(T_kl L_k), the entrywise sum of T_kl times L_k^T.
     """
     t, v, lw = trial
-    g = np.einsum("klab,kbi,ki,kai->lk", t, v, lw, np.conj(v))
-    z = 2.0 * (g.T - np.conj(g))[iu]
+    m = t.shape[0]
+    lt = (np.conj(v) * lw[:, None, :]) @ v.transpose(0, 2, 1)
+    g = (t.reshape(m, m, -1) @ lt.reshape(m, -1, 1))[..., 0]  # g[k, l] = G_lk
+    z = 2.0 * (g - dagger(g))[iu]
     return np.concatenate([z.real, z.imag])
+
+
+@lru_cache(maxsize=8)
+def _generators(m: int) -> np.ndarray:
+    """iK for each unit coordinate of _refine, shape (M(M-1), M^2): the real
+    part of K_ij (i < j) gives i(E_ij - E_ji), the imaginary part
+    -(E_ij + E_ji)."""
+    iu = np.triu_indices(m, 1)
+    r = np.arange(iu[0].size)
+    g = np.zeros((2, r.size, m, m), dtype=np.complex128)
+    g[0, r, iu[0], iu[1]], g[0, r, iu[1], iu[0]] = 1j, -1j
+    g[1, r, iu[0], iu[1]] = g[1, r, iu[1], iu[0]] = -1.0
+    g = g.reshape(2 * r.size, m * m)
+    g.setflags(write=False)
+    return g
 
 
 def _refine(u: np.ndarray, b: np.ndarray):
@@ -243,15 +293,18 @@ def _refine(u: np.ndarray, b: np.ndarray):
     column phases are exactly the diagonal that is left out; exp(K) U with
     off-diagonal K would lose the descent direction at equatorial qubit
     bases.  A line-search trial costs one eigh for exp(K) and one _trial,
-    whose decomposition the gradient reuses if the trial is accepted.
+    whose decomposition the gradient reuses if the trial is accepted.  The
+    first trial of a line search takes the full step; a halved step is tried
+    only while its predicted decrease -t * slope exceeds _PROGRESS_RTOL of H,
+    since below that it could only change H by rounding, and the refinement
+    ends there as when the backtracks run out.
     """
     m = u.shape[0]
     iu = np.triu_indices(m, 1)
+    gens = _generators(m)
 
     def step(x):  # exp(K), from the eigendecomposition of iK
-        k = np.zeros((m, m), dtype=np.complex128)
-        k[iu] = x[: iu[0].size] + 1j * x[iu[0].size :]
-        w, v = np.linalg.eigh(1j * (k - dagger(k)))
+        w, v = np.linalg.eigh((x @ gens).reshape(m, m))
         return (v * np.exp(-1j * w)) @ dagger(v)
 
     h, kept = _trial(u, b)
@@ -274,6 +327,8 @@ def _refine(u: np.ndarray, b: np.ndarray):
             if h_new <= h + _ARMIJO * t * slope:
                 break
             t *= 0.5
+            if -t * slope <= _PROGRESS_RTOL * abs(h):
+                return u, h, evals
         else:
             break
         progress = h - h_new
@@ -288,45 +343,57 @@ def _refine(u: np.ndarray, b: np.ndarray):
         if sy > 0.0:
             if it == 0:
                 hinv = hinv * (sy / float(y @ y))
-            r = np.eye(g.size) - np.outer(s, y) / sy
-            hinv = r @ hinv @ r.T + np.outer(s, s) / sy
+            # (I - s y^T / sy) hinv (I - y s^T / sy) + s s^T / sy, expanded
+            hy = hinv @ y
+            shy = np.outer(s, hy)
+            hinv = hinv + (np.outer(s, s) * ((sy + float(y @ hy)) / sy) - shy - shy.T) / sy
         g = g_new
     return u, h, evals
 
 
-def _classical_correlation(state: BipartiteState, opt: OptimizerConfig, mi: float):
-    """Best S(rho_B) - H(U) over orthonormal A bases U, any dim_a.
+def _tied(h: np.ndarray) -> np.ndarray:
+    """h with the values that tie with the least (within _PROGRESS_RTOL of
+    max(1, |least|)) set to the least, so that a stable sort or argmin keeps
+    their order."""
+    least = h.min()
+    return np.where(h - least <= _PROGRESS_RTOL * max(1.0, abs(least)), least, h)
+
+
+def _classical_correlation(b: np.ndarray, eig: np.ndarray, s_b: float, mi: float,
+                           opt: OptimizerConfig):
+    """Best S(rho_B) - H(U) over orthonormal A bases U, any dim_a, from the
+    _block_stack b, the rho_A eigenbasis eig, S(rho_B) and I(rho).
 
     Returns (value, basis, objective evaluations, candidates scored).  The
-    rho_A eigenbasis is scored first: the value never exceeds mi, so within
-    a quarter of eps_opt of it the search is done (exact for classical-
-    quantum inputs).  Otherwise the eigenbasis, the identity and the seeded
-    Haar bases are scored in one batch and the best _REFINED refined.
+    value is at most mi, and since H(U) >= 0 it is also at most S(rho_B).
+    The eigenbasis is scored first, and when it comes within a quarter of
+    eps_opt of either bound the search is done: exact for classical-quantum
+    inputs, which attain mi there, and for pure states, whose rho_A
+    eigenbasis is a Schmidt basis with H = 0.  Otherwise the eigenbasis, the
+    identity and the seeded Haar bases are scored in one batch and the best
+    _REFINED refined.  Scores and endpoints that tie with the least (see
+    _tied) keep candidate order: the starts are the best by score, and the
+    basis reported is the first refined endpoint, in start order, that ties
+    with the least H, so at a degenerate optimum rounding does not choose
+    among equally good bases.
     """
-    m = state.dim_a
-    b = block_tensor(state)
-    s_b = _entropy_of(partial_trace_a(state))
-    eig = np.linalg.eigh(hermitize(partial_trace_b(state)))[1][:, ::-1]
+    m = eig.shape[0]
     h_eig = float(_cond_entropy_batch(_basis_coef(eig), b))
-    if mi - (s_b - h_eig) <= 0.25 * opt.eps_opt:
+    if min(mi - (s_b - h_eig), h_eig) <= 0.25 * opt.eps_opt:
         return max(0.0, s_b - h_eig), eig, 1, 0
 
     cands = np.concatenate([eig[None], np.eye(m, dtype=np.complex128)[None], _haar_bases(m)])
     hs = _cond_entropy_batch(_basis_coef(cands), b)
-    evals = 1 + len(cands)
-    best_h, best_u = np.inf, eig
-    for i in np.argsort(hs, kind="stable")[:_REFINED]:
-        u, h, n = _refine(cands[i], b)
-        evals += n
-        if h < best_h:
-            best_h, best_u = h, u
-    return max(0.0, s_b - best_h), best_u, evals, len(cands)
+    ends = [_refine(cands[i], b) for i in np.argsort(_tied(hs), kind="stable")[:_REFINED]]
+    u, h, _ = ends[int(np.argmin(_tied(np.array([h for _, h, _ in ends]))))]
+    evals = 1 + len(cands) + sum(n for _, _, n in ends)
+    return max(0.0, s_b - h), u, evals, len(cands)
 
 
 def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> DiscordReport:
     """Quantum discord of the A side: mutual information minus C_A, any dim_a."""
-    mi = mutual_information(state)
-    cc, basis, evals, grid = _classical_correlation(state, opt, mi)
+    mi, s_b, eig = _marginals(state)
+    cc, basis, evals, grid = _classical_correlation(_block_stack(state), eig, s_b, mi, opt)
     return DiscordReport(
         mutual_information=mi,
         classical_correlation=cc,

@@ -124,8 +124,9 @@ def test_criterion_04_bell_diagonal_criteria_on_simplex_grid():
         params = families.BellDiagonalParams(*p)
         state = families.bell_diagonal(params, TOL)
         assert families.bell_is_sppt(params) == factorization.is_sppt(state, TOL).is_sppt, p
-        assert families.bell_zero_discord(params) == discord.cq_detect(state, TOL).is_cq, p
-        worst_comm = max(worst_comm, discord.commutator_criterion(state))
+        cq = discord.cq_detect(state, TOL)
+        assert families.bell_zero_discord(params) == cq.is_cq, p
+        worst_comm = max(worst_comm, cq.commutator)
     assert worst_comm <= 1e-10
     probe = families.bell_diagonal(families.BellDiagonalParams(0.7, 0.1, 0.1, 0.1), TOL)
     d = discord.discord_a(probe, OPT).discord

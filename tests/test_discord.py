@@ -115,6 +115,22 @@ def test_mutual_information_nonnegative_and_bounded(seed):
     assert -1e-10 <= mi <= 2.0 + 1e-10
 
 
+def test_mutual_information_matches_the_eigvalsh_form():
+    # discord_a and mutual_information take S(rho_A) from the eigh of rho_A
+    # that yields the rho_A eigenbasis; the old form, one eigvalsh per
+    # marginal, is the oracle
+    def eigvalsh_form(s):
+        return max(0.0, sum(D._entropy_of(x) for x in (partial_trace_b(s), partial_trace_a(s)))
+                   - D._entropy_of(s.rho))
+
+    for m, n in [(2, 2), (2, 8), (3, 2), (3, 4), (4, 2)]:
+        for seed in range(5):
+            for s in (ginibre_state([seed, m, n], m, n), random_pure(m, n, rng_seed=[seed, m, n])):
+                want = eigvalsh_form(s)
+                assert abs(mutual_information(s) - want) <= 1e-14
+                assert abs(discord_a(s).mutual_information - want) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # conditional entropy of a measurement basis
 
@@ -196,24 +212,51 @@ def refinement_cases():
 
 def test_refinement_gradient_matches_central_differences():
     for s, u in refinement_cases():
-        _, trial = D._trial(u, block_tensor(s))
+        _, trial = D._trial(u, D._block_stack(s))
         g = D._gradient(trial, np.triu_indices(s.dim_a, 1))
         assert np.abs(g - H.cond_entropy_gradient(H.blocks_of(s), u)).max() < 1e-6
 
 
 def test_fused_trial_entropy_matches_the_candidate_batch():
     for s, u in refinement_cases():
-        b = block_tensor(s)
+        b = D._block_stack(s)
         h, _ = D._trial(u, b)
         assert abs(h - float(D._cond_entropy_batch(D._basis_coef(u), b))) < 1e-14
+
+
+def test_matmul_trial_and_gradient_match_the_einsum_forms():
+    # the einsum contractions that the matmuls replaced are the oracle
+    for s, u in refinement_cases():
+        m = s.dim_a
+        bt = block_tensor(s)
+        t_old = np.einsum("ik,jl,ijab->klab", np.conj(u), u, bt)
+        sig = np.einsum("kkab->kab", t_old)
+        w, v = np.linalg.eigh(sig)
+        h_old, lw = D._entropy_terms(w, np.einsum("kaa->k", sig).real)
+        g_old = np.einsum("klab,kbi,ki,kai->lk", t_old, v, lw, np.conj(v))
+        z = 2.0 * (g_old.T - np.conj(g_old))[np.triu_indices(m, 1)]
+
+        h, trial = D._trial(u, D._block_stack(s))
+        assert np.abs(trial[0] - t_old).max() <= 1e-14
+        assert abs(h - float(h_old)) <= 1e-14
+        g = D._gradient((t_old, v, lw), np.triu_indices(m, 1))
+        assert np.abs(g - np.concatenate([z.real, z.imag])).max() <= 1e-14
+
+    # the generator table gives iK exactly as K's upper triangle did
+    for m in (2, 3, 4):
+        iu = np.triu_indices(m, 1)
+        x = np.random.default_rng(m).normal(size=2 * iu[0].size)
+        k = np.zeros((m, m), dtype=np.complex128)
+        k[iu] = x[: iu[0].size] + 1j * x[iu[0].size:]
+        assert np.array_equal((x @ D._generators(m)).reshape(m, m), 1j * (k - k.conj().T))
 
 
 def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypatch, linalg_calls):
     # pins the fused trial: the step's exp(K) and the sigma_k batch are the
     # only eigh calls of a trial, a gradient reuses its trial's, and outside
-    # the refinement discord_a makes one eigh (rho_A) and six eigvalsh: three
-    # in mutual_information, S(rho_B), the rho_A-eigenbasis score and the
-    # candidate batch
+    # the refinement discord_a makes one eigh (rho_A, which also gives
+    # S(rho_A)) and four eigvalsh: S(rho_B), S(rho), the rho_A-eigenbasis
+    # score and the candidate batch
     s = ginibre_state([1, 2], 2, 3)
     inside = {"_trial": [], "_gradient": []}
     refinements = []
@@ -243,7 +286,7 @@ def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypat
     trials = len(inside["_trial"]) - n_refine  # each refinement starts with one
     assert r.grid_resolution > 0 and n_refine == D._REFINED and trials > 0
     assert set(inside["_trial"]) == {1} and set(inside["_gradient"]) == {0}
-    assert linalg_calls == {"eigh": 1 + n_refine + 2 * trials, "eigvalsh": 6}
+    assert linalg_calls == {"eigh": 1 + n_refine + 2 * trials, "eigvalsh": 4}
     # a trial and a gradient each count one evaluation, as before the fusion
     assert r.optimizer_evals == 1 + r.grid_resolution + trials + len(inside["_gradient"])
 
@@ -401,6 +444,80 @@ def test_discord_early_exit_on_classical_quantum_states():
     assert r.discord <= 1e-12
 
 
+def test_pure_states_exit_at_the_schmidt_basis():
+    # H(U) >= 0 bounds C_A by S(rho_B); a pure state's rho_A eigenbasis is a
+    # Schmidt basis, where H = 0, so the search stops there
+    for m, n in [(2, 2), (2, 8), (3, 4), (4, 2)]:
+        for seed in range(3):
+            s = random_pure(m, n, rng_seed=[seed, m, n])
+            r = discord_a(s)
+            assert (r.optimizer_evals, r.grid_resolution) == (1, 0)
+            assert abs(r.discord - H.vn_entropy(partial_trace_b(s))) <= 1e-12
+
+
+def test_near_pure_mixture_still_searches():
+    # 0.99 |psi><psi| + 0.01 I/d: the eigenbasis leaves H above eps_opt/4,
+    # so neither bound ends the search, which then does at least as well
+    for m, n in [(2, 2), (2, 4), (3, 2)]:
+        psi = random_pure(m, n, rng_seed=[40, m, n]).rho
+        s = validate(0.99 * psi + 0.01 * np.eye(m * n) / (m * n), m, n)
+        eig = np.linalg.eigh(partial_trace_b(s))[1][:, ::-1]
+        h_eig = conditional_entropy(s, eig)
+        assert h_eig > 0.25 * DEFAULT_OPT.eps_opt
+        r = discord_a(s)
+        assert r.grid_resolution > 0
+        assert r.classical_correlation >= H.vn_entropy(partial_trace_a(s)) - h_eig - 1e-12
+
+
+def test_refinement_reaches_zero_entropy_on_pure_states():
+    # pure states no longer reach the refinement through discord_a; refined
+    # from their best candidates (rank-one sigma_k throughout) it ends at H = 0
+    for m, n in [(2, 2), (2, 8), (3, 4), (4, 2)]:
+        s = random_pure(m, n, rng_seed=[41, m, n])
+        b = D._block_stack(s)
+        cands = np.concatenate([np.eye(m, dtype=np.complex128)[None], D._haar_bases(m)])
+        hs = D._cond_entropy_batch(D._basis_coef(cands), b)
+        for i in np.argsort(hs, kind="stable")[:D._REFINED]:
+            _, h, _ = D._refine(cands[i], b)
+            assert abs(h) <= 1e-12
+
+
+def test_backtrack_floor_saves_evaluations(monkeypatch):
+    # halved steps whose predicted decrease is below rounding are not tried,
+    # so no line search runs through all _BACKTRACKS halvings; before that
+    # floor these states did, and took 254 and 148 evaluations
+    calls = []
+
+    def logging(name, mark):
+        real = getattr(D, name)
+
+        def wrapper(*args):
+            calls.append(mark)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(D, "_trial", logging("_trial", "t"))
+    monkeypatch.setattr(D, "_gradient", logging("_gradient", "g"))
+
+    def longest_line_search(state):
+        # the trials between two gradients are one line search
+        calls.clear()
+        r = discord_a(state)
+        return r, max(len(run) for run in "".join(calls).split("g"))
+
+    s = ginibre_state(3, 3, 2)
+    r, longest = longest_line_search(s)
+    assert r.optimizer_evals < 254 and longest < D._BACKTRACKS
+    # searched_cc_qutrit stalls at 0.27656 here; 0.30978217788826734 is the
+    # value the search reached before the floor
+    assert r.classical_correlation >= H.searched_cc_qutrit(s) - 1e-10
+    assert r.classical_correlation == pytest.approx(0.30978217788826734, abs=1e-9)
+    s = ginibre_state(5, 2, 4)
+    r, longest = longest_line_search(s)
+    assert r.optimizer_evals < 148 and longest < D._BACKTRACKS
+    assert r.classical_correlation == pytest.approx(H.searched_cc_qubit(s), abs=1e-9)
+
+
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -422,6 +539,23 @@ def test_fixture_cq_2x2_has_no_discord():
     assert cc == pytest.approx(mi, abs=1e-12)
     assert want["classical_correlation"] == pytest.approx(cc, abs=1e-12)
     assert want["discord"] <= 1e-12
+
+
+def test_reported_basis_at_ties_follows_candidate_order():
+    # state_17 (Bell 0.7, 0.1, 0.1, 0.1: every measurement optimal) reports
+    # the rho_A eigenbasis, the first candidate, with its first vector |1>;
+    # state_10's refined endpoints tie to rounding between a basis and its
+    # column swap (the antipodal Bloch vector); state_12 is pure and exits
+    from qcorr.analysis import analyze, to_machine
+
+    for fname, theta, phi in [("state_17.json", np.pi, 0.0),
+                              ("state_10.json", 0.9598320327750005, 3.4018150704904873),
+                              ("state_12.json", 0.5757112194149839, 0.18713932683730938)]:
+        s, _ = fixture(fname)
+        doc = to_machine(analyze(s))
+        assert doc["optimal_theta"] == pytest.approx(theta, abs=1e-6), fname
+        assert doc["optimal_phi"] == pytest.approx(phi, abs=1e-6), fname
+    assert discord_a(fixture("state_12.json")[0]).grid_resolution == 0
 
 
 def test_fixture_ginibre_3x3_classical_correlation_is_attained():
