@@ -16,7 +16,7 @@ from . import discord, factorization
 from .bipartite import BipartiteState
 from .discord import DEFAULT_OPT, CqVerdict, DiscordReport, OptimizerConfig
 from .factorization import SpptVerdict
-from .matlib import DEFAULT_TOL, Tolerance, hermitize
+from .matlib import DEFAULT_TOL, Tolerance
 
 __all__ = ["AnalysisReport", "analyze", "to_machine", "to_human"]
 
@@ -40,7 +40,6 @@ def analyze(
     opt: OptimizerConfig = DEFAULT_OPT,
 ) -> AnalysisReport:
     """Run the whole pipeline on one validated state."""
-    spectrum = np.linalg.eigvalsh(hermitize(state.rho))[::-1]
     sppt = factorization.is_sppt(state, tol)
     report = discord.discord_a(state, opt)
     cq = discord.cq_detect(state, tol)
@@ -56,7 +55,7 @@ def analyze(
     return AnalysisReport(
         state=state,
         trace=float(np.trace(state.rho).real),
-        spectrum=[float(x) for x in spectrum],
+        spectrum=[float(x) for x in state.spectrum],
         sppt=sppt,
         discord=report,
         cq=cq,
@@ -64,24 +63,38 @@ def analyze(
     )
 
 
-# The measurement search fixes its basis to about 1e-8; when the smaller
-# component of a qubit measurement vector is no larger than that, the vector
-# sits at a pole and the relative phase of its components, the azimuth, is
-# rounding noise, so it is reported as 0.
+# The measurement search fixes its basis to about 1e-8, so a Bloch component
+# no larger than that is rounding noise: it does not decide the sign of the
+# reported axis, and when the smaller component of a measurement vector is
+# that small the vector sits at a pole, where the relative phase of its
+# components, the azimuth, is noise and is reported as 0.
 _POLE_TOL = 1e-8
 
 
 def _bloch_angles(d: DiscordReport) -> tuple[float | None, float | None]:
-    """Bloch angles (theta, phi) of the first measurement vector of a qubit
-    A side; (None, None) for any other dim_a."""
+    """Bloch angles (theta, phi) of the axis of a qubit A side's measurement;
+    (None, None) for any other dim_a.
+
+    The two measurement vectors have Bloch vectors n and -n, so the
+    measurement is the axis +-n whichever column comes first.  With (v0, v1)
+    the first column, n = (2 Re(conj(v0) v1), 2 Im(conj(v0) v1),
+    |v0|^2 - |v1|^2), and its sign is chosen so that the first of n_z, n_x,
+    n_y whose magnitude exceeds _POLE_TOL is positive.  Then theta is
+    arccos n_z (taken as atan2(|(n_x, n_y)|, n_z), which stays finite and
+    accurate near the poles) and phi = atan2(n_y, n_x) mod 2 pi.
+    """
     if d.optimal_basis.shape[0] != 2:
         return None, None
     v0, v1 = d.optimal_basis[:, 0]
-    theta = 2.0 * float(np.arctan2(abs(v1), abs(v0)))
+    c = 2.0 * np.conj(v0) * v1
+    n = np.array([abs(v0) ** 2 - abs(v1) ** 2, c.real, c.imag])  # (z, x, y)
+    lead = n[np.abs(n) > _POLE_TOL]
+    nz, nx, ny = -n if lead.size and lead[0] < 0.0 else n
+    theta = float(np.arctan2(np.hypot(nx, ny), nz))
     if min(abs(v0), abs(v1)) <= _POLE_TOL:
         return theta, 0.0
-    phi = float(np.angle(v1) - np.angle(v0)) % (2.0 * np.pi)
-    # a tiny negative angle difference rounds up to 2 pi
+    phi = float(np.arctan2(ny, nx)) % (2.0 * np.pi)
+    # a tiny negative azimuth rounds up to 2 pi
     return theta, phi if phi < 2.0 * np.pi else 0.0
 
 

@@ -38,16 +38,20 @@ TRACE_ATOL = 1e-10
 class BipartiteState:
     """Validated density matrix on C^dim_a (x) C^dim_b.
 
-    Construct through validate(); rho is stored read-only.
+    Construct through validate(); rho is stored read-only, and so is
+    spectrum, the eigenvalues of rho in descending order from validate's
+    positivity check.
     """
 
     dim_a: int
     dim_b: int
     rho: np.ndarray
+    spectrum: np.ndarray
 
 
 def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
-    """Check Hermiticity, unit trace and positivity, then wrap the matrix.
+    """Check Hermiticity, unit trace and positivity, then wrap the matrix
+    with the spectrum its positivity check computed.
 
     Raises DimensionMismatch, NotDensityMatrix (a NaN or infinite entry),
     NotHermitian, TraceNotOne or NotPsd naming the violated invariant and
@@ -67,11 +71,12 @@ def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> Bipar
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise TraceNotOne(f"trace {tr:.17g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    lam_min = float(npl.eigvalsh(hermitize(m))[0])
-    if lam_min < -tol.eps_psd:
-        raise NotPsd(f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd:.1e}")
+    w = np.ascontiguousarray(npl.eigvalsh(hermitize(m))[::-1])
+    if w[-1] < -tol.eps_psd:
+        raise NotPsd(f"min eigenvalue {w[-1]:.3e} below -{tol.eps_psd:.1e}")
     m.setflags(write=False)
-    return BipartiteState(dim_a=dim_a, dim_b=dim_b, rho=m)
+    w.setflags(write=False)
+    return BipartiteState(dim_a=dim_a, dim_b=dim_b, rho=m, spectrum=w)
 
 
 def block_tensor(state: BipartiteState) -> np.ndarray:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, bipartite, discord, factorization, families, statefile
+from . import analysis, discord, factorization, families, statefile
 from .discord import DEFAULT_OPT, OptimizerConfig
 from .errors import InvalidParams, QcorrError
 from .matlib import DEFAULT_TOL, Tolerance
@@ -135,9 +135,11 @@ def cmd_remark_3xn(args) -> int:
     offenders = 0
     worst = None
     worst_resid = -1.0
+    resids = []
     for k, child in enumerate(children):
         state = families.random_cq(3, n, child, tol)
         resid = factorization.factorize(state, tol).residuals["normality_s12"]
+        resids.append(resid)
         if resid > tol.eps_sppt:
             offenders += 1
             if resid > worst_resid:
@@ -163,24 +165,13 @@ def cmd_remark_3xn(args) -> int:
             "offenders": offenders,
             "fraction": frac,
             "worst_s12_normality": None if worst is None else worst_resid,
+            "median_s12_normality": float(np.median(resids)) if resids else None,
             "witness": witness_path,
             "seed": seed,
         }, indent=1))
     else:
         print("\n".join(lines))
     return EXIT_OK if offenders > 0 else EXIT_CLAIM
-
-
-def _verdicts(state: bipartite.BipartiteState, tol: Tolerance):
-    """PPT, SPPT and CQ verdicts of one state, with its SPPT and CQ reports."""
-    sppt = factorization.is_sppt(state, tol)
-    cq = discord.cq_detect(state, tol)
-    verdicts = {
-        "ppt": sppt.ppt.is_ppt,
-        "sppt": sppt.is_sppt,
-        "cq": cq.is_cq,
-    }
-    return verdicts, sppt, cq
 
 
 def _xstate_rows(params: families.XStateParams, tol: Tolerance):
@@ -194,8 +185,10 @@ def _xstate_rows(params: families.XStateParams, tol: Tolerance):
     w = np.linalg.eigvalsh(families.xstate_matrix(params))
     numeric = {"positive": bool(w[0] >= -tol.eps_psd)}
     if analytic["positive"] and numeric["positive"]:
-        verdicts, _, _ = _verdicts(families.xstate(params, tol), tol)
-        numeric.update(ppt=verdicts["ppt"], sppt=verdicts["sppt"], zero_discord=verdicts["cq"])
+        state = families.xstate(params, tol)
+        sppt = factorization.is_sppt(state, tol)
+        numeric.update(ppt=sppt.ppt.is_ppt, sppt=sppt.is_sppt,
+                       zero_discord=discord.cq_detect(state, tol).is_cq)
     return analytic, numeric
 
 
@@ -243,8 +236,8 @@ def cmd_bell(args) -> int:
         "sppt": families.bell_is_sppt(params),
         "zero_discord": families.bell_zero_discord(params),
     }
-    verdicts, _, cq = _verdicts(state, tol)
-    numeric = {"sppt": verdicts["sppt"], "zero_discord": verdicts["cq"]}
+    cq = discord.cq_detect(state, tol)
+    numeric = {"sppt": factorization.is_sppt(state, tol).is_sppt, "zero_discord": cq.is_cq}
     com = cq.commutator
     rep = discord.discord_a(state, opt)
     mismatches = [k for k in numeric if analytic[k] != numeric[k]]
@@ -278,28 +271,17 @@ def _simplex_grid(steps: int):
 
 
 def _scan_row(family, label, state, tol):
-    """CSV row (discord left blank) and verdicts of one valid scan point."""
-    verdicts, sppt, cq = _verdicts(state, tol)
-    row = {
-        "family": family,
-        "label": label,
-        "is_valid": True,
-        "is_ppt": verdicts["ppt"],
-        "is_sppt": verdicts["sppt"],
-        "is_cq": verdicts["cq"],
-        "normality_residual": f"{sppt.residuals['normality']:.6e}",
-        "commutator": f"{cq.commutator:.6e}",
-        "discord": "",
-    }
-    return row, verdicts
-
-
-def _scan_x_row(label, family, params, tol):
-    if not families.xstate_is_positive(params):
-        row = dict.fromkeys(CSV_HEADER, "")
-        row.update(family=family, label=label, is_valid=False)
-        return row, None
-    return _scan_row(family, label, families.xstate(params, tol), tol)
+    """CSV row of one scan point from its SPPT and CQ verdicts, discord left
+    blank; state is None for a point outside the state space."""
+    row = dict.fromkeys(CSV_HEADER, "")
+    row.update(family=family, label=label, is_valid=state is not None)
+    if state is not None:
+        sppt = factorization.is_sppt(state, tol)
+        cq = discord.cq_detect(state, tol)
+        row.update(is_ppt=sppt.ppt.is_ppt, is_sppt=sppt.is_sppt, is_cq=cq.is_cq,
+                   normality_residual=f"{sppt.residuals['normality']:.6e}",
+                   commutator=f"{cq.commutator:.6e}")
+    return row
 
 
 def cmd_scan_inclusions(args) -> int:
@@ -310,22 +292,6 @@ def cmd_scan_inclusions(args) -> int:
     rng = np.random.default_rng(seed)
 
     rows = []
-    violations = 0
-    tally = {"ppt_not_sppt": 0, "sppt_not_cq": 0, "cq": 0, "valid": 0}
-
-    def _note(verdicts):
-        nonlocal violations
-        if verdicts is None:
-            return
-        tally["valid"] += 1
-        if verdicts["cq"] and not verdicts["sppt"]:
-            violations += 1
-        if verdicts["sppt"] and not verdicts["ppt"]:
-            violations += 1
-        tally["ppt_not_sppt"] += int(verdicts["ppt"] and not verdicts["sppt"])
-        tally["sppt_not_cq"] += int(verdicts["sppt"] and not verdicts["cq"])
-        tally["cq"] += int(verdicts["cq"])
-
     for diag in _simplex_grid(steps):
         a11, a22, b11, b22 = diag
         for ra, rb in itertools.product((0.0, 0.5, 0.99), repeat=2):
@@ -334,16 +300,13 @@ def cmd_scan_inclusions(args) -> int:
                 a12=ra * np.sqrt(a11 * a22), b12=rb * np.sqrt(b11 * b22),
             )
             label = f"x({a11:.3g},{a22:.3g},{b11:.3g},{b22:.3g};{ra:.2g},{rb:.2g})"
-            row, verdicts = _scan_x_row(label, "xgrid", params, tol)
-            _note(verdicts)
-            rows.append(row)
+            state = families.xstate(params, tol) if families.xstate_is_positive(params) else None
+            rows.append(_scan_row("xgrid", label, state, tol))
 
     for p in _simplex_grid(steps):
-        params = families.BellDiagonalParams(*p)
-        state = families.bell_diagonal(params, tol)
+        state = families.bell_diagonal(families.BellDiagonalParams(*p), tol)
         label = f"bell({p[0]:.3g},{p[1]:.3g},{p[2]:.3g},{p[3]:.3g})"
-        row, verdicts = _scan_row("bell", label, state, tol)
-        _note(verdicts)
+        row = _scan_row("bell", label, state, tol)
         row["discord"] = f"{discord.discord_a(state, opt).discord:.6e}"
         rows.append(row)
 
@@ -354,9 +317,8 @@ def cmd_scan_inclusions(args) -> int:
             a11=diag[0], a22=diag[1], b11=diag[2], b22=diag[3],
             a12=ra * np.sqrt(diag[0] * diag[1]), b12=rb * np.sqrt(diag[2] * diag[3]),
         )
-        row, verdicts = _scan_x_row(f"xr{i}", "xrandom", params, tol)
-        _note(verdicts)
-        rows.append(row)
+        state = families.xstate(params, tol) if families.xstate_is_positive(params) else None
+        rows.append(_scan_row("xrandom", f"xr{i}", state, tol))
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_HEADER)
@@ -366,10 +328,15 @@ def cmd_scan_inclusions(args) -> int:
         Path(args.output).write_text(buf.getvalue())
     else:
         sys.stdout.write(buf.getvalue())
+    valid = [r for r in rows if r["is_valid"]]
+    # each row may break CQ => SPPT and SPPT => PPT, and counts once per break
+    violations = sum((r["is_cq"] and not r["is_sppt"]) + (r["is_sppt"] and not r["is_ppt"])
+                     for r in valid)
     print(
-        f"{len(rows)} rows ({tally['valid']} valid), seed {seed}; "
-        f"PPT-but-not-SPPT {tally['ppt_not_sppt']}, SPPT-but-not-CQ {tally['sppt_not_cq']}, "
-        f"CQ {tally['cq']}; inclusion violations {violations}",
+        f"{len(rows)} rows ({len(valid)} valid), seed {seed}; "
+        f"PPT-but-not-SPPT {sum(r['is_ppt'] and not r['is_sppt'] for r in valid)}, "
+        f"SPPT-but-not-CQ {sum(r['is_sppt'] and not r['is_cq'] for r in valid)}, "
+        f"CQ {sum(r['is_cq'] for r in valid)}; inclusion violations {violations}",
         file=sys.stderr,
     )
     return EXIT_CLAIM if violations else EXIT_OK

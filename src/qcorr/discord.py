@@ -148,11 +148,13 @@ def _spectrum_entropy(w: np.ndarray) -> float:
 
 def _marginals(state: BipartiteState):
     """(I(rho), S(rho_B), the rho_A eigenbasis by descending eigenvalue), from
-    one eigh of rho_A, whose eigenvalues give S(rho_A), and one eigvalsh each
-    of rho_B and rho."""
+    one eigh of rho_A, whose eigenvalues give S(rho_A), one eigvalsh of rho_B
+    and the spectrum validate kept, ascending again so that S(rho) sums in
+    the order of an eigvalsh of rho."""
     w, v = np.linalg.eigh(hermitize(partial_trace_b(state)))
     s_b = _entropy_of(partial_trace_a(state))
-    return max(0.0, _spectrum_entropy(w) + s_b - _entropy_of(state.rho)), s_b, v[:, ::-1]
+    s = _spectrum_entropy(state.spectrum[::-1])
+    return max(0.0, _spectrum_entropy(w) + s_b - s), s_b, v[:, ::-1]
 
 
 def mutual_information(state: BipartiteState) -> float:

@@ -31,6 +31,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 from qcorr.bipartite import TRACE_ATOL
+from qcorr.matlib import hermitize
 from qcorr.errors import (
     DimensionMismatch,
     InvalidSpec,
@@ -59,6 +60,15 @@ def test_validate_accepts_maximally_mixed():
     s = validate(np.eye(6) / 6, 2, 3)
     assert (s.dim_a, s.dim_b) == (2, 3)
     assert not s.rho.flags.writeable
+
+
+def test_validate_keeps_the_spectrum_of_its_positivity_check():
+    # descending, read-only and bit for bit the eigvalsh of the checked matrix
+    for s in (ginibre_state(3, 2, 3), ginibre_state(4, 3, 2), bell_state()):
+        assert np.array_equal(s.spectrum, np.linalg.eigvalsh(hermitize(s.rho))[::-1])
+        assert not s.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            s.spectrum[0] = 0.0
 
 
 def test_validate_rejects_wrong_shape():

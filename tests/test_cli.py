@@ -4,15 +4,15 @@ documented CSV schema, exercised in process through main(argv).
 from __future__ import annotations
 
 import csv
-import importlib.util
 import io
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from qcorr import (BellDiagonalParams, Tolerance, bell_diagonal, random_cq,
+from qcorr import (BellDiagonalParams, bell_diagonal, factorize, random_cq,
                    random_ginibre_density, read_statefile, validate, write_statefile)
 from qcorr.cli import CSV_HEADER, EXIT_CLAIM, EXIT_INPUT, EXIT_OK, build_parser, main
 
@@ -146,9 +146,9 @@ def test_analyze_reports_zero_azimuth_at_a_pole(tmp_path, capsys):
     assert main(["analyze", path, "--format", "machine"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["optimal_phi"] == 0.0
-    assert doc["optimal_theta"] == pytest.approx(np.pi, abs=1e-9)
+    assert doc["optimal_theta"] == pytest.approx(0.0, abs=1e-9)
     assert main(["analyze", path]) == EXIT_OK
-    assert "(theta=3.141593, phi=0.000000)" in capsys.readouterr().out
+    assert "(theta=0.000000, phi=0.000000)" in capsys.readouterr().out
 
 
 def test_analyze_impossible_tolerance_reports_inconsistency(tmp_path, capsys):
@@ -209,16 +209,19 @@ def test_remark_3xn_finds_witness_and_roundtrips(tmp_path, capsys):
     assert rep["discord"] <= 1e-4
 
 
-def test_cq_3xn_sweep_script_row():
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "cq_3xn_sweep.py"
-    spec = importlib.util.spec_from_file_location("cq_3xn_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    row = [float(v) for v in sweep.sweep_row(2, 5, 7, Tolerance()).split(",")]
-    assert len(row) == len(sweep.HEADER.split(",")) == 7
-    assert np.all(np.isfinite(row))
-    assert row[:2] == [2.0, 5.0]
-    assert 0.0 <= row[2] <= 1.0
+def test_remark_3xn_reports_the_median_s12_normality(tmp_path, monkeypatch, capsys):
+    # the median is over the residuals of the same spawned sample states
+    monkeypatch.chdir(tmp_path)
+    rc = main(["remark-3xn", "--dim-b", "2", "--samples", "5", "--seed", "7",
+               "--format", "machine"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    resids = [factorize(random_cq(3, 2, child)).residuals["normality_s12"]
+              for child in np.random.SeedSequence(7).spawn(5)]
+    assert doc["median_s12_normality"] == np.median(resids)
+    assert doc["median_s12_normality"] <= doc["worst_s12_normality"]
+    assert main(["remark-3xn", "--samples", "0", "--seed", "7", "--format", "machine"]) == EXIT_CLAIM
+    assert json.loads(capsys.readouterr().out)["median_s12_normality"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +343,20 @@ def test_scan_inclusions_csv_schema_and_tallies(tmp_path, capsys):
             assert chain.count("True") == 0 or not (
                 chain[0] == "True" and chain[1] == "False"
             ) and not (chain[1] == "True" and chain[2] == "False")
+    # the stderr summary counts the rows written
+    valid = [r for r in rows if r["is_valid"] == "True"]
+    yes = [{k: r[k] == "True" for k in ("is_ppt", "is_sppt", "is_cq")} for r in valid]
+    want = (
+        len(rows), len(valid),
+        sum(v["is_ppt"] and not v["is_sppt"] for v in yes),
+        sum(v["is_sppt"] and not v["is_cq"] for v in yes),
+        sum(v["is_cq"] for v in yes),
+        sum((v["is_cq"] and not v["is_sppt"]) + (v["is_sppt"] and not v["is_ppt"]) for v in yes),
+    )
+    got = re.fullmatch(
+        r"(\d+) rows \((\d+) valid\), seed 2; PPT-but-not-SPPT (\d+), SPPT-but-not-CQ (\d+), "
+        r"CQ (\d+); inclusion violations (\d+)\n", captured.err)
+    assert tuple(map(int, got.groups())) == want
 
 
 def test_scan_inclusions_empty_grid_writes_header_only(capsys):

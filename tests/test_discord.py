@@ -255,8 +255,8 @@ def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypat
     # pins the fused trial: the step's exp(K) and the sigma_k batch are the
     # only eigh calls of a trial, a gradient reuses its trial's, and outside
     # the refinement discord_a makes one eigh (rho_A, which also gives
-    # S(rho_A)) and four eigvalsh: S(rho_B), S(rho), the rho_A-eigenbasis
-    # score and the candidate batch
+    # S(rho_A)) and three eigvalsh: S(rho_B), the rho_A-eigenbasis score and
+    # the candidate batch; S(rho) comes from the spectrum validate kept
     s = ginibre_state([1, 2], 2, 3)
     inside = {"_trial": [], "_gradient": []}
     refinements = []
@@ -286,7 +286,7 @@ def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypat
     trials = len(inside["_trial"]) - n_refine  # each refinement starts with one
     assert r.grid_resolution > 0 and n_refine == D._REFINED and trials > 0
     assert set(inside["_trial"]) == {1} and set(inside["_gradient"]) == {0}
-    assert linalg_calls == {"eigh": 1 + n_refine + 2 * trials, "eigvalsh": 4}
+    assert linalg_calls == {"eigh": 1 + n_refine + 2 * trials, "eigvalsh": 3}
     # a trial and a gradient each count one evaluation, as before the fusion
     assert r.optimizer_evals == 1 + r.grid_resolution + trials + len(inside["_gradient"])
 
@@ -541,21 +541,66 @@ def test_fixture_cq_2x2_has_no_discord():
     assert want["discord"] <= 1e-12
 
 
+def _first_bloch(u: np.ndarray) -> list[float]:
+    """Bloch vector (x, y, z) of the first column of a qubit basis."""
+    c = 2.0 * np.conj(u[0, 0]) * u[1, 0]
+    return [c.real, c.imag, abs(u[0, 0]) ** 2 - abs(u[1, 0]) ** 2]
+
+
 def test_reported_basis_at_ties_follows_candidate_order():
     # state_17 (Bell 0.7, 0.1, 0.1, 0.1: every measurement optimal) reports
     # the rho_A eigenbasis, the first candidate, with its first vector |1>;
     # state_10's refined endpoints tie to rounding between a basis and its
-    # column swap (the antipodal Bloch vector); state_12 is pure and exits
+    # column swap (the antipodal Bloch vector), and the first refined one is
+    # reported; state_12 is pure and exits.  The angles are of the axis, so
+    # they would not show which column comes first
     from qcorr.analysis import analyze, to_machine
 
-    for fname, theta, phi in [("state_17.json", np.pi, 0.0),
-                              ("state_10.json", 0.9598320327750005, 3.4018150704904873),
-                              ("state_12.json", 0.5757112194149839, 0.18713932683730938)]:
+    for fname, n, theta, phi in [
+        ("state_17.json", [0.0, 0.0, -1.0], 0.0, 0.0),
+        ("state_10.json", [-0.791518561116888, -0.2107495046022713, 0.5736575753159221],
+         0.9598320327750005, 3.4018150704904873),
+        ("state_12.json", [0.5349259901584231, 0.10129090015426866, 0.8388053043459899],
+         0.5757112194149839, 0.18713932683730938),
+    ]:
         s, _ = fixture(fname)
+        assert _first_bloch(discord_a(s).optimal_basis) == pytest.approx(n, abs=1e-6), fname
         doc = to_machine(analyze(s))
         assert doc["optimal_theta"] == pytest.approx(theta, abs=1e-6), fname
         assert doc["optimal_phi"] == pytest.approx(phi, abs=1e-6), fname
     assert discord_a(fixture("state_12.json")[0]).grid_resolution == 0
+
+
+@pytest.mark.parametrize("axis, theta, phi, nudged", [
+    ((0.0, 0.0, 1.0), 0.0, 0.0, 0),
+    ((1.0, 0.0, 0.0), np.pi / 2, 0.0, 2),
+    ((0.0, 1.0, 0.0), np.pi / 2, np.pi / 2, 0),
+    ((0.0, 1.0, 0.0), np.pi / 2, np.pi / 2, 2),
+    ((0.48, 0.6, -0.64), np.arccos(0.64), np.arctan2(-0.6, -0.48) + 2 * np.pi, 2),
+], ids=["z", "x", "y-nudged-x", "y-nudged-z", "generic"])
+def test_reported_angles_are_of_the_measurement_axis(axis, theta, phi, nudged):
+    # a basis and its column swap measure the same axis, and a Bloch
+    # component of rounding size (index nudged of x, y, z) does not pick
+    # its sign
+    from qcorr.analysis import _bloch_angles
+
+    def basis_along(n):
+        n = np.asarray(n) / np.linalg.norm(n)
+        t, p = np.arctan2(np.hypot(n[0], n[1]), n[2]), np.arctan2(n[1], n[0])
+        v = np.array([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)])
+        return np.column_stack([v, [-np.conj(v[1]), np.conj(v[0])]])
+
+    def rendered(u):
+        th, ph = _bloch_angles(D.DiscordReport(0.0, 0.0, 0.0, 0, 0, u))
+        return f"{th:.6f} {ph:.6f}"
+
+    want = f"{theta:.6f} {phi:.6f}"
+    for eps in (0.0, 1e-12, -1e-12):
+        n = np.array(axis)
+        n[nudged] += eps
+        u = basis_along(n)
+        assert _first_bloch(u) == pytest.approx(n, abs=1e-12)
+        assert rendered(u) == rendered(u[:, ::-1]) == want, eps
 
 
 def test_fixture_ginibre_3x3_classical_correlation_is_attained():

@@ -139,7 +139,7 @@ def test_inconsistent_blocks_raise():
     # bypasses validation on purpose: rho22 is too small for the off block,
     # so the Schur complement is clearly negative
     rho = np.array([[0.5, 0.4], [0.4, 0.1]], dtype=complex)
-    state = BipartiteState(dim_a=2, dim_b=1, rho=rho)
+    state = BipartiteState(dim_a=2, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
     with pytest.raises(InconsistentBlocks):
         factorize(state)
     with pytest.raises(InconsistentBlocks):
@@ -154,7 +154,7 @@ def test_indefinite_blocks_raise_as_the_unrolled_factorizations_did():
         (np.array([[0.4, 0, 0.3], [0, 0.4, 0.3], [0.3, 0.3, 0.2]], dtype=complex),
          InconsistentBlocks),
     ]:
-        state = BipartiteState(dim_a=3, dim_b=1, rho=rho)
+        state = BipartiteState(dim_a=3, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
         with pytest.raises(error):
             factorize(state)
         with pytest.raises(error):

@@ -143,17 +143,18 @@ def test_write_statefile_ends_with_newline(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-def test_fixture_generator_reproduces_the_stored_fixtures():
+def test_fixture_generator_reproduces_the_stored_fixtures(tmp_path):
     # the generator is the only record of how the frozen fixtures were made,
-    # so every state it builds must still equal the stored one bit for bit
+    # so every file it writes (matrix, name and metadata) must still equal
+    # the stored one byte for byte
     root = pathlib.Path(__file__).parents[1]
     spec = importlib.util.spec_from_file_location("make_fixtures", root / "scripts" / "make_fixtures.py")
     make_fixtures = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_fixtures)
     roster = make_fixtures.build_roster()
     assert len(roster) == 20
-    for idx, (name, state, _) in enumerate(roster, start=1):
-        stored, meta = read_statefile(root / "tests" / "fixtures" / f"state_{idx:02d}.json")
-        assert meta["name"] == name
-        assert (stored.dim_a, stored.dim_b) == (state.dim_a, state.dim_b), name
-        assert np.array_equal(stored.rho, state.rho), name
+    for idx, (name, state, meta) in enumerate(roster, start=1):
+        fname = f"state_{idx:02d}.json"
+        write_statefile(tmp_path / fname, state, {"name": name, **meta})
+        stored = (root / "tests" / "fixtures" / fname).read_bytes()
+        assert (tmp_path / fname).read_bytes() == stored, name
