@@ -64,10 +64,11 @@ def analyze(
 
 
 # The measurement search fixes its basis to about 1e-8, so a Bloch component
-# no larger than that is rounding noise: it does not decide the sign of the
-# reported axis, and when the smaller component of a measurement vector is
-# that small the vector sits at a pole, where the relative phase of its
-# components, the azimuth, is noise and is reported as 0.
+# no larger than that is rounding noise and is set to 0: it decides neither
+# the sign of the reported axis nor its azimuth.  When the smaller component
+# of a measurement vector is that small the vector sits at a pole, where the
+# relative phase of its components, the azimuth, is noise and is reported
+# as 0.
 _POLE_TOL = 1e-8
 
 
@@ -78,24 +79,24 @@ def _bloch_angles(d: DiscordReport) -> tuple[float | None, float | None]:
     The two measurement vectors have Bloch vectors n and -n, so the
     measurement is the axis +-n whichever column comes first.  With (v0, v1)
     the first column, n = (2 Re(conj(v0) v1), 2 Im(conj(v0) v1),
-    |v0|^2 - |v1|^2), and its sign is chosen so that the first of n_z, n_x,
-    n_y whose magnitude exceeds _POLE_TOL is positive.  Then theta is
-    arccos n_z (taken as atan2(|(n_x, n_y)|, n_z), which stays finite and
-    accurate near the poles) and phi = atan2(n_y, n_x) mod 2 pi.
+    |v0|^2 - |v1|^2); components of magnitude at most _POLE_TOL are set to
+    0, and the sign is chosen so that the first nonzero of n_z, n_x, n_y is
+    positive.  Then theta is arccos n_z (taken as atan2(|(n_x, n_y)|, n_z),
+    which stays finite and accurate near the poles) and
+    phi = atan2(n_y, n_x) mod 2 pi.
     """
     if d.optimal_basis.shape[0] != 2:
         return None, None
     v0, v1 = d.optimal_basis[:, 0]
     c = 2.0 * np.conj(v0) * v1
     n = np.array([abs(v0) ** 2 - abs(v1) ** 2, c.real, c.imag])  # (z, x, y)
-    lead = n[np.abs(n) > _POLE_TOL]
+    n[np.abs(n) <= _POLE_TOL] = 0.0
+    lead = n[n != 0.0]
     nz, nx, ny = -n if lead.size and lead[0] < 0.0 else n
     theta = float(np.arctan2(np.hypot(nx, ny), nz))
     if min(abs(v0), abs(v1)) <= _POLE_TOL:
         return theta, 0.0
-    phi = float(np.arctan2(ny, nx)) % (2.0 * np.pi)
-    # a tiny negative azimuth rounds up to 2 pi
-    return theta, phi if phi < 2.0 * np.pi else 0.0
+    return theta, float(np.arctan2(ny, nx)) % (2.0 * np.pi)
 
 
 def to_machine(report: AnalysisReport) -> dict:

@@ -129,12 +129,13 @@ def _entropy_terms(w: np.ndarray, p: np.ndarray):
 def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
     """S(sigma) = -tr(sigma log2 sigma) of a density matrix, in bits.
 
-    Beyond the square shape, validate (as a 1 x N state) does the checking.
+    Beyond the square shape, validate (as a 1 x N state) does the checking,
+    and its spectrum gives S.
     """
     a = np.asarray(sigma, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotDensityMatrix(f"expected a square matrix, got shape {a.shape}")
-    return _entropy_of(validate(a, 1, a.shape[0], tol).rho)
+    return _spectrum_entropy(validate(a, 1, a.shape[0], tol).spectrum[::-1])
 
 
 def _entropy_of(m: np.ndarray) -> float:
@@ -271,21 +272,6 @@ def _gradient(trial, iu) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
 
-@lru_cache(maxsize=8)
-def _generators(m: int) -> np.ndarray:
-    """iK for each unit coordinate of _refine, shape (M(M-1), M^2): the real
-    part of K_ij (i < j) gives i(E_ij - E_ji), the imaginary part
-    -(E_ij + E_ji)."""
-    iu = np.triu_indices(m, 1)
-    r = np.arange(iu[0].size)
-    g = np.zeros((2, r.size, m, m), dtype=np.complex128)
-    g[0, r, iu[0], iu[1]], g[0, r, iu[1], iu[0]] = 1j, -1j
-    g[1, r, iu[0], iu[1]] = g[1, r, iu[1], iu[0]] = -1.0
-    g = g.reshape(2 * r.size, m * m)
-    g.setflags(write=False)
-    return g
-
-
 def _refine(u: np.ndarray, b: np.ndarray):
     """BFGS on U(M) modulo column phases, from basis u.
 
@@ -303,10 +289,11 @@ def _refine(u: np.ndarray, b: np.ndarray):
     """
     m = u.shape[0]
     iu = np.triu_indices(m, 1)
-    gens = _generators(m)
 
     def step(x):  # exp(K), from the eigendecomposition of iK
-        w, v = np.linalg.eigh((x @ gens).reshape(m, m))
+        k = np.zeros((m, m), dtype=np.complex128)
+        k[iu] = x[: iu[0].size] + 1j * x[iu[0].size:]
+        w, v = np.linalg.eigh(1j * (k - dagger(k)))
         return (v * np.exp(-1j * w)) @ dagger(v)
 
     h, kept = _trial(u, b)

@@ -7,8 +7,7 @@ the part of rho_jl, l >= j, that rows i < j leave unexplained,
 r_l = rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i), for all l at once as
 one batched product over (i, l).  Its first entry is the Schur complement
 M_jj, which gives X_j = sqrt(M_jj) and X_j^+ from one eigh; the rest give
-the whole row S_jl = X_j^+ r_l X_j^+, l > j, in one batched product.  The
-last row needs no pseudoinverse, since no S is extracted from it.
+the whole row S_jl = X_j^+ r_l X_j^+, l > j, in one batched product.
 
 The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
 gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
@@ -21,6 +20,11 @@ its range (at full rank there is no outside, and the mass is zero), no S
 reproduces them and the canonical extraction cannot decide
 SPPT; the factorization is then flagged rank_deficient, the unexplained mass
 is reported, and the verdict is negative rather than silently passed.
+
+The eigh of row j also decides its positivity: a least eigenvalue of M_jj
+below -eps_psd raises NotPsd on row 1 and InconsistentBlocks on a later row,
+unless an earlier row was flagged, in which case the row keeps the clamped
+root as a best-effort completion and extracts no S.
 """
 
 from __future__ import annotations
@@ -110,25 +114,21 @@ def _conditions(m: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.nda
 _EPS_RANK = 1e-10
 
 
-def _sqrt_with_pinv(m: np.ndarray, tol: Tolerance, scale: float, pinv: bool = True):
-    """Clamped PSD sqrt of the Hermitian part of m plus the pseudoinverse of
-    that sqrt and its rank, from one eigh; (sqrt, None, None) without pinv.
+def _sqrt_with_pinv(m: np.ndarray):
+    """Square root of the Hermitian part of m with every negative eigenvalue
+    clamped to zero, the pseudoinverse of that root, its rank, and the least
+    eigenvalue before the clamp, all from one eigh.
 
-    Eigenvalues below -eps_psd * scale raise NotPsd; scale=np.inf clamps
-    every negative eigenvalue to zero instead.
+    It never raises: whether the least eigenvalue is within the PSD floor is
+    for the caller to decide.
     """
     w, v = np.linalg.eigh(hermitize(m))
-    lam_min = float(w[0])
-    if lam_min < -tol.eps_psd * scale:
-        raise NotPsd(f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd * scale:.3e}")
     lam = np.maximum(w, 0.0)
     root = np.sqrt(lam)
-    if not pinv:
-        return hermitize((v * root) @ dagger(v)), None, None
     keep = lam > _EPS_RANK * lam[-1]
     inv = np.divide(1.0, root, out=np.zeros_like(root), where=keep)
     x, xp = hermitize((v * np.array([root, inv])[:, None]) @ dagger(v))
-    return x, xp, int(np.count_nonzero(keep))
+    return x, xp, int(np.count_nonzero(keep)), float(w[0])
 
 
 def _factor(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -159,7 +159,6 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
     """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
     t = block_tensor(state)
     m, n = state.dim_a, state.dim_b
-    scale = max(1.0, fro_norm(state.rho))
     x = np.zeros((m, n, n), dtype=np.complex128)
     s = np.zeros((m, m, n, n), dtype=np.complex128)
     deficient = False
@@ -169,26 +168,26 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         r = t[j, j:]
         if j:
             r = r - ((x[:j] @ dagger(s[:j, j]))[:, None] @ (s[:j, j:] @ x[:j, None])).sum(axis=0)
-        last = j + 1 == m
-        try:
-            x[j], xp, rank = _sqrt_with_pinv(r[0], tol, scale, pinv=not last)
-        except NotPsd as exc:
+        x[j], xp, rank, lam_min = _sqrt_with_pinv(r[0])
+        if lam_min < -tol.eps_psd:
+            floor = f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd:.3e}"
             if j == 0:  # a diagonal block of rho itself
-                raise
+                raise NotPsd(floor)
             if not deficient:
                 raise InconsistentBlocks(
-                    f"rho{j + 1}{j + 1} minus the explained part is not PSD: {exc}"
-                ) from exc
+                    f"rho{j + 1}{j + 1} minus the explained part is not PSD: {floor}")
             # best-effort completion of a flagged rank-deficient extraction
-            x[j], xp, rank = _sqrt_with_pinv(r[0], tol, np.inf, pinv=False)[0], np.zeros((n, n)), 0
-        if last:
+            xp, rank = np.zeros((n, n)), 0
+        # the last row has no off blocks: stop before their (empty) extraction
+        # and mass check, which on a 2x2 state cost more than the row's eigh
+        if j + 1 == m:
             break
         s[j, j + 1:] = xp @ r[1:] @ xp
         if rank < n:  # the off blocks' mass outside the range of X_j; none at full rank
             proj = hermitize(x[j] @ xp)
             mass = np.linalg.norm(r[1:] - proj @ r[1:] @ proj, axis=(-2, -1))
             mass_sq += float(mass @ mass)
-            deficient = deficient or float(mass.max()) > tol.eps_residual * scale
+            deficient = deficient or bool((mass > tol.eps_residual).any())
     return _finished(x, s, state.rho, deficient, float(np.sqrt(mass_sq)))
 
 
@@ -238,13 +237,12 @@ def gauge_transform(
 def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
     """Strong-PPT verdict from the canonical factorization residuals, any dim_a."""
     ppt = bipartite.is_ppt(state, tol)
-    scale = max(1.0, fro_norm(state.rho))
     f = factorize(state, tol)
     _, j, k, l = _conditions(state.dim_a)
     norms = np.linalg.norm(f.s, axis=(-2, -1))
     bound = tol.eps_sppt * np.maximum(1.0, norms[j, k] * norms[j, l])
     normal_ok = bool(np.all(np.fromiter(f.residuals.values(), float, len(j)) <= bound))
-    recon_ok = f.reconstruction_residual <= tol.eps_residual * scale
+    recon_ok = f.reconstruction_residual <= tol.eps_residual
     verdict = bool(normal_ok and recon_ok and ppt.is_ppt and not f.rank_deficient)
     return SpptVerdict(
         is_sppt=verdict,

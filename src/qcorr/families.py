@@ -273,30 +273,22 @@ def bell_zero_discord(params: BellDiagonalParams) -> bool:
     return sum(abs(t) > EQ_ATOL for t in (t1, t2, t3)) <= 1
 
 
-def _rng(rng_seed) -> np.random.Generator:
-    return np.random.default_rng(rng_seed)
-
-
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 
 def random_ginibre_density(n: int, rng_seed) -> np.ndarray:
     """rho = G G^dagger / tr(G G^dagger) with i.i.d. complex Gaussian G."""
-    g = _ginibre(_rng(rng_seed), n)
+    g = _ginibre(np.random.default_rng(rng_seed), n)
     rho = g @ dagger(g)
     return hermitize(rho / np.trace(rho).real)
 
 
-def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def random_unitary(n: int, rng_seed) -> np.ndarray:
     """Haar-distributed unitary (QR of a Ginibre matrix, phases fixed)."""
-    return _haar(_rng(rng_seed), n)
+    q, r = np.linalg.qr(_ginibre(np.random.default_rng(rng_seed), n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def random_cq_spec(dim_a: int, n: int, rng_seed) -> CqSpec:
@@ -308,8 +300,8 @@ def random_cq_spec(dim_a: int, n: int, rng_seed) -> CqSpec:
     factorizations so residuals stay near machine precision across
     ensembles.
     """
-    rng = _rng(rng_seed)
-    u = _haar(rng, dim_a)
+    rng = np.random.default_rng(rng_seed)
+    u = random_unitary(dim_a, rng)
     w = rng.dirichlet(np.ones(dim_a))
     w = (w + 0.25) / (1.0 + 0.25 * dim_a)
     sigmas = []
@@ -334,12 +326,12 @@ def random_sppt(n: int, rng_seed, tol: Tolerance = DEFAULT_TOL) -> BipartiteStat
     normalizes rho = X^dagger X.  Normality of S survives the canonical
     re-extraction, which conjugates S by the unitary polar factor of X1.
     """
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     xs = []
     for _ in range(2):
         g = _ginibre(rng, n)
         xs.append(np.eye(n) + 0.5 * g / max(np.linalg.norm(g, 2), 1e-12))
-    w = _haar(rng, n)
+    w = random_unitary(n, rng)
     d = np.diag((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
     s = w @ d @ dagger(w)
     x1, x2 = xs
@@ -352,7 +344,7 @@ def random_sppt(n: int, rng_seed, tol: Tolerance = DEFAULT_TOL) -> BipartiteStat
 
 def random_pure(dim_a: int, n: int, rng_seed, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
     """Haar-random pure state on the dim_a x n system."""
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     psi = rng.standard_normal(dim_a * n) + 1j * rng.standard_normal(dim_a * n)
     psi = psi / np.linalg.norm(psi)
     return validate(np.outer(psi, np.conj(psi)), dim_a, n, tol)

@@ -6,6 +6,8 @@ agreement with the unrolled 2xN and 3xN factorizations kept in helpers.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,13 +151,15 @@ def test_inconsistent_blocks_raise():
 def test_indefinite_blocks_raise_as_the_unrolled_factorizations_did():
     # an indefinite rho11 is NotPsd; an indefinite third-row Schur complement
     # after a full-rank extraction is InconsistentBlocks
-    for rho, error in [
-        (np.diag([-0.1, 0.6, 0.5]).astype(complex), NotPsd),
+    for rho, error, message in [
+        (np.diag([-0.1, 0.6, 0.5]).astype(complex), NotPsd,
+         "min eigenvalue -1.000e-01 below -1.000e-09"),
         (np.array([[0.4, 0, 0.3], [0, 0.4, 0.3], [0.3, 0.3, 0.2]], dtype=complex),
-         InconsistentBlocks),
+         InconsistentBlocks, "rho33 minus the explained part is not PSD: "
+         "min eigenvalue -2.500e-01 below -1.000e-09"),
     ]:
         state = BipartiteState(dim_a=3, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             factorize(state)
         with pytest.raises(error):
             unrolled_sppt(state)
@@ -322,8 +326,9 @@ def test_3xn_gauge_structure_of_cross_residual():
 
 
 def test_verdicts_make_one_eigh_per_a_level_and_nothing_more(linalg_calls):
-    # pins the design: is_sppt takes one eigh per row of the block Cholesky
-    # and one eigvalsh for PPT; the commutator criterion takes none
+    # pins the design: is_sppt takes one eigh per row of the block Cholesky,
+    # rank-deficient or not, and one eigvalsh for PPT; the commutator
+    # criterion takes none
     from qcorr import commutator_criterion
 
     calls = linalg_calls
@@ -335,3 +340,10 @@ def test_verdicts_make_one_eigh_per_a_level_and_nothing_more(linalg_calls):
         calls.update(eigh=0, eigvalsh=0)
         commutator_criterion(s)
         assert calls == {"eigh": 0, "eigvalsh": 0}, m
+    # a rank-deficient extraction, whose completion rows are clamped, costs
+    # no further decomposition
+    for m, n in [(2, 3), (3, 3), (4, 2)]:
+        s = random_pure(m, n, rng_seed=[70, m, n])
+        calls.update(eigh=0, eigvalsh=0)
+        assert is_sppt(s).rank_deficient
+        assert calls == {"eigh": m, "eigvalsh": 1}, (m, n)

@@ -2,8 +2,9 @@
 square root and the Moore-Penrose pseudoinverse.
 
 The PSD square root tests exercise factorization._sqrt_with_pinv, the one
-production square root; the Moore-Penrose tests exercise the pseudoinverse
-in tests/helpers.py, which criterion 02 uses.
+production square root, and the PSD floor that factorize applies to the
+least eigenvalue it reports; the Moore-Penrose tests exercise the
+pseudoinverse in tests/helpers.py, which criterion 02 uses.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pseudo_inverse
-from qcorr import DEFAULT_TOL, OptimizerConfig, Tolerance
+from qcorr import BipartiteState, DEFAULT_TOL, OptimizerConfig, Tolerance
 from qcorr.errors import InvalidParams, NotPsd
-from qcorr.factorization import _sqrt_with_pinv
+from qcorr.factorization import _sqrt_with_pinv, factorize
 from qcorr.matlib import dagger, fro_norm, hermitize
 
 
@@ -73,15 +74,16 @@ def test_hermitize_projects_and_defect_vanishes():
     assert np.allclose(h, (a + a.conj().T) / 2)
 
 
-def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:
-    return _sqrt_with_pinv(np.asarray(a, dtype=np.complex128), tol, scale)[0]
+def psd_sqrt(a) -> np.ndarray:
+    return _sqrt_with_pinv(np.asarray(a, dtype=np.complex128))[0]
 
 
 def test_psd_sqrt_closed_form_diagonal():
-    r, rp, rank = _sqrt_with_pinv(np.diag([4.0, 1.0, 0.0]), DEFAULT_TOL, 1.0)
+    r, rp, rank, lam_min = _sqrt_with_pinv(np.diag([4.0, 1.0, 0.0]))
     assert np.allclose(r, np.diag([2.0, 1.0, 0.0]), atol=1e-14)
     assert np.allclose(rp, np.diag([0.5, 1.0, 0.0]), atol=1e-14)
     assert rank == 2
+    assert lam_min == 0.0
 
 
 def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
@@ -91,23 +93,19 @@ def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
 
 
 def test_psd_sqrt_rejects_clearly_indefinite():
-    with pytest.raises(NotPsd):
-        psd_sqrt(np.diag([1.0, -1e-3]))
+    # the root reports the eigenvalue that factorize's floor rejects
+    lam_min = _sqrt_with_pinv(np.diag([1.0, -1e-3]).astype(complex))[3]
+    assert lam_min == pytest.approx(-1e-3, abs=1e-15)
+    assert lam_min < -DEFAULT_TOL.eps_psd
 
 
-def test_psd_sqrt_scale_parameter_sets_the_floor():
-    # defect 1e-7 is accepted relative to a large scale, rejected at scale 1
-    a = np.diag([1.0, -1e-7])
-    with pytest.raises(NotPsd):
-        psd_sqrt(a)
-    r = psd_sqrt(a, scale=1e3)
-    assert np.allclose(r @ r, np.diag([1.0, 0.0]), atol=1e-6)
-
-
-def test_psd_sqrt_infinite_scale_clamps_any_negative_eigenvalue():
-    # the completion of a rank-deficient extraction passes scale=np.inf
-    r = psd_sqrt(np.diag([1.0, -0.5]), scale=np.inf)
+def test_psd_sqrt_clamps_any_negative_eigenvalue_and_reports_it():
+    # the completion of a rank-deficient extraction keeps this clamped root
+    r, rp, rank, lam_min = _sqrt_with_pinv(np.diag([1.0, -0.5]).astype(complex))
     assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-14)
+    assert np.allclose(rp, np.diag([1.0, 0.0]), atol=1e-14)
+    assert rank == 1
+    assert lam_min == -0.5
 
 
 def test_pseudo_inverse_matches_inverse_when_invertible():
@@ -130,12 +128,17 @@ def test_psd_sqrt_squares_back_property(seed, n):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = g @ g.conj().T
-    r = psd_sqrt(a, scale=max(1.0, fro_norm(a)))
+    r = psd_sqrt(a)
     assert fro_norm(r - dagger(r)) < 1e-10 * max(1.0, fro_norm(a))
     assert fro_norm(r @ r - a) < 1e-9 * max(1.0, fro_norm(a))
 
 
 def test_custom_tolerance_threads_through_psd_check():
-    loose = Tolerance(eps_psd=1e-2)
-    r = psd_sqrt(np.diag([1.0, -1e-3]), tol=loose)
-    assert np.allclose(r @ r, np.diag([1.0, 0.0]), atol=1e-2)
+    # rho11 = diag(0.5, -1e-3) is below the default floor, within a loose one
+    rho = np.diag([0.5, -1e-3, 0.25, 0.251]).astype(complex)
+    state = BipartiteState(dim_a=2, dim_b=2, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
+    with pytest.raises(NotPsd, match=r"^min eigenvalue -1\.000e-03 below -1\.000e-09$"):
+        factorize(state)
+    f = factorize(state, Tolerance(eps_psd=1e-2))
+    assert np.allclose(f.x[0], np.diag([np.sqrt(0.5), 0.0]), atol=1e-14)
+    assert not f.rank_deficient
