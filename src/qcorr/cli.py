@@ -104,15 +104,11 @@ def cmd_verify_theorem1(args) -> int:
     tol = _tol(args)
     seed = _seed(args)
     n = args.dim_b
-    children = np.random.SeedSequence(seed).spawn(args.samples)
-    passes = 0
-    max_resid = 0.0
-    for child in children:
-        state = families.random_cq(2, n, child, tol)
-        verdict = factorization.is_sppt(state, tol)
-        max_resid = max(max_resid, verdict.residuals["normality"])
-        passes += int(verdict.is_sppt)
-    ok = passes == args.samples
+    verdicts = (factorization.is_sppt(families.random_cq(2, n, child, tol), tol)
+                for child in np.random.SeedSequence(seed).spawn(args.samples))
+    results = [(v.is_sppt, v.residuals["normality"]) for v in verdicts]
+    passes = sum(ok for ok, _ in results)
+    max_resid = max([0.0] + [resid for _, resid in results])
     if args.format == "machine":
         _emit(args, json.dumps({
             "samples": args.samples,
@@ -124,7 +120,7 @@ def cmd_verify_theorem1(args) -> int:
     else:
         _emit(args, f"{passes}/{args.samples} random CQ 2x{n} states SPPT, "
                     f"max normality residual {max_resid:.3e}, seed {seed}")
-    return EXIT_OK if ok else EXIT_CLAIM
+    return EXIT_OK if passes == args.samples else EXIT_CLAIM
 
 
 def cmd_remark_3xn(args) -> int:
@@ -132,27 +128,19 @@ def cmd_remark_3xn(args) -> int:
     seed = _seed(args)
     n = args.dim_b
     children = np.random.SeedSequence(seed).spawn(args.samples)
-    offenders = 0
-    worst = None
-    worst_resid = -1.0
-    resids = []
-    for k, child in enumerate(children):
-        state = families.random_cq(3, n, child, tol)
-        resid = factorization.factorize(state, tol).residuals["normality_s12"]
-        resids.append(resid)
-        if resid > tol.eps_sppt:
-            offenders += 1
-            if resid > worst_resid:
-                worst_resid = resid
-                worst = (k, state)
+    resids = np.array([factorization.factorize(families.random_cq(3, n, child, tol), tol)
+                       .residuals["normality_s12"] for child in children])
+    offenders = int(np.count_nonzero(resids > tol.eps_sppt))
     frac = offenders / args.samples if args.samples else 0.0
     lines = [f"{offenders}/{args.samples} random CQ 3x{n} states have non-normal S12 "
              f"(fraction {frac:.3f}), seed {seed}"]
-    witness_path = None
-    if worst is not None:
+    witness_path = worst_resid = None
+    if offenders:
+        k = int(np.argmax(resids))  # the first of the largest residuals
+        worst_resid = float(resids[k])
         witness_path = args.output or "witness_3xn.json"
-        k, state = worst
-        statefile.write_statefile(witness_path, state, metadata={
+        worst = families.random_cq(3, n, children[k], tol)
+        statefile.write_statefile(witness_path, worst, metadata={
             "label": f"cq-3x{n} with non-normal S12, residual {worst_resid:.6e}",
             "seed": seed,
             "family": f"random_cq(3,{n}); sample index {k}",
@@ -164,8 +152,8 @@ def cmd_remark_3xn(args) -> int:
             "dim_b": n,
             "offenders": offenders,
             "fraction": frac,
-            "worst_s12_normality": None if worst is None else worst_resid,
-            "median_s12_normality": float(np.median(resids)) if resids else None,
+            "worst_s12_normality": worst_resid,
+            "median_s12_normality": float(np.median(resids)) if args.samples else None,
             "witness": witness_path,
             "seed": seed,
         }, indent=1))
@@ -223,7 +211,6 @@ def cmd_xstate(args) -> int:
 
 def cmd_bell(args) -> int:
     tol = _tol(args)
-    opt = _opt(args)
     try:
         p = [float(x) for x in args.p.split(",")]
     except ValueError as exc:
@@ -236,10 +223,9 @@ def cmd_bell(args) -> int:
         "sppt": families.bell_is_sppt(params),
         "zero_discord": families.bell_zero_discord(params),
     }
-    cq = discord.cq_detect(state, tol)
-    numeric = {"sppt": factorization.is_sppt(state, tol).is_sppt, "zero_discord": cq.is_cq}
-    com = cq.commutator
-    rep = discord.discord_a(state, opt)
+    report = analysis.analyze(state, tol, _opt(args))
+    numeric = {"sppt": report.sppt.is_sppt, "zero_discord": report.cq.is_cq}
+    com, rep = report.cq.commutator, report.discord
     mismatches = [k for k in numeric if analytic[k] != numeric[k]]
     if args.format == "machine":
         _emit(args, json.dumps({
@@ -270,6 +256,15 @@ def _simplex_grid(steps: int):
         yield a / steps, b / steps, c / steps, d / steps
 
 
+def _xpoint(diag, ra, rb, tol):
+    """The X state with diagonal (a11, a22, b11, b22) = diag and couplings
+    ra, rb times their Cauchy-Schwarz bounds; None outside the state space."""
+    a11, a22, b11, b22 = diag
+    params = families.XStateParams(a11=a11, a22=a22, b11=b11, b22=b22,
+                                   a12=ra * np.sqrt(a11 * a22), b12=rb * np.sqrt(b11 * b22))
+    return families.xstate(params, tol) if families.xstate_is_positive(params) else None
+
+
 def _scan_row(family, label, state, tol):
     """CSV row of one scan point from its SPPT and CQ verdicts, discord left
     blank; state is None for a point outside the state space."""
@@ -293,15 +288,9 @@ def cmd_scan_inclusions(args) -> int:
 
     rows = []
     for diag in _simplex_grid(steps):
-        a11, a22, b11, b22 = diag
         for ra, rb in itertools.product((0.0, 0.5, 0.99), repeat=2):
-            params = families.XStateParams(
-                a11=a11, a22=a22, b11=b11, b22=b22,
-                a12=ra * np.sqrt(a11 * a22), b12=rb * np.sqrt(b11 * b22),
-            )
-            label = f"x({a11:.3g},{a22:.3g},{b11:.3g},{b22:.3g};{ra:.2g},{rb:.2g})"
-            state = families.xstate(params, tol) if families.xstate_is_positive(params) else None
-            rows.append(_scan_row("xgrid", label, state, tol))
+            label = "x({:.3g},{:.3g},{:.3g},{:.3g};{:.2g},{:.2g})".format(*diag, ra, rb)
+            rows.append(_scan_row("xgrid", label, _xpoint(diag, ra, rb, tol), tol))
 
     for p in _simplex_grid(steps):
         state = families.bell_diagonal(families.BellDiagonalParams(*p), tol)
@@ -313,12 +302,7 @@ def cmd_scan_inclusions(args) -> int:
     for i in range(args.samples):
         diag = rng.dirichlet(np.ones(4))
         ra, rb = rng.uniform(0.0, 1.2, size=2)
-        params = families.XStateParams(
-            a11=diag[0], a22=diag[1], b11=diag[2], b22=diag[3],
-            a12=ra * np.sqrt(diag[0] * diag[1]), b12=rb * np.sqrt(diag[2] * diag[3]),
-        )
-        state = families.xstate(params, tol) if families.xstate_is_positive(params) else None
-        rows.append(_scan_row("xrandom", f"xr{i}", state, tol))
+        rows.append(_scan_row("xrandom", f"xr{i}", _xpoint(diag, ra, rb, tol), tol))
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_HEADER)
@@ -427,7 +411,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QcorrError as exc:
+    except (QcorrError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

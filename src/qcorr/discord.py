@@ -35,7 +35,8 @@ import numpy as np
 from .bipartite import BipartiteState, block_tensor, partial_trace_a, partial_trace_b, validate
 from .errors import DimensionMismatch, NotDensityMatrix, NotUnitary
 from .families import random_unitary
-from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize, require_finite_nonnegative
+from .matlib import (DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize,
+                     require_finite_nonnegative)
 
 __all__ = [
     "OptimizerConfig",
@@ -503,6 +504,6 @@ def cq_detect(
                          commutator=com)
     # the diagonal blocks, each clamped to its PSD part, from one batched eigh
     w, v = np.linalg.eigh(hermitize(np.einsum("kkab->kab", bp)))
-    sigma = hermitize((v * np.maximum(w, 0.0)[:, None]) @ dagger(v))
+    sigma = from_eig(np.maximum(w, 0.0), v)
     return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=list(sigma),
                      commutator=com)

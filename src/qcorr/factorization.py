@@ -6,8 +6,10 @@ S_jl X_j above the diagonal.  It is built row by row.  Row j first forms
 the part of rho_jl, l >= j, that rows i < j leave unexplained,
 r_l = rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i), for all l at once as
 one batched product over (i, l).  Its first entry is the Schur complement
-M_jj, which gives X_j = sqrt(M_jj) and X_j^+ from one eigh; the rest give
-the whole row S_jl = X_j^+ r_l X_j^+, l > j, in one batched product.
+M_jj, whose one eigh gives X_j = sqrt(M_jj) with every negative eigenvalue
+clamped.  Only a row with off blocks, every row but the last, also forms
+X_j^+ from that eigh, and the rest of r give its whole row
+S_jl = X_j^+ r_l X_j^+, l > j, in one batched product.
 
 The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
 gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
@@ -24,7 +26,7 @@ is reported, and the verdict is negative rather than silently passed.
 The eigh of row j also decides its positivity: a least eigenvalue of M_jj
 below -eps_psd raises NotPsd on row 1 and InconsistentBlocks on a later row,
 unless an earlier row was flagged, in which case the row keeps the clamped
-root as a best-effort completion and extracts no S.
+root as a best-effort completion, takes X_j^+ = 0 and so extracts S = 0.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from . import bipartite
 from .bipartite import BipartiteState, assemble_blocks, block_tensor
 from .errors import DimensionMismatch, InconsistentBlocks, NotPsd, NotUnitary
-from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, hermitize
+from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize
 
 __all__ = [
     "SpptFactorization",
@@ -114,23 +116,6 @@ def _conditions(m: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.nda
 _EPS_RANK = 1e-10
 
 
-def _sqrt_with_pinv(m: np.ndarray):
-    """Square root of the Hermitian part of m with every negative eigenvalue
-    clamped to zero, the pseudoinverse of that root, its rank, and the least
-    eigenvalue before the clamp, all from one eigh.
-
-    It never raises: whether the least eigenvalue is within the PSD floor is
-    for the caller to decide.
-    """
-    w, v = np.linalg.eigh(hermitize(m))
-    lam = np.maximum(w, 0.0)
-    root = np.sqrt(lam)
-    keep = lam > _EPS_RANK * lam[-1]
-    inv = np.divide(1.0, root, out=np.zeros_like(root), where=keep)
-    x, xp = hermitize((v * np.array([root, inv])[:, None]) @ dagger(v))
-    return x, xp, int(np.count_nonzero(keep)), float(w[0])
-
-
 def _factor(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Upper block-triangular matrix with diagonal blocks x[j] and s[j, l] x[j] above."""
     blocks = s @ x[:, None]  # s is zero on and below the block diagonal
@@ -168,22 +153,27 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         r = t[j, j:]
         if j:
             r = r - ((x[:j] @ dagger(s[:j, j]))[:, None] @ (s[:j, j:] @ x[:j, None])).sum(axis=0)
-        x[j], xp, rank, lam_min = _sqrt_with_pinv(r[0])
-        if lam_min < -tol.eps_psd:
-            floor = f"min eigenvalue {lam_min:.3e} below -{tol.eps_psd:.3e}"
+        w, v = np.linalg.eigh(hermitize(r[0]))
+        lam = np.maximum(w, 0.0)
+        root = np.sqrt(lam)
+        x[j] = from_eig(root, v)
+        keep = lam > _EPS_RANK * lam[-1]
+        if w[0] < -tol.eps_psd:
+            floor = f"min eigenvalue {w[0]:.3e} below -{tol.eps_psd:.3e}"
             if j == 0:  # a diagonal block of rho itself
                 raise NotPsd(floor)
             if not deficient:
                 raise InconsistentBlocks(
                     f"rho{j + 1}{j + 1} minus the explained part is not PSD: {floor}")
-            # best-effort completion of a flagged rank-deficient extraction
-            xp, rank = np.zeros((n, n)), 0
-        # the last row has no off blocks: stop before their (empty) extraction
-        # and mass check, which on a 2x2 state cost more than the row's eigh
+            keep[:] = False  # best-effort completion of a flagged extraction: X_j^+ = 0
+        # the last row has no off blocks: stop before X_j^+, their (empty)
+        # extraction and the mass check, which on a 2x2 state cost more than
+        # the row's eigh
         if j + 1 == m:
             break
+        xp = from_eig(keep / np.where(keep, root, 1.0), v)
         s[j, j + 1:] = xp @ r[1:] @ xp
-        if rank < n:  # the off blocks' mass outside the range of X_j; none at full rank
+        if not keep.all():  # the off blocks' mass outside the range of X_j; none at full rank
             proj = hermitize(x[j] @ xp)
             mass = np.linalg.norm(r[1:] - proj @ r[1:] @ proj, axis=(-2, -1))
             mass_sq += float(mass @ mass)

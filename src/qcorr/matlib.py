@@ -1,11 +1,11 @@
-"""The toolkit's settable thresholds and three matrix one-liners.
+"""The toolkit's settable thresholds and four matrix one-liners.
 
 Matrices are plain numpy complex128 arrays throughout, and linear algebra
 is numpy.linalg called directly.  The thresholds a caller may set live in
 the Tolerance record and are passed explicitly; fixed cutoffs are private
-constants next to their only user.  dagger, fro_norm and hermitize take
-numpy arrays and check nothing, not even the dtype: the modules that call
-them validate their inputs first.
+constants next to their only user.  dagger, fro_norm, hermitize and
+from_eig take numpy arrays and check nothing, not even the dtype: the
+modules that call them validate their inputs first.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "dagger",
     "fro_norm",
     "hermitize",
+    "from_eig",
 ]
 
 
@@ -67,3 +68,9 @@ def fro_norm(a: np.ndarray) -> float:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a^dagger) / 2; removes rounding asymmetry."""
     return (a + dagger(a)) * 0.5
+
+
+def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hermitian matrix V diag(w) V^dagger from eigenvalues w and eigenvector
+    columns v, batched over leading axes."""
+    return hermitize((v * w[..., None, :]) @ dagger(v))

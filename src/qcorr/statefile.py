@@ -78,11 +78,10 @@ def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, 
     if not np.isfinite(pairs).all():
         i = int(np.argmin(np.isfinite(pairs).all(axis=1)))
         raise _entry_error(i, entries[i])
-    metadata = doc.get("metadata") or {}
-    if not isinstance(metadata, dict):
+    if not isinstance(metadata := doc.get("metadata"), dict | None):  # null reads as absent
         raise ParseError(f"metadata must be an object, got {metadata!r}")
     state = validate(pairs.view(np.complex128).reshape(m * n, m * n), m, n, tol)
-    return state, metadata
+    return state, metadata or {}
 
 
 def write_statefile(path, state: BipartiteState, metadata: dict | None = None) -> None:
@@ -93,8 +92,8 @@ def write_statefile(path, state: BipartiteState, metadata: dict | None = None) -
 def read_statefile(path, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, dict]:
     """Read and validate a state file written by write_statefile."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

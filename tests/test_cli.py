@@ -163,6 +163,47 @@ def test_analyze_impossible_tolerance_reports_inconsistency(tmp_path, capsys):
     assert doc["inconsistency"]
 
 
+def test_analyze_human_flags_a_rank_deficient_extraction(tmp_path, capsys):
+    assert main(["analyze", bell_state_file(tmp_path)]) == EXIT_OK
+    assert "\n                    rank-deficient extraction: SPPT not decidable\n" in (
+        capsys.readouterr().out)
+
+
+def test_readme_analyze_example_is_the_output(tmp_path, capsys):
+    # every line of the README block, the truncated sppt line up to its "..."
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(state {15}2x2, .*?)\n```", readme, re.S).group(1).splitlines()
+    path = write_state(tmp_path, "bd.json", bell_diagonal(BellDiagonalParams(0.4, 0.3, 0.2, 0.1)))
+    assert main(["analyze", path]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(block)
+    for got, want in zip(out, block):
+        if want.endswith(" ..."):
+            assert got.startswith(want.removesuffix("..."))
+        else:
+            assert got == want
+
+
+def test_state_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dims": [1, 1], "matrix": [[1, 0]], "metadata": {"label": "\u00e9"}}'
+                     .encode("latin-1"))
+    assert main(["analyze", str(path)]) == EXIT_INPUT
+    assert "error: ParseError: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", FIXTURE],
+    ["verify-theorem1", "--samples", "2", "--seed", "1"],
+    ["remark-3xn", "--samples", "2", "--seed", "1"],
+    ["scan-inclusions", "--grid", "0", "--samples", "0", "--seed", "1"],
+])
+def test_an_output_path_that_cannot_be_written_is_an_input_error(argv, tmp_path, capsys):
+    rc = main([*argv, "--output", str(tmp_path / "absent" / "out.txt")])
+    assert rc == EXIT_INPUT
+    assert "error: FileNotFoundError: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify-theorem1 and remark-3xn
 
@@ -224,6 +265,18 @@ def test_remark_3xn_reports_the_median_s12_normality(tmp_path, monkeypatch, caps
     assert json.loads(capsys.readouterr().out)["median_s12_normality"] is None
 
 
+def test_remark_3xn_human_output(tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    assert main(["remark-3xn", "--samples", "4", "--dim-b", "2", "--seed", "3",
+                 "--output", str(witness)]) == EXIT_OK
+    first, second = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\d/4 random CQ 3x2 states have non-normal S12 "
+                        r"\(fraction \d\.\d{3}\), seed 3", first)
+    assert re.fullmatch(rf"worst offender \(residual \d\.\d{{3}}e[-+]\d\d\) written to "
+                        rf"{re.escape(str(witness))}", second)
+    assert witness.exists()
+
+
 # ---------------------------------------------------------------------------
 # xstate and bell
 
@@ -271,6 +324,17 @@ def test_bell_discordant_point(capsys):
     assert doc["commutator"] < 1e-10
 
 
+def test_bell_human_output(capsys):
+    assert main(["bell", "--p", "0.7,0.1,0.1,0.1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["verdict       analytic  numeric",
+                         "sppt          NO        NO",
+                         "zero_discord  NO        NO",
+                         "commutator    0.000e+00"]
+    assert re.fullmatch(r"discord       0\.3651\d\d bits", lines[4])  # Luo: 0.3651484
+    assert len(lines) == 5
+
+
 def test_bell_rejects_bad_probability_strings(capsys):
     assert main(["bell", "--p", "0.5,0.5"]) == EXIT_INPUT
     assert main(["bell", "--p", "a,b,c,d"]) == EXIT_INPUT
@@ -292,6 +356,13 @@ def test_xstate_negative_values_parse_as_the_equals_form_does(flag, value, code,
 def test_bell_negative_leading_weight_reaches_the_probability_check(capsys):
     assert main(["bell", "--p", "-0.1,0.5,0.3,0.3"]) == EXIT_INPUT
     assert "error: InvalidParams:" in capsys.readouterr().err
+
+
+def test_xstate_rejects_a_coupling_that_is_not_a_complex_number(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["xstate", "--a11", ".3", "--a22", ".2", "--b11", ".3", "--b22", ".2", "--a12", "1+"])
+    assert exc.value.code == EXIT_INPUT
+    assert "not a complex number: '1+'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--a11", "nan"), ("--a12", "nanj"), ("--b12", "inf")])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import json
 import os
 import pathlib
@@ -87,6 +88,13 @@ def test_entropy_rejects_non_density_inputs():
         von_neumann_entropy(np.array([[0.5, 0.4], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(NotDensityMatrix):
         von_neumann_entropy(np.diag([1.1, -0.1]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_entropy_rejects_a_matrix_that_is_not_square(shape):
+    message = f"expected a square matrix, got shape {shape}"
+    with pytest.raises(NotDensityMatrix, match=f"^{re.escape(message)}$"):
+        von_neumann_entropy(np.full(shape, 0.25))
 
 
 def test_entropy_is_basis_independent():

@@ -347,3 +347,30 @@ def test_verdicts_make_one_eigh_per_a_level_and_nothing_more(linalg_calls):
         calls.update(eigh=0, eigvalsh=0)
         assert is_sppt(s).rank_deficient
         assert calls == {"eigh": m, "eigvalsh": 1}, (m, n)
+
+
+def test_only_rows_with_off_blocks_form_a_pseudoinverse(monkeypatch):
+    # pins the row step: each of the m rows rebuilds its root from its eigh,
+    # and only the m - 1 rows with off blocks also rebuild X_j^+, so an m-row
+    # factorization makes 2m - 1 from_eig calls, rank-deficient or not; an
+    # accepted cq_detect makes one, for its clamped sigma_k
+    from qcorr import cq_detect, discord, factorization
+
+    calls = []
+    real = factorization.from_eig
+
+    def counting(w, v):
+        calls.append(w.shape)
+        return real(w, v)
+
+    monkeypatch.setattr(factorization, "from_eig", counting)
+    monkeypatch.setattr(discord, "from_eig", counting)
+    for m, s in [(2, ginibre_state(62, 2, 3)), (3, ginibre_state(63, 3, 3)),
+                 (2, random_pure(2, 3, rng_seed=[70, 2, 3])),
+                 (3, random_pure(3, 3, rng_seed=[70, 3, 3]))]:
+        calls.clear()
+        factorize(s)
+        assert len(calls) == 2 * m - 1, m
+    calls.clear()
+    assert cq_detect(random_cq(3, 2, rng_seed=4)).is_cq
+    assert calls == [(3, 2)]

@@ -4,6 +4,8 @@ pipeline, and reproducibility of the random generators.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,17 @@ def test_build_cq_state_rejects_bad_ingredients():
     s = build_cq_state(CqSpec(dim_a=4, u=u, sigmas=sigmas))
     direct = sum(np.kron(np.outer(u[:, k], u[:, k].conj()), sigmas[k]) for k in range(4))
     assert np.allclose(s.rho, direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (CqSpec(dim_a=0, u=np.eye(0), sigmas=()), "dim_a must be at least 1, got 0"),
+    (CqSpec(dim_a=2, u=np.eye(3), sigmas=(np.eye(2) / 4,) * 2), "u must be 2x2, got (3, 3)"),
+    (CqSpec(dim_a=2, u=np.eye(2), sigmas=(np.eye(2) / 4, np.eye(3) / 6)),
+     "conditional operators must share shape (2, 2), got (3, 3)"),
+])
+def test_build_cq_state_rejects_mismatched_shapes(spec, message):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        build_cq_state(spec)
 
 
 # ---------------------------------------------------------------------------

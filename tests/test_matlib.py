@@ -1,10 +1,11 @@
 """Matrix helpers: the Tolerance record, the matlib one-liners, the PSD
 square root and the Moore-Penrose pseudoinverse.
 
-The PSD square root tests exercise factorization._sqrt_with_pinv, the one
-production square root, and the PSD floor that factorize applies to the
-least eigenvalue it reports; the Moore-Penrose tests exercise the
-pseudoinverse in tests/helpers.py, which criterion 02 uses.
+The PSD square root tests go through factorize on hand-built states: it
+takes the one production root, X_j = sqrt(M_jj), and applies the PSD floor
+to the least eigenvalue, and its S = X_1^+ rho12 X_1^+ reads the
+pseudoinverse; the Moore-Penrose tests exercise the pseudoinverse in
+tests/helpers.py, which criterion 02 uses.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from helpers import pseudo_inverse
 from qcorr import BipartiteState, DEFAULT_TOL, OptimizerConfig, Tolerance
-from qcorr.errors import InvalidParams, NotPsd
-from qcorr.factorization import _sqrt_with_pinv, factorize
+from qcorr.errors import InconsistentBlocks, InvalidParams, NotPsd
+from qcorr.factorization import factorize
 from qcorr.matlib import dagger, fro_norm, hermitize
 
 
@@ -74,16 +75,31 @@ def test_hermitize_projects_and_defect_vanishes():
     assert np.allclose(h, (a + a.conj().T) / 2)
 
 
+def hand_built(blocks, dim_a: int = 2) -> BipartiteState:
+    """The state with the given grid of blocks, unvalidated: factorize checks
+    nothing beyond the PSD floor, so any Hermitian block pattern reaches it."""
+    rho = np.block(blocks).astype(np.complex128)
+    return BipartiteState(dim_a=dim_a, dim_b=len(rho) // dim_a, rho=rho,
+                          spectrum=np.linalg.eigvalsh(rho)[::-1])
+
+
 def psd_sqrt(a) -> np.ndarray:
-    return _sqrt_with_pinv(np.asarray(a, dtype=np.complex128))[0]
+    """X_1 = sqrt(rho11) of the 2xN state with rho11 = a, rho12 = 0, rho22 = I."""
+    zero = np.zeros_like(a)
+    return factorize(hand_built([[a, zero], [zero, np.eye(len(a))]])).x[0]
 
 
 def test_psd_sqrt_closed_form_diagonal():
-    r, rp, rank, lam_min = _sqrt_with_pinv(np.diag([4.0, 1.0, 0.0]))
-    assert np.allclose(r, np.diag([2.0, 1.0, 0.0]), atol=1e-14)
-    assert np.allclose(rp, np.diag([0.5, 1.0, 0.0]), atol=1e-14)
-    assert rank == 2
-    assert lam_min == 0.0
+    # rho12 = X_1 + e3 e3^T / 2: S = X_1^+ rho12 X_1^+ = X_1^+ X_1 X_1^+ reads X_1^+,
+    # and the e3 part, outside the rank-2 range of X_1, is the unexplained mass
+    x1 = np.diag([2.0, 1.0, 0.0])
+    off = x1 + np.diag([0.0, 0.0, 0.5])
+    # an eps_psd of 0 admits rho11 = diag(4, 1, 0): its least eigenvalue is not negative
+    f = factorize(hand_built([[x1 @ x1, off], [off, 2 * np.eye(3)]]), Tolerance(eps_psd=0.0))
+    assert np.allclose(f.x[0], x1, atol=1e-14)
+    assert np.allclose(f.s[0, 1], np.diag([0.5, 1.0, 0.0]), atol=1e-14)
+    assert f.rank_deficient
+    assert f.unexplained_mass == pytest.approx(0.5, abs=1e-14)
 
 
 def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
@@ -93,19 +109,26 @@ def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
 
 
 def test_psd_sqrt_rejects_clearly_indefinite():
-    # the root reports the eigenvalue that factorize's floor rejects
-    lam_min = _sqrt_with_pinv(np.diag([1.0, -1e-3]).astype(complex))[3]
-    assert lam_min == pytest.approx(-1e-3, abs=1e-15)
-    assert lam_min < -DEFAULT_TOL.eps_psd
+    # factorize's floor rejects the least eigenvalue of rho11 and names it
+    with pytest.raises(NotPsd, match=r"^min eigenvalue -1\.000e-03 below -1\.000e-09$"):
+        psd_sqrt(np.diag([1.0, -1e-3]))
 
 
 def test_psd_sqrt_clamps_any_negative_eigenvalue_and_reports_it():
-    # the completion of a rank-deficient extraction keeps this clamped root
-    r, rp, rank, lam_min = _sqrt_with_pinv(np.diag([1.0, -0.5]).astype(complex))
-    assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-14)
-    assert np.allclose(rp, np.diag([1.0, 0.0]), atol=1e-14)
-    assert rank == 1
-    assert lam_min == -0.5
+    # rho11 = diag(1, 0) and rho12 = e2 e2^T flag row 1 rank-deficient and
+    # leave M_22 = rho22 = diag(1, -0.5); the completion keeps its clamped root
+    # and takes X_2^+ = 0, so S_23 = 0 and all of rho23 is unexplained mass
+    z, e1, e2, b = np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.ones((2, 2))
+    rho22 = np.diag([1.0, -0.5])
+    f = factorize(hand_built([[e1, e2, z], [e2, rho22, b], [z, b, np.eye(2)]], dim_a=3))
+    assert f.rank_deficient
+    assert np.allclose(f.x[1], np.diag([1.0, 0.0]), atol=1e-14)
+    assert np.array_equal(f.s[1, 2], z)
+    assert f.unexplained_mass == pytest.approx(np.sqrt(1.0 + 4.0), abs=1e-14)
+    # unflagged, the same block is rejected with its least eigenvalue
+    with pytest.raises(InconsistentBlocks, match=r"^rho22 minus the explained part is not PSD: "
+                                                 r"min eigenvalue -5\.000e-01 below -1\.000e-09$"):
+        factorize(hand_built([[e1, z], [z, rho22]]))
 
 
 def test_pseudo_inverse_matches_inverse_when_invertible():

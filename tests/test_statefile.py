@@ -86,6 +86,11 @@ def test_metadata_key_is_omitted_when_empty():
         lambda d: d["matrix"].__setitem__(0, [float("nan"), 0.0]),
         lambda d: d["matrix"].__setitem__(0, ["x", 0.0]),
         lambda d: d.update(metadata=[1, 2]),
+        # a falsy non-object is as malformed as a truthy one
+        lambda d: d.update(metadata=[]),
+        lambda d: d.update(metadata=0),
+        lambda d: d.update(metadata=False),
+        lambda d: d.update(metadata=""),
     ],
 )
 def test_structural_errors_raise_parse_error(mutate):
@@ -94,6 +99,12 @@ def test_structural_errors_raise_parse_error(mutate):
     mutate(doc)
     with pytest.raises(ParseError):
         state_from_dict(doc)
+
+
+def test_absent_or_null_metadata_reads_as_empty():
+    doc = state_to_dict(ginibre_state(5, 1, 2))
+    assert state_from_dict(doc)[1] == {}
+    assert state_from_dict({**doc, "metadata": None})[1] == {}
 
 
 @pytest.mark.parametrize(
@@ -135,6 +146,10 @@ def test_read_statefile_wraps_io_and_json_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         read_statefile(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dims": [1, 1], "matrix": [[1, 0]], "metadata": {"label": "\xe9"}}')
+    with pytest.raises(ParseError, match="^cannot read .*utf-8"):
+        read_statefile(latin1)
 
 
 def test_write_statefile_ends_with_newline(tmp_path):
