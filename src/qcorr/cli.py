@@ -5,7 +5,7 @@ scan-inclusions.  Exit codes: 0 success, 1 a verified claim failed
 (an assertion, a disagreement, or a missing witness), 2 input error
 (unreadable or invalid state file, bad parameters).
 
-Every randomized command either takes --seed or prints the seed it
+Every randomized command either takes --seed or reports the seed it
 chose, so any reported state can be regenerated exactly.
 """
 
@@ -67,9 +67,7 @@ def _opt(args) -> OptimizerConfig:
 def _seed(args) -> int:
     if args.seed is not None:
         return int(args.seed)
-    seed = int(np.random.SeedSequence().entropy) % (2**63)
-    print(f"seed {seed}")
-    return seed
+    return int(np.random.SeedSequence().entropy) % (2**63)
 
 
 def _emit(args, text: str) -> None:
@@ -365,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--tol-discord", type=float, default=DEFAULT_OPT.eps_opt,
                       help=f"discord optimizer accuracy (default {DEFAULT_OPT.eps_opt})")
     seed.add_argument("--seed", type=_int_at_least(0), default=None,
-                      help="RNG seed; chosen and printed when omitted")
+                      help="RNG seed; chosen and reported when omitted")
     fmt.add_argument("--format", choices=("human", "machine"), default="human",
                      help="human text or machine JSON")
 

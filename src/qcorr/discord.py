@@ -10,15 +10,16 @@ mutual information nor S(rho_B), and the search can stop as soon as it gets
 within a fraction of eps_opt of either bound.  This early exit, tried on
 the rho_A eigenbasis first, is exact for classical-quantum inputs, where
 that basis attains the mutual information, and for pure states, where it
-is a Schmidt basis with H = 0.  Otherwise seeded candidate bases are scored
-and the best are refined by BFGS on the unitary group U(dim_a) modulo
-column phases, with the analytic gradient of the conditional entropy; the
-same code serves any dim_a.  A line-search trial decomposes its conditional
-states once, and the gradient at an accepted trial reuses that
-decomposition.  Each contraction over the blocks of rho is one matmul.  The
-line search has a rounding floor: a halved step is not tried once its
-predicted decrease is a rounding-level fraction of H, and the refinement
-ends there.
+is a Schmidt basis with H = 0.  Otherwise the eigenbasis and the
+eigenbases of the singular operators of rho - rho_A x rho_B (for a qubit A,
+the principal axes of its correlation matrix) are scored, and the best are
+refined by BFGS on the unitary group U(dim_a) modulo column phases, with
+the analytic gradient of the conditional entropy; the same code serves any
+dim_a.  A line-search trial decomposes its conditional states once, and the
+gradient at an accepted trial reuses that decomposition.  Each contraction
+over the blocks of rho is one matmul.  The line search has a rounding
+floor: a halved step is not tried once its predicted decrease is a
+rounding-level fraction of H, and the refinement ends there.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -28,13 +29,11 @@ it serves any dim_a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bipartite import BipartiteState, block_tensor, partial_trace_a, partial_trace_b, validate
 from .errors import DimensionMismatch, NotDensityMatrix, NotUnitary
-from .families import random_unitary
 from .matlib import (DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize,
                      require_finite_nonnegative)
 
@@ -79,8 +78,8 @@ class DiscordReport:
     maximizing basis is in optimal_basis (columns are the measurement
     vectors).  optimizer_evals counts objective and gradient evaluations,
     one per basis scored or tried and one per gradient (also where that
-    reuses its trial's decomposition), and grid_resolution the candidate
-    bases scored before refinement (0 after the early exit).
+    reuses its trial's decomposition), and grid_resolution the starts scored
+    before refinement, min(dim_a^2, dim_b^2), or 0 after the early exit.
     """
 
     mutual_information: float
@@ -215,11 +214,8 @@ _PROGRESS_RTOL = 1e-15
 # Measurement outcomes of probability at most _EPS_PROB count as zero.
 _EPS_PROB = 1e-12
 
-# The measurement search scores the rho_A eigenbasis, the identity and
-# _HAAR_BASES seeded Haar bases, then refines the best _REFINED of them.
-_HAAR_BASES = 64
-_HAAR_SEED = 20260815
-_REFINED = 3
+# The measurement search refines the best _REFINED of its starts.
+_REFINED = 2
 # A refinement stops once a step lowers the conditional entropy by no more
 # than _PROGRESS_RTOL of it (near the optimum h + _ARMIJO * t * slope rounds
 # to h, and Armijo would go on accepting steps that change nothing), or once
@@ -232,13 +228,17 @@ _ARMIJO = 1e-4
 _BACKTRACKS = 30
 
 
-@lru_cache(maxsize=8)
-def _haar_bases(m: int) -> np.ndarray:
-    """The seeded Haar candidate bases of C^m, shape (_HAAR_BASES, m, m)."""
-    rng = np.random.default_rng(_HAAR_SEED)
-    u = np.stack([random_unitary(m, rng) for _ in range(_HAAR_BASES)])
-    u.setflags(write=False)
-    return u
+def _singular_bases(b: np.ndarray, m: int) -> np.ndarray:
+    """Eigenbases of the singular operators X_k of rho - rho_A x rho_B =
+    sum_k s_k X_k x Y_k, by descending s_k: the SVD of the M^2 x N^2 matrix with
+    rows rho_ij - (rho_A)_ij rho_B, from the _block_stack b and M = m.  As that
+    operator is Hermitian, each X_k is Hermitian up to a phase, which tr(X_k^2)
+    exposes.  Its partial traces vanish, so the last s_k is 0 and the
+    eigenbasis of that X_k is set by rounding; it is left out."""
+    c = b - np.einsum("kaa->k", b)[:, None, None] * b[:: m + 1].sum(axis=0)
+    x = np.linalg.svd(c.reshape(len(b), -1), full_matrices=False)[0][:, :-1].T.reshape(-1, m, m)
+    phase = np.exp(-0.5j * np.angle(np.einsum("kij,kji->k", x, x)))
+    return np.linalg.eigh(hermitize(phase[:, None, None] * x))[1]
 
 
 def _basis_coef(u: np.ndarray) -> np.ndarray:
@@ -359,20 +359,19 @@ def _classical_correlation(b: np.ndarray, eig: np.ndarray, s_b: float, mi: float
     The eigenbasis is scored first, and when it comes within a quarter of
     eps_opt of either bound the search is done: exact for classical-quantum
     inputs, which attain mi there, and for pure states, whose rho_A
-    eigenbasis is a Schmidt basis with H = 0.  Otherwise the eigenbasis, the
-    identity and the seeded Haar bases are scored in one batch and the best
-    _REFINED refined.  Scores and endpoints that tie with the least (see
-    _tied) keep candidate order: the starts are the best by score, and the
-    basis reported is the first refined endpoint, in start order, that ties
-    with the least H, so at a degenerate optimum rounding does not choose
-    among equally good bases.
+    eigenbasis is a Schmidt basis with H = 0.  Otherwise the eigenbasis and
+    the _singular_bases, all fixed by the state, are scored in one batch and
+    the best _REFINED refined.  Scores and endpoints that tie with the least
+    (see _tied) keep candidate order: the starts are the best by score, and
+    the basis reported is the first refined endpoint, in start order, that
+    ties with the least H, so at a degenerate optimum rounding does not
+    choose among equally good bases.
     """
-    m = eig.shape[0]
     h_eig = float(_cond_entropy_batch(_basis_coef(eig), b))
     if min(mi - (s_b - h_eig), h_eig) <= 0.25 * opt.eps_opt:
         return max(0.0, s_b - h_eig), eig, 1, 0
 
-    cands = np.concatenate([eig[None], np.eye(m, dtype=np.complex128)[None], _haar_bases(m)])
+    cands = np.concatenate([eig[None], _singular_bases(b, len(eig))])
     hs = _cond_entropy_batch(_basis_coef(cands), b)
     ends = [_refine(cands[i], b) for i in np.argsort(_tied(hs), kind="stable")[:_REFINED]]
     u, h, _ = ends[int(np.argmin(_tied(np.array([h for _, h, _ in ends]))))]

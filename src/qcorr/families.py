@@ -130,6 +130,8 @@ def build_cq_state(spec: CqSpec, tol: Tolerance = DEFAULT_TOL) -> BipartiteState
     if len(spec.sigmas) != m:
         raise InvalidSpec(f"expected {m} conditional operators, got {len(spec.sigmas)}")
     sigmas = [np.asarray(s, dtype=np.complex128) for s in spec.sigmas]
+    if sigmas[0].ndim != 2:
+        raise InvalidSpec(f"conditional operators must be matrices, got shape {sigmas[0].shape}")
     n = sigmas[0].shape[0]
     total = 0.0
     for s in sigmas:

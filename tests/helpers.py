@@ -301,8 +301,8 @@ def _givens3(p: int, q: int, theta: float, phi: float) -> np.ndarray:
     return g
 
 
-def _haar3(rng: np.random.Generator) -> np.ndarray:
-    g = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2.0)
+def _haar(m: int, rng: np.random.Generator) -> np.ndarray:
+    g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -317,7 +317,7 @@ def _triple_min(a: np.ndarray, floor: float) -> float:
     starts = _contraction_bases(a, 2, _SEARCH_SEED)
     starts.append(np.eye(3, dtype=np.complex128))
     for _ in range(_SEARCH_STARTS_3 - 1):
-        starts.append(_haar3(rng))
+        starts.append(_haar(3, rng))
     best = np.inf
     for w in starts:
         def obj(x, w=w):
@@ -379,9 +379,9 @@ def searched_off_mass(state: BipartiteState, eps_degenerate: float = 1e-8,
 
 # ---------------------------------------------------------------------------
 # measured classical correlation: an explicit-loop evaluation for a given
-# basis, and the grid + simplex searches as they were written before the
-# measurement search took dim_a as a parameter, kept as oracles for
-# qcorr.discord.discord_a
+# basis, the grid + simplex searches as they were written before the
+# measurement search took dim_a as a parameter, and a multi-start BFGS search
+# over a Cayley chart of U(M), kept as oracles for qcorr.discord.discord_a
 
 
 def measured_correlation(state: BipartiteState, basis: np.ndarray,
@@ -518,7 +518,7 @@ def searched_cc_qutrit(state: BipartiteState) -> float:
     starts = [np.linalg.eigh((rho_a + rho_a.conj().T) / 2)[1][:, ::-1],
               np.eye(3, dtype=np.complex128)]
     rng = np.random.default_rng(_CC_SEED)
-    starts += [_haar3(rng) for _ in range(_CC_STARTS_3 - 2)]
+    starts += [_haar(3, rng) for _ in range(_CC_STARTS_3 - 2)]
     best = -np.inf
     for w in starts:
         def neg(x, w=w):
@@ -534,6 +534,51 @@ def searched_cc_qutrit(state: BipartiteState) -> float:
         if mi - best <= 0.25 * _CC_EPS_OPT:
             break
     return max(0.0, best)
+
+
+_MULTI_STARTS = 24
+_MULTI_SEED = 1004
+_MULTI_STEP = 1e-6
+
+
+def _cayley(x: np.ndarray, m: int) -> np.ndarray:
+    """(1 - A)^-1 (1 + A), unitary, for the skew-Hermitian A with zero diagonal
+    whose entries above it have real parts x[..., :p] and imaginary parts
+    x[..., p:] (p = m(m-1)/2, row by row); batched over x's leading axes."""
+    iu, p = np.triu_indices(m, 1), m * (m - 1) // 2
+    a = np.zeros(x.shape[:-1] + (m, m), dtype=np.complex128)
+    a[..., iu[0], iu[1]] = x[..., :p] + 1j * x[..., p:]
+    a = a - np.conj(np.swapaxes(a, -1, -2))
+    eye = np.eye(m)
+    return np.linalg.solve(eye - a, eye + a)
+
+
+def searched_cc(state: BipartiteState) -> float:
+    """Classical correlation of an M x N state, any M, from scipy's BFGS over
+    the Cayley chart W (1 - A)^-1 (1 + A) around each of _MULTI_STARTS seeded
+    Haar bases W, with central-difference gradients evaluated in one batch; the
+    best of all the searches is returned."""
+    from scipy.optimize import minimize
+
+    m = state.dim_a
+    blocks = blocks_of(state)
+    s_b = vn_entropy(np.einsum("kkab->ab", blocks))
+    steps = np.concatenate([np.eye(m * (m - 1)), -np.eye(m * (m - 1))]) * _MULTI_STEP
+    rng = np.random.default_rng(_MULTI_SEED)
+    best = np.inf
+    for w in [_haar(m, rng) for _ in range(_MULTI_STARTS)]:
+        def cond(x, w=w):
+            u = w @ _cayley(x, m)
+            return _cond_entropy(np.einsum("...ik,...jk->...kij", np.conj(u), u), blocks)
+
+        def grad(x):
+            h = cond(x + steps)
+            return (h[: len(h) // 2] - h[len(h) // 2:]) / (2.0 * _MULTI_STEP)
+
+        res = minimize(lambda x: float(cond(x)), np.zeros(m * (m - 1)), jac=grad, method="BFGS",
+                       options={"gtol": 1e-9})
+        best = min(best, float(res.fun))
+    return max(0.0, s_b - best)
 
 
 # ---------------------------------------------------------------------------

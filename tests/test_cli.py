@@ -228,7 +228,23 @@ def test_verify_theorem1_prints_chosen_seed_when_omitted(capsys):
     rc = main(["verify-theorem1", "--samples", "2", "--dim-b", "2"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
-    assert "seed " in out
+    assert re.fullmatch(r"2/2 random CQ 2x2 states SPPT, max normality residual \S+, "
+                        r"seed \d+\n", out)
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "remark-3xn"])
+def test_machine_output_parses_when_the_seed_is_chosen(command, tmp_path, monkeypatch, capsys):
+    # the chosen seed is in the document, and nothing precedes it on stdout
+    monkeypatch.chdir(tmp_path)
+    main([command, "--samples", "2", "--dim-b", "2", "--format", "machine"])
+    assert isinstance(json.loads(capsys.readouterr().out)["seed"], int)
+
+
+def test_scan_inclusions_csv_starts_with_its_header_when_the_seed_is_chosen(capsys):
+    assert main(["scan-inclusions", "--grid", "0", "--samples", "1"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == ",".join(CSV_HEADER)
+    assert re.search(r"\), seed \d+; ", err)
 
 
 def test_remark_3xn_finds_witness_and_roundtrips(tmp_path, capsys):

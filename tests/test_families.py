@@ -102,6 +102,8 @@ def test_build_cq_state_rejects_bad_ingredients():
     (CqSpec(dim_a=2, u=np.eye(3), sigmas=(np.eye(2) / 4,) * 2), "u must be 2x2, got (3, 3)"),
     (CqSpec(dim_a=2, u=np.eye(2), sigmas=(np.eye(2) / 4, np.eye(3) / 6)),
      "conditional operators must share shape (2, 2), got (3, 3)"),
+    (CqSpec(dim_a=2, u=np.eye(2), sigmas=(np.array(0.5), np.array(0.5))),
+     "conditional operators must be matrices, got shape ()"),
 ])
 def test_build_cq_state_rejects_mismatched_shapes(spec, message):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
