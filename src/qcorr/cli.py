@@ -65,9 +65,7 @@ def _opt(args) -> OptimizerConfig:
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return int(np.random.SeedSequence().entropy) % (2**63)
+    return int(args.seed) if args.seed is not None else int(np.random.SeedSequence().entropy) % 2**63
 
 
 def _emit(args, text: str) -> None:

@@ -11,15 +11,15 @@ within a fraction of eps_opt of either bound.  This early exit, tried on
 the rho_A eigenbasis first, is exact for classical-quantum inputs, where
 that basis attains the mutual information, and for pure states, where it
 is a Schmidt basis with H = 0.  Otherwise the eigenbasis and the
-eigenbases of the singular operators of rho - rho_A x rho_B (for a qubit A,
-the principal axes of its correlation matrix) are scored, and the best are
-refined by BFGS on the unitary group U(dim_a) modulo column phases, with
-the analytic gradient of the conditional entropy; the same code serves any
-dim_a.  A line-search trial decomposes its conditional states once, and the
-gradient at an accepted trial reuses that decomposition.  Each contraction
-over the blocks of rho is one matmul.  The line search has a rounding
-floor: a halved step is not tried once its predicted decrease is a
-rounding-level fraction of H, and the refinement ends there.
+eigenbases of the singular operators of rho - rho_A x rho_B (for a qubit A
+also of their bisectors) are scored, and the best dim_a are refined by BFGS
+on the unitary group U(dim_a) modulo column phases, with the analytic
+gradient of the conditional entropy.  A line-search trial decomposes its
+conditional states once, and the gradient at an accepted trial reuses that
+decomposition.  Each contraction over the blocks of rho is one matmul.  The
+line search has a rounding floor: a halved step is not tried once its
+predicted decrease is a rounding-level fraction of H, and the refinement
+ends there.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -79,7 +79,7 @@ class DiscordReport:
     vectors).  optimizer_evals counts objective and gradient evaluations,
     one per basis scored or tried and one per gradient (also where that
     reuses its trial's decomposition), and grid_resolution the starts scored
-    before refinement, min(dim_a^2, dim_b^2), or 0 after the early exit.
+    before refinement: min(dim_a^2, dim_b^2), 10 for a qubit A, 0 on early exit.
     """
 
     mutual_information: float
@@ -214,8 +214,6 @@ _PROGRESS_RTOL = 1e-15
 # Measurement outcomes of probability at most _EPS_PROB count as zero.
 _EPS_PROB = 1e-12
 
-# The measurement search refines the best _REFINED of its starts.
-_REFINED = 2
 # A refinement stops once a step lowers the conditional entropy by no more
 # than _PROGRESS_RTOL of it (near the optimum h + _ARMIJO * t * slope rounds
 # to h, and Armijo would go on accepting steps that change nothing), or once
@@ -231,14 +229,18 @@ _BACKTRACKS = 30
 def _singular_bases(b: np.ndarray, m: int) -> np.ndarray:
     """Eigenbases of the singular operators X_k of rho - rho_A x rho_B =
     sum_k s_k X_k x Y_k, by descending s_k: the SVD of the M^2 x N^2 matrix with
-    rows rho_ij - (rho_A)_ij rho_B, from the _block_stack b and M = m.  As that
-    operator is Hermitian, each X_k is Hermitian up to a phase, which tr(X_k^2)
-    exposes.  Its partial traces vanish, so the last s_k is 0 and the
-    eigenbasis of that X_k is set by rounding; it is left out."""
+    rows rho_ij - (rho_A)_ij rho_B, from the _block_stack b and M = m.  An X_k
+    of distinct s_k is Hermitian up to a phase, which tr(X_k^2) exposes (at a
+    repeated s_k it is any member of the subspace; phase 1 where tr(X_k^2) = 0).
+    The last s_k is 0, as the partial traces vanish, and is left out.  For a
+    qubit A, whose X_k are the principal axes of T, bisectors X_i +- X_j follow."""
     c = b - np.einsum("kaa->k", b)[:, None, None] * b[:: m + 1].sum(axis=0)
     x = np.linalg.svd(c.reshape(len(b), -1), full_matrices=False)[0][:, :-1].T.reshape(-1, m, m)
-    phase = np.exp(-0.5j * np.angle(np.einsum("kij,kji->k", x, x)))
-    return np.linalg.eigh(hermitize(phase[:, None, None] * x))[1]
+    h = hermitize(np.exp(-0.5j * np.angle(np.einsum("kij,kji->k", x, x)))[:, None, None] * x)
+    if m == 2:
+        i, j = np.triu_indices(len(h), 1)
+        h = np.concatenate([h, h[i] + h[j], h[i] - h[j]])
+    return np.linalg.eigh(h)[1]
 
 
 def _basis_coef(u: np.ndarray) -> np.ndarray:
@@ -361,7 +363,7 @@ def _classical_correlation(b: np.ndarray, eig: np.ndarray, s_b: float, mi: float
     inputs, which attain mi there, and for pure states, whose rho_A
     eigenbasis is a Schmidt basis with H = 0.  Otherwise the eigenbasis and
     the _singular_bases, all fixed by the state, are scored in one batch and
-    the best _REFINED refined.  Scores and endpoints that tie with the least
+    the best dim_a refined.  Scores and endpoints that tie with the least
     (see _tied) keep candidate order: the starts are the best by score, and
     the basis reported is the first refined endpoint, in start order, that
     ties with the least H, so at a degenerate optimum rounding does not
@@ -373,7 +375,7 @@ def _classical_correlation(b: np.ndarray, eig: np.ndarray, s_b: float, mi: float
 
     cands = np.concatenate([eig[None], _singular_bases(b, len(eig))])
     hs = _cond_entropy_batch(_basis_coef(cands), b)
-    ends = [_refine(cands[i], b) for i in np.argsort(_tied(hs), kind="stable")[:_REFINED]]
+    ends = [_refine(cands[i], b) for i in np.argsort(_tied(hs), kind="stable")[: len(eig)]]
     u, h, _ = ends[int(np.argmin(_tied(np.array([h for _, h, _ in ends]))))]
     evals = 1 + len(cands) + sum(n for _, _, n in ends)
     return max(0.0, s_b - h), u, evals, len(cands)

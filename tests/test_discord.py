@@ -295,7 +295,7 @@ def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypat
     r = discord_a(s)
     n_refine = len(refinements)
     trials = len(inside["_trial"]) - n_refine  # each refinement starts with one
-    assert r.grid_resolution > 0 and n_refine == D._REFINED and trials > 0
+    assert r.grid_resolution > 0 and n_refine == s.dim_a and trials > 0
     assert set(inside["_trial"]) == {1} and set(inside["_gradient"]) == {0}
     assert linalg_calls == {"eigh": 2 + n_refine + 2 * trials, "eigvalsh": 3}
     # a trial and a gradient each count one evaluation, as before the fusion
@@ -366,9 +366,9 @@ def test_discord_report_is_consistent():
     )
     assert r.mutual_information == pytest.approx(mutual_information(s), abs=1e-12)
     # scored starts: the rho_A eigenbasis and the eigenbases of the
-    # min(2^2, 2^2) - 1 singular operators of rho - rho_A x rho_B that are
-    # not set by rounding
-    assert r.grid_resolution == 1 + 3
+    # min(2^2, 2^2) - 1 = 3 singular operators of rho - rho_A x rho_B that are
+    # not set by rounding, and of their 6 bisectors
+    assert r.grid_resolution == 1 + 3 + 6
     assert r.optimizer_evals >= 1
     assert r.discord >= 0.0
 
@@ -413,6 +413,10 @@ def test_discord_against_qubit_search_oracle():
                 random_sppt(n, rng_seed=key),
                 random_pure(2, n, rng_seed=key),
             ]
+            if (seed, n) == (0, 3):
+                # the principal axes alone, two of them refined, ended 4.4e-3
+                # bits short here: the optimum lies near a bisector
+                exact.append(random_sppt(3, rng_seed=[91, 2, 3]))
             if n == 2:
                 p = np.random.default_rng(key).dirichlet(np.ones(4))
                 exact.append(bell_diagonal(BellDiagonalParams(*p)))
@@ -491,7 +495,7 @@ def test_refinement_reaches_zero_entropy_on_pure_states():
         b = D._block_stack(s)
         cands = D._singular_bases(b, m)
         hs = D._cond_entropy_batch(D._basis_coef(cands), b)
-        for i in np.argsort(hs, kind="stable")[:D._REFINED]:
+        for i in np.argsort(hs, kind="stable")[:m]:
             _, h, _ = D._refine(cands[i], b)
             assert abs(h) <= 1e-12
 
@@ -504,7 +508,8 @@ def _bell_from_correlations(t) -> BipartiteState:
 
 def test_singular_starts_are_unitary():
     # one basis per singular operator of rho - rho_A x rho_B but the last,
-    # whose singular value is 0: none for dim_b = 1; for a product state the
+    # whose singular value is 0 (k of them), and for a qubit A one per
+    # bisector, k^2 in all: none for dim_b = 1; for a product state the
     # operator vanishes, and at |t_1| = |t_2| the top singular operator need
     # not be Hermitian up to a phase
     shapes = [(2, 1), (3, 1), (2, 3), (3, 2), (4, 2), (3, 4)]
@@ -514,7 +519,8 @@ def test_singular_starts_are_unitary():
     for s in states:
         m, n = s.dim_a, s.dim_b
         u = D._singular_bases(D._block_stack(s), m)
-        assert u.shape == (min(m * m, n * n) - 1, m, m)
+        k = min(m * m, n * n) - 1
+        assert u.shape == (k * k if m == 2 else k, m, m)
         defect = np.abs(np.conj(u.transpose(0, 2, 1)) @ u - np.eye(m))
         assert defect.max(initial=0.0) <= 1e-12, (m, n)
 
