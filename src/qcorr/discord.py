@@ -14,12 +14,15 @@ is a Schmidt basis with H = 0.  Otherwise the eigenbasis and the
 eigenbases of the singular operators of rho - rho_A x rho_B (for a qubit A
 also of their bisectors) are scored, and the best dim_a are refined by BFGS
 on the unitary group U(dim_a) modulo column phases, with the analytic
-gradient of the conditional entropy.  A line-search trial decomposes its
+gradient of the conditional entropy.  The starts are refined together in
+rounds: each round takes one batched exp(K), one batched line-search trial
+and one batched gradient over the starts still active, and each start keeps
+its own line search and inverse Hessian.  A trial decomposes its
 conditional states once, and the gradient at an accepted trial reuses that
 decomposition.  Each contraction over the blocks of rho is one matmul.  The
 line search has a rounding floor: a halved step is not tried once its
-predicted decrease is a rounding-level fraction of H, and the refinement
-ends there.
+predicted decrease is a rounding-level fraction of H, and the start's
+refinement ends there.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -249,18 +252,20 @@ def _basis_coef(u: np.ndarray) -> np.ndarray:
 
 
 def _trial(u: np.ndarray, b: np.ndarray):
-    """H(U) = sum_k p_k S(sigma_k) from T_kl = sum_ij conj(u_ik) u_jl b_ij, one
-    matmul over the _block_stack b, and one batched eigh of the sigma_k = T_kk;
-    T, the eigenvectors and log2(w / p) are kept for _gradient."""
-    t = _contract(np.einsum("ik,jl->klij", np.conj(u), u), b)
-    sig = np.einsum("kkab->kab", t)
+    """H(U) = sum_k p_k S(sigma_k), shape (...,), for bases u (..., M, M), from
+    T_kl = sum_ij conj(u_ik) u_jl b_ij, one matmul over the _block_stack b, and
+    one batched eigh of the sigma_k = T_kk; T, the eigenvectors and
+    log2(w / p) are kept for _gradient."""
+    t = _contract(np.einsum("...ik,...jl->...klij", np.conj(u), u), b)
+    sig = np.einsum("...kkab->...kab", t)
     w, v = np.linalg.eigh(sig)
-    h, lw = _entropy_terms(w, np.einsum("kaa->k", sig).real)
-    return float(h), (t, v, lw)
+    h, lw = _entropy_terms(w, np.einsum("...kaa->...k", sig).real)
+    return h, (t, v, lw)
 
 
 def _gradient(trial, iu) -> np.ndarray:
-    """Gradient of H at a _trial's basis, in the coordinates of _refine.
+    """Gradient of H at a _trial's bases, in the coordinates of _refine, shape
+    (..., M(M-1)).
 
     dH = -sum_k tr(dsigma_k L_k) with L_k = V_k diag(log2(w_k / p_k)) V_k^+,
     zero eigenvalues left out of the log.  U exp(K) moves sigma_k = T_kk by
@@ -268,79 +273,96 @@ def _gradient(trial, iu) -> np.ndarray:
     G_lk = tr(T_kl L_k), the entrywise sum of T_kl times L_k^T.
     """
     t, v, lw = trial
-    m = t.shape[0]
-    lt = (np.conj(v) * lw[:, None, :]) @ v.transpose(0, 2, 1)
-    g = (t.reshape(m, m, -1) @ lt.reshape(m, -1, 1))[..., 0]  # g[k, l] = G_lk
-    z = 2.0 * (g - dagger(g))[iu]
-    return np.concatenate([z.real, z.imag])
+    lt = (np.conj(v) * lw[..., None, :]) @ np.swapaxes(v, -1, -2)
+    g = (t.reshape(*t.shape[:-2], -1) @ lt.reshape(*lt.shape[:-2], -1, 1))[..., 0]  # g[k, l] = G_lk
+    z = 2.0 * (g - dagger(g))[..., iu[0], iu[1]]
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _refine(u: np.ndarray, b: np.ndarray):
-    """BFGS on U(M) modulo column phases, from basis u.
+    """BFGS on U(M) modulo column phases, from each basis of the stack u
+    (S, M, M); returns the endpoints (S, M, M), their H (S,) and the
+    evaluations of each start (S,).
 
     Steps are U <- U exp(K) with K off-diagonal skew-Hermitian, M(M-1) real
     coordinates: the real and imaginary parts of K above the diagonal.
     Multiplying on the right keeps K in the frame of U's own columns, so the
     column phases are exactly the diagonal that is left out; exp(K) U with
     off-diagonal K would lose the descent direction at equatorial qubit
-    bases.  A line-search trial costs one eigh for exp(K) and one _trial,
-    whose decomposition the gradient reuses if the trial is accepted.  The
-    first trial of a line search takes the full step; a halved step is tried
-    only while its predicted decrease -t * slope exceeds _PROGRESS_RTOL of H,
-    since below that it could only change H by rounding, and the refinement
-    ends there as when the backtracks run out.
+    bases.  The starts are refined together in rounds.  Each round takes one
+    batched eigh for the exp(K) of the starts still active and one _trial of
+    them, and one _gradient of those whose trial was accepted, reusing that
+    trial's decomposition.  Each start keeps its own line search and inverse
+    Hessian, so it follows the path it would follow alone; a single start is a
+    batch of one.  The first trial of a line search takes the full step; a
+    halved step is tried only while its predicted decrease -t * slope exceeds
+    _PROGRESS_RTOL of H, since below that it could only change H by rounding,
+    and the start's refinement ends there as when the backtracks run out.
     """
-    m = u.shape[0]
+    u = np.array(u)
+    n, m = u.shape[:2]
     iu = np.triu_indices(m, 1)
-
-    def step(x):  # exp(K), from the eigendecomposition of iK
-        k = np.zeros((m, m), dtype=np.complex128)
-        k[iu] = x[: iu[0].size] + 1j * x[iu[0].size:]
-        w, v = np.linalg.eigh(1j * (k - dagger(k)))
-        return (v * np.exp(-1j * w)) @ dagger(v)
-
+    p = iu[0].size
     h, kept = _trial(u, b)
-    g = _gradient(kept, iu)
-    hinv = np.eye(g.size)
-    evals = 1
-    for it in range(_MAX_STEPS):
-        if np.sqrt(g @ g) < _GRAD_TOL:
-            break
-        d = -hinv @ g
-        slope = float(g @ d)
-        if slope >= 0.0:
-            hinv = np.eye(g.size)
-            d, slope = -g, -float(g @ g)
-        t = 1.0
-        for _ in range(_BACKTRACKS):
-            u_new = u @ step(t * d)
-            h_new, kept = _trial(u_new, b)
-            evals += 1
-            if h_new <= h + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-            if -t * slope <= _PROGRESS_RTOL * abs(h):
-                return u, h, evals
-        else:
-            break
-        progress = h - h_new
-        if progress > 0.0:
-            u, h = u_new, h_new
-        if progress <= _PROGRESS_RTOL * abs(h):
-            break
-        g_new = _gradient(kept, iu)
-        evals += 1
-        s, y = t * d, g_new - g
-        sy = float(s @ y)
-        if sy > 0.0:
-            if it == 0:
-                hinv = hinv * (sy / float(y @ y))
-            # (I - s y^T / sy) hinv (I - y s^T / sy) + s s^T / sy, expanded
-            hy = hinv @ y
-            shy = np.outer(s, hy)
-            hinv = hinv + (np.outer(s, s) * ((sy + float(y @ hy)) / sy) - shy - shy.T) / sy
-        g = g_new
-    return u, h, evals
+    h, g = h.tolist(), list(_gradient(kept, iu))
+    hinv = [np.eye(2 * p) for _ in range(n)]
+    evals, steps, tries = [1] * n, [0] * n, [0] * n
+    d, slope, t = [None] * n, [0.0] * n, [1.0] * n
+
+    def search(i) -> bool:
+        """Start line search steps[i] of start i, or return False: it is done."""
+        if steps[i] == _MAX_STEPS or np.sqrt(g[i] @ g[i]) < _GRAD_TOL:
+            return False
+        d[i] = -hinv[i] @ g[i]
+        slope[i] = float(g[i] @ d[i])
+        if slope[i] >= 0.0:
+            hinv[i] = np.eye(2 * p)
+            d[i], slope[i] = -g[i], -float(g[i] @ g[i])
+        t[i], tries[i] = 1.0, 0
+        return True
+
+    active = [i for i in range(n) if search(i)]
+    while active:
+        x = np.array([t[i] * d[i] for i in active])
+        k = np.zeros((len(active), m, m), dtype=np.complex128)
+        k[:, iu[0], iu[1]] = x[:, :p] + 1j * x[:, p:]
+        w, v = np.linalg.eigh(1j * (k - dagger(k)))  # exp(K), from the eigh of iK
+        u_new = u[active] @ ((v * np.exp(-1j * w)[:, None, :]) @ dagger(v))
+        h_new, kept = _trial(u_new, b)
+        live, accepted = set(), []
+        for j, i in enumerate(active):
+            evals[i] += 1
+            tries[i] += 1
+            h_j = float(h_new[j])
+            if h_j <= h[i] + _ARMIJO * t[i] * slope[i]:
+                progress = h[i] - h_j
+                if progress > 0.0:
+                    u[i], h[i] = u_new[j], h_j
+                if progress > _PROGRESS_RTOL * abs(h[i]):
+                    accepted.append(j)
+                continue
+            t[i] *= 0.5
+            if -t[i] * slope[i] > _PROGRESS_RTOL * abs(h[i]) and tries[i] < _BACKTRACKS:
+                live.add(i)
+        if accepted:
+            g_new = _gradient(tuple(a[accepted] for a in kept), iu)
+            for j, g_i in zip(accepted, g_new):
+                i = active[j]
+                evals[i] += 1
+                s, y = t[i] * d[i], g_i - g[i]
+                sy = float(s @ y)
+                if sy > 0.0:
+                    hi = hinv[i] * (sy / float(y @ y)) if steps[i] == 0 else hinv[i]
+                    # (I - s y^T / sy) hi (I - y s^T / sy) + s s^T / sy, expanded
+                    hy = hi @ y
+                    shy = np.outer(s, hy)
+                    hinv[i] = hi + (np.outer(s, s) * ((sy + float(y @ hy)) / sy) - shy - shy.T) / sy
+                g[i] = g_i
+                steps[i] += 1
+                if search(i):
+                    live.add(i)
+        active = [i for i in active if i in live]
+    return u, np.array(h), np.array(evals)
 
 
 def _tied(h: np.ndarray) -> np.ndarray:
@@ -375,10 +397,9 @@ def _classical_correlation(b: np.ndarray, eig: np.ndarray, s_b: float, mi: float
 
     cands = np.concatenate([eig[None], _singular_bases(b, len(eig))])
     hs = _cond_entropy_batch(_basis_coef(cands), b)
-    ends = [_refine(cands[i], b) for i in np.argsort(_tied(hs), kind="stable")[: len(eig)]]
-    u, h, _ = ends[int(np.argmin(_tied(np.array([h for _, h, _ in ends]))))]
-    evals = 1 + len(cands) + sum(n for _, _, n in ends)
-    return max(0.0, s_b - h), u, evals, len(cands)
+    u, h, n = _refine(cands[np.argsort(_tied(hs), kind="stable")[: len(eig)]], b)
+    best = int(np.argmin(_tied(h)))
+    return max(0.0, s_b - float(h[best])), u[best], 1 + len(cands) + int(n.sum()), len(cands)
 
 
 def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> DiscordReport:

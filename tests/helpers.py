@@ -5,13 +5,16 @@ package internals: explicit loops instead of reshapes, closed-form 2x2
 eigenvalues instead of LAPACK where possible, and alternative mathematical
 characterizations (Bloch-span rank, commuting slice families) instead of the
 detection algorithms under test.  A test that compares the package against
-these oracles can only pass if both derivations agree.
+these oracles can only pass if both derivations agree.  The exception is
+sequential_refine, the measurement refinement the package replaced, kept
+as the reference its replacement must reproduce exactly.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from qcorr import BipartiteState, Tolerance
+from qcorr import discord as D
 from qcorr.errors import InconsistentBlocks, NotPsd
 
 
@@ -406,8 +409,6 @@ def measured_correlation(state: BipartiteState, basis: np.ndarray,
 _CC_GRID = (64, 128)
 _CC_EPS_OPT = 1e-4
 _CC_EPS_PROB = 1e-12
-_CC_SEED = 20260815
-_CC_STARTS_3 = 6
 
 
 def _cond_entropy(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -497,45 +498,6 @@ def searched_cc_qubit(state: BipartiteState) -> float:
     return max(0.0, best)
 
 
-def _chart3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (w @ _givens3(0, 1, x[0], x[1]) @ _givens3(0, 2, x[2], x[3])
-            @ _givens3(1, 2, x[4], x[5]))
-
-
-def searched_cc_qutrit(state: BipartiteState) -> float:
-    """Classical correlation of a 3xN state from Nelder-Mead over a Givens
-    chart of U(3): starts at the rho_A eigenbasis, the identity and four
-    seeded Haar bases, stopping within a quarter of 1e-4 of the mutual
-    information."""
-    from scipy.optimize import minimize
-
-    if state.dim_a != 3:
-        raise ValueError("searched_cc_qutrit expects dim_a = 3")
-    blocks = blocks_of(state)
-    s_b = vn_entropy(np.einsum("kkab->ab", blocks))
-    mi = _mutual_information(state, blocks)
-    rho_a = np.einsum("klaa->kl", blocks)
-    starts = [np.linalg.eigh((rho_a + rho_a.conj().T) / 2)[1][:, ::-1],
-              np.eye(3, dtype=np.complex128)]
-    rng = np.random.default_rng(_CC_SEED)
-    starts += [_haar(3, rng) for _ in range(_CC_STARTS_3 - 2)]
-    best = -np.inf
-    for w in starts:
-        def neg(x, w=w):
-            u = _chart3(x, w)
-            return float(_cond_entropy(np.einsum("ik,jk->kij", np.conj(u), u), blocks) - s_b)
-
-        best = max(best, -neg(np.zeros(6)))
-        if mi - best <= 0.25 * _CC_EPS_OPT:
-            break
-        res = minimize(neg, np.zeros(6), method="Nelder-Mead",
-                       options={"maxfev": 400, "fatol": 1e-9, "xatol": 1e-8})
-        best = max(best, -float(res.fun))
-        if mi - best <= 0.25 * _CC_EPS_OPT:
-            break
-    return max(0.0, best)
-
-
 _MULTI_STARTS = 24
 _MULTI_SEED = 1004
 _MULTI_STEP = 1e-6
@@ -579,6 +541,84 @@ def searched_cc(state: BipartiteState) -> float:
                        options={"gtol": 1e-9})
         best = min(best, float(res.fun))
     return max(0.0, s_b - best)
+
+
+def _seq_trial(u: np.ndarray, b: np.ndarray):
+    t = D._contract(np.einsum("ik,jl->klij", np.conj(u), u), b)
+    sig = np.einsum("kkab->kab", t)
+    w, v = np.linalg.eigh(sig)
+    h, lw = D._entropy_terms(w, np.einsum("kaa->k", sig).real)
+    return float(h), (t, v, lw)
+
+
+def _seq_gradient(trial, iu) -> np.ndarray:
+    t, v, lw = trial
+    m = t.shape[0]
+    lt = (np.conj(v) * lw[:, None, :]) @ v.transpose(0, 2, 1)
+    g = (t.reshape(m, m, -1) @ lt.reshape(m, -1, 1))[..., 0]
+    z = 2.0 * (g - np.conj(g.T))[iu]
+    return np.concatenate([z.real, z.imag])
+
+
+def sequential_refine(u: np.ndarray, b: np.ndarray):
+    """(endpoint, H, evaluations) of one start u (M, M) on the block stack b.
+
+    The measurement refinement as it was before its starts were refined in
+    lockstep: the same BFGS, line search and stop rules, on one basis, with
+    the single-basis trial and gradient it used.  It shares the package's
+    block contraction, entropy terms and constants, so the lockstep
+    refinement must reproduce it bit for bit, start by start.
+    """
+    m = u.shape[0]
+    iu = np.triu_indices(m, 1)
+
+    def step(x):
+        k = np.zeros((m, m), dtype=np.complex128)
+        k[iu] = x[: iu[0].size] + 1j * x[iu[0].size:]
+        w, v = np.linalg.eigh(1j * (k - np.conj(k.T)))
+        return (v * np.exp(-1j * w)) @ np.conj(v.T)
+
+    h, kept = _seq_trial(u, b)
+    g = _seq_gradient(kept, iu)
+    hinv = np.eye(g.size)
+    evals = 1
+    for it in range(D._MAX_STEPS):
+        if np.sqrt(g @ g) < D._GRAD_TOL:
+            break
+        d = -hinv @ g
+        slope = float(g @ d)
+        if slope >= 0.0:
+            hinv = np.eye(g.size)
+            d, slope = -g, -float(g @ g)
+        t = 1.0
+        for _ in range(D._BACKTRACKS):
+            u_new = u @ step(t * d)
+            h_new, kept = _seq_trial(u_new, b)
+            evals += 1
+            if h_new <= h + D._ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if -t * slope <= D._PROGRESS_RTOL * abs(h):
+                return u, h, evals
+        else:
+            break
+        progress = h - h_new
+        if progress > 0.0:
+            u, h = u_new, h_new
+        if progress <= D._PROGRESS_RTOL * abs(h):
+            break
+        g_new = _seq_gradient(kept, iu)
+        evals += 1
+        s, y = t * d, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if it == 0:
+                hinv = hinv * (sy / float(y @ y))
+            hy = hinv @ y
+            shy = np.outer(s, hy)
+            hinv = hinv + (np.outer(s, s) * ((sy + float(y @ hy)) / sy) - shy - shy.T) / sy
+        g = g_new
+    return u, h, evals
 
 
 # ---------------------------------------------------------------------------
