@@ -17,12 +17,14 @@ on the unitary group U(dim_a) modulo column phases, with the analytic
 gradient of the conditional entropy.  The starts are refined together in
 rounds: each round takes one batched exp(K), one batched line-search trial
 and one batched gradient over the starts still active, and each start keeps
-its own line search and inverse Hessian.  A trial decomposes its
-conditional states once, and the gradient at an accepted trial reuses that
-decomposition.  Each contraction over the blocks of rho is one matmul.  The
-line search has a rounding floor: a halved step is not tried once its
-predicted decrease is a rounding-level fraction of H, and the start's
-refinement ends there.
+its own line search and inverse Hessian.  One evaluator, _trial, gives
+every value of the conditional entropy: the exit, the scores, the trials
+and conditional_entropy.  It decomposes the conditional states once, and
+the gradient at a scored start or an accepted trial reuses that
+decomposition, so no basis is evaluated twice.  Each contraction over the
+blocks of rho is one matmul.  The line search has a rounding floor: a
+halved step is not tried once its predicted decrease is a rounding-level
+fraction of H, and the start's refinement ends there.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -79,10 +81,13 @@ class DiscordReport:
 
     discord = max(0, mutual_information - classical_correlation).  The
     maximizing basis is in optimal_basis (columns are the measurement
-    vectors).  optimizer_evals counts objective and gradient evaluations,
-    one per basis scored or tried and one per gradient (also where that
-    reuses its trial's decomposition), and grid_resolution the starts scored
-    before refinement: min(dim_a^2, dim_b^2), 10 for a qubit A, 0 on early exit.
+    vectors).  The search is local, so classical_correlation is a lower
+    bound on C_A and discord an upper bound.  optimizer_evals counts
+    objective and gradient evaluations: one per basis scored (the rho_A
+    eigenbasis, then each start) or tried in a line search, and one per
+    gradient at an accepted trial; the gradient at a start comes with its
+    score.  grid_resolution counts the starts scored before refinement:
+    min(dim_a^2, dim_b^2), 10 for a qubit A, 0 on early exit.
     """
 
     mutual_information: float
@@ -181,22 +186,12 @@ def _contract(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (coef.reshape(*lead, -1) @ b.reshape(len(b), -1)).reshape(*lead, *b.shape[1:])
 
 
-def _cond_entropy_batch(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum_k p_k S(sigma_k) for a batch of measurements.
-
-    coef has shape (..., K, M, M) with coef[..., k, i, j] = conj(v_i) v_j for
-    outcome vector v of outcome k, and b is a _block_stack; returns shape
-    (...,).
-    """
-    sig = _contract(coef, b)
-    return _entropy_terms(np.linalg.eigvalsh(sig), np.einsum("...kaa->...k", sig).real)[0]
-
-
 def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_TOL) -> float:
     """Sum over outcomes of p_k S(sigma_B|k), in bits, for the measurement
     along the columns of basis, an orthonormal basis of C^dim_a.
 
-    This is the objective discord_a minimizes, evaluated by the same code.
+    This is the objective discord_a minimizes, evaluated by _trial, the
+    code that scores and refines its measurements.
     """
     u = np.asarray(basis, dtype=np.complex128)
     m = state.dim_a
@@ -207,7 +202,7 @@ def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_T
     defect = fro_norm(dagger(u) @ u - np.eye(m))
     if defect > tol.eps_residual:
         raise NotUnitary(f"basis unitarity defect {defect:.3e}")
-    return float(_cond_entropy_batch(_basis_coef(u), _block_stack(state)))
+    return float(_trial(u, _block_stack(state))[0])
 
 
 # Iterative searches stop once an iteration lowers their objective by no
@@ -246,16 +241,12 @@ def _singular_bases(b: np.ndarray, m: int) -> np.ndarray:
     return np.linalg.eigh(h)[1]
 
 
-def _basis_coef(u: np.ndarray) -> np.ndarray:
-    """Outcome coefficients of bases u (..., M, M) whose columns are the vectors."""
-    return np.einsum("...ik,...jk->...kij", np.conj(u), u)
-
-
 def _trial(u: np.ndarray, b: np.ndarray):
     """H(U) = sum_k p_k S(sigma_k), shape (...,), for bases u (..., M, M), from
     T_kl = sum_ij conj(u_ik) u_jl b_ij, one matmul over the _block_stack b, and
     one batched eigh of the sigma_k = T_kk; T, the eigenvectors and
-    log2(w / p) are kept for _gradient."""
+    log2(w / p) are kept for _gradient.  The only evaluator of H: a row of a
+    batch equals the trial of that basis alone, so scored rows seed _refine."""
     t = _contract(np.einsum("...ik,...jl->...klij", np.conj(u), u), b)
     sig = np.einsum("...kkab->...kab", t)
     w, v = np.linalg.eigh(sig)
@@ -279,10 +270,12 @@ def _gradient(trial, iu) -> np.ndarray:
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def _refine(u: np.ndarray, b: np.ndarray):
+def _refine(u: np.ndarray, b: np.ndarray, h: np.ndarray, kept):
     """BFGS on U(M) modulo column phases, from each basis of the stack u
-    (S, M, M); returns the endpoints (S, M, M), their H (S,) and the
-    evaluations of each start (S,).
+    (S, M, M), given its H (S,) and the decomposition kept by the _trial that
+    scored it, which gives the first gradient, so the first _trial is on
+    stepped bases; returns the endpoints (S, M, M), their H (S,) and the
+    evaluations of each start after its score (S,).
 
     Steps are U <- U exp(K) with K off-diagonal skew-Hermitian, M(M-1) real
     coordinates: the real and imaginary parts of K above the diagonal.
@@ -303,10 +296,9 @@ def _refine(u: np.ndarray, b: np.ndarray):
     n, m = u.shape[:2]
     iu = np.triu_indices(m, 1)
     p = iu[0].size
-    h, kept = _trial(u, b)
     h, g = h.tolist(), list(_gradient(kept, iu))
     hinv = [np.eye(2 * p) for _ in range(n)]
-    evals, steps, tries = [1] * n, [0] * n, [0] * n
+    evals, steps, tries = [0] * n, [0] * n, [0] * n
     d, slope, t = [None] * n, [0.0] * n, [1.0] * n
 
     def search(i) -> bool:
@@ -384,20 +376,21 @@ def _classical_correlation(b: np.ndarray, eig: np.ndarray, s_b: float, mi: float
     eps_opt of either bound the search is done: exact for classical-quantum
     inputs, which attain mi there, and for pure states, whose rho_A
     eigenbasis is a Schmidt basis with H = 0.  Otherwise the eigenbasis and
-    the _singular_bases, all fixed by the state, are scored in one batch and
-    the best dim_a refined.  Scores and endpoints that tie with the least
-    (see _tied) keep candidate order: the starts are the best by score, and
-    the basis reported is the first refined endpoint, in start order, that
-    ties with the least H, so at a degenerate optimum rounding does not
-    choose among equally good bases.
+    the _singular_bases, all fixed by the state, are scored by one _trial, and
+    the best dim_a are refined from their rows of it.  Scores and endpoints
+    that tie with the least (see _tied) keep candidate order: the starts are
+    the best by score, and the basis reported is the first refined endpoint,
+    in start order, that ties with the least H, so at a degenerate optimum
+    rounding does not choose among equally good bases.
     """
-    h_eig = float(_cond_entropy_batch(_basis_coef(eig), b))
+    h_eig = float(_trial(eig, b)[0])
     if min(mi - (s_b - h_eig), h_eig) <= 0.25 * opt.eps_opt:
         return max(0.0, s_b - h_eig), eig, 1, 0
 
     cands = np.concatenate([eig[None], _singular_bases(b, len(eig))])
-    hs = _cond_entropy_batch(_basis_coef(cands), b)
-    u, h, n = _refine(cands[np.argsort(_tied(hs), kind="stable")[: len(eig)]], b)
+    hs, kept = _trial(cands, b)
+    starts = np.argsort(_tied(hs), kind="stable")[: len(eig)]
+    u, h, n = _refine(cands[starts], b, hs[starts], [a[starts] for a in kept])
     best = int(np.argmin(_tied(h)))
     return max(0.0, s_b - float(h[best])), u[best], 1 + len(cands) + int(n.sum()), len(cands)
 

@@ -237,11 +237,22 @@ def test_refinement_gradient_matches_central_differences():
         assert np.abs(g - H.cond_entropy_gradient(H.blocks_of(s), u)).max() < 1e-6
 
 
-def test_fused_trial_entropy_matches_the_candidate_batch():
+def test_the_one_evaluator_matches_the_oracle_and_its_batch_rows():
+    # _trial gives every H of the search, so helpers._cond_entropy, which
+    # contracts the blocks by einsum and takes eigvalsh, checks its value; and
+    # _refine starts from the rows of the batch that scored the starts, so
+    # each row must equal the trial of that basis alone, to the bit
     for s, u in refinement_cases():
         b = D._block_stack(s)
         h, _ = D._trial(u, b)
-        assert abs(h - float(D._cond_entropy_batch(D._basis_coef(u), b))) < 1e-14
+        oracle = H._cond_entropy(np.einsum("ik,jk->kij", np.conj(u), u), H.blocks_of(s))
+        assert abs(h - float(oracle)) <= 1e-14
+        bases = np.concatenate([u[None], D._singular_bases(b, s.dim_a)])
+        hs, kept = D._trial(bases, b)
+        for k, basis in enumerate(bases):
+            h_k, kept_k = D._trial(basis, b)
+            assert hs[k].tobytes() == h_k.tobytes(), (s.dim_a, s.dim_b, k)
+            assert all(a[k].tobytes() == a_k.tobytes() for a, a_k in zip(kept, kept_k))
 
 
 def test_matmul_trial_and_gradient_match_the_einsum_forms():
@@ -264,49 +275,55 @@ def test_matmul_trial_and_gradient_match_the_einsum_forms():
 
 
 def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypatch, linalg_calls):
-    # pins the lockstep rounds: a batched trial of the active starts makes one
-    # eigh (the sigma_k batch) and a batched gradient none, and a round adds
-    # the eigh of the starts' exp(K), so two per round; outside the
-    # refinement discord_a makes two eigh (rho_A, which also gives S(rho_A),
-    # and one batched eigh of the singular operators) and three eigvalsh:
-    # S(rho_B), the rho_A-eigenbasis score and the candidate batch; S(rho)
-    # comes from the spectrum validate kept
+    # pins the one evaluator and the lockstep rounds: every H comes from a
+    # _trial, which makes one eigh (the sigma_k batch), and a gradient makes
+    # none.  discord_a takes eigh of rho_A (which also gives S(rho_A)), one
+    # trial of the rho_A eigenbasis for the exit, one batched eigh of the
+    # singular operators and one trial that scores every start; each round
+    # adds the eigh of the starts' exp(K) and a trial.  Its only eigvalsh is
+    # S(rho_B); S(rho) comes from the spectrum validate kept
     s = ginibre_state([1, 2], 2, 3)
-    inside = {"_trial": [], "_gradient": []}
+    calls = {"_trial": [], "_gradient": []}
     starts = []
 
-    def counting(name, rows):
+    def counting(name, bases):
         real = getattr(D, name)
 
         def wrapper(*args):
             before = linalg_calls["eigh"]
             out = real(*args)
-            inside[name].append((linalg_calls["eigh"] - before, rows(args[0])))
+            calls[name].append((linalg_calls["eigh"] - before, bases(args[0])))
             return out
         return wrapper
 
     real_refine = D._refine
 
-    def refine(u, b):
-        starts.append(len(u))
-        return real_refine(u, b)
+    def refine(u, *args):
+        starts.append(u.copy())
+        return real_refine(u, *args)
 
-    monkeypatch.setattr(D, "_trial", counting("_trial", len))
+    monkeypatch.setattr(D, "_trial", counting("_trial", np.copy))
     monkeypatch.setattr(D, "_gradient", counting("_gradient", lambda trial: len(trial[0])))
     monkeypatch.setattr(D, "_refine", refine)
     linalg_calls.update(eigh=0, eigvalsh=0)
     r = discord_a(s)
-    rounds = len(inside["_trial"]) - 1  # the first trial scores the starts
-    assert r.grid_resolution > 0 and starts == [s.dim_a] and rounds > 0
-    assert {e for e, _ in inside["_trial"]} == {1} and {e for e, _ in inside["_gradient"]} == {0}
-    assert inside["_trial"][0][1] == inside["_gradient"][0][1] == s.dim_a
-    assert linalg_calls == {"eigh": 2 + 1 + 2 * rounds, "eigvalsh": 3}
-    # each start's trials and gradients count one evaluation each, but for
-    # its first gradient, as before the lockstep
-    trial_rows = sum(n for _, n in inside["_trial"])
-    gradient_rows = sum(n for _, n in inside["_gradient"])
-    assert r.optimizer_evals == 1 + r.grid_resolution + trial_rows + gradient_rows - s.dim_a
-    assert trial_rows > len(inside["_trial"])  # the starts share their trial calls
+    (exit_trial, score), rounds = calls["_trial"][:2], calls["_trial"][2:]
+    (first_gradient, *round_gradients) = calls["_gradient"]
+    assert r.grid_resolution > 0 and len(starts) == 1 and len(starts[0]) == s.dim_a and rounds
+    assert {e for e, _ in calls["_trial"]} == {1} and {e for e, _ in calls["_gradient"]} == {0}
+    assert exit_trial[1].shape == (s.dim_a, s.dim_a) and len(score[1]) == r.grid_resolution
+    assert linalg_calls == {"eigh": 4 + 2 * len(rounds), "eigvalsh": 1}
+    # the starts' first gradient reuses their score, so the refinement's
+    # first trial is on stepped bases, none of them a start
+    assert first_gradient[1] == s.dim_a
+    assert not any(np.array_equal(x, u) for x in rounds[0][1] for u in starts[0])
+    # each basis scored or tried counts one evaluation, and so does each
+    # gradient at an accepted trial; the starts' first gradient comes with
+    # their score
+    trial_rows = sum(len(u) for _, u in rounds)
+    gradient_rows = sum(n for _, n in round_gradients)
+    assert r.optimizer_evals == 1 + r.grid_resolution + trial_rows + gradient_rows
+    assert trial_rows > len(rounds)  # the starts share their trial calls
 
 
 def rank2_state(key, m: int, n: int) -> BipartiteState:
@@ -320,8 +337,8 @@ def rank2_state(key, m: int, n: int) -> BipartiteState:
 def test_lockstep_refinement_equals_the_sequential_oracle():
     # a panel fixed before it was run: 20 Ginibre and 10 rank-2 states of
     # each shape and 10 random_sppt states of each 2xN; every start the
-    # search refines must end where helpers.sequential_refine ends it, to
-    # the bit, after as many evaluations
+    # search refines from its score must end where helpers.sequential_refine
+    # ends it, to the bit, after as many evaluations
     shapes = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2)]
     states = [ginibre_state([seed, m, n], m, n) for m, n in shapes for seed in range(20)]
     states += [rank2_state([seed, m, n, 2], m, n) for m, n in shapes for seed in range(10)]
@@ -331,13 +348,15 @@ def test_lockstep_refinement_equals_the_sequential_oracle():
     for s in states:
         b = D._block_stack(s)
         cands = np.concatenate([D._marginals(s)[2][None], D._singular_bases(b, s.dim_a)])
-        hs = D._cond_entropy_batch(D._basis_coef(cands), b)
-        u0 = cands[np.argsort(D._tied(hs), kind="stable")[: s.dim_a]]
-        u, h, evals = D._refine(u0, b)
+        hs, kept = D._trial(cands, b)
+        best = np.argsort(D._tied(hs), kind="stable")[: s.dim_a]
+        u0 = cands[best]
+        u, h, evals = D._refine(u0, b, hs[best], [a[best] for a in kept])
         assert u.shape == u0.shape and h.shape == evals.shape == (len(u0),)
         for k, start in enumerate(u0):
             u_k, h_k, evals_k = H.sequential_refine(start, b)
-            assert (h[k], evals[k]) == (h_k, evals_k), (s.dim_a, s.dim_b, k)
+            # the oracle counts its first trial, which is the start's score
+            assert (h[k], evals[k] + 1) == (h_k, evals_k), (s.dim_a, s.dim_b, k)
             assert u[k].tobytes() == u_k.tobytes(), (s.dim_a, s.dim_b, k)
         batches += len(u0) > 1
     assert batches == len(states) - 30  # each 2x1 state has one start
@@ -523,8 +542,9 @@ def test_refinement_reaches_zero_entropy_on_pure_states():
         s = random_pure(m, n, rng_seed=[41, m, n])
         b = D._block_stack(s)
         cands = D._singular_bases(b, m)
-        hs = D._cond_entropy_batch(D._basis_coef(cands), b)
-        _, h, _ = D._refine(cands[np.argsort(hs, kind="stable")[:m]], b)
+        hs, kept = D._trial(cands, b)
+        best = np.argsort(hs, kind="stable")[:m]
+        _, h, _ = D._refine(cands[best], b, hs[best], [a[best] for a in kept])
         assert np.abs(h).max() <= 1e-12, (m, n)
 
 
@@ -563,6 +583,21 @@ def test_top_singular_start_measures_along_the_largest_correlation():
         assert np.abs(_first_bloch(u)) == pytest.approx(axis, abs=1e-12), t
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="refining the best dim_a starts stops short on these 3xN states")
+def test_known_3xn_misses_reach_the_multi_start_oracle():
+    # the search reports classical correlation 0.214547, 0.243356 and
+    # 0.975700 where helpers.searched_cc reaches 0.215034, 0.243524 and
+    # 0.977172, so its discord is too high by up to 1.47e-3 bits; the change
+    # that mends the search must remove the xfail mark
+    states = [validate(random_ginibre_density(12, [81, 3, 4]), 3, 4),
+              validate(random_ginibre_density(9, [67, 3, 3]), 3, 3),
+              rank2_state([53, 3, 3, 2], 3, 3)]
+    missed = [k for k, s in enumerate(states)
+              if H.searched_cc(s) - discord_a(s).classical_correlation > 0.25 * DEFAULT_OPT.eps_opt]
+    assert not missed
+
+
 @pytest.mark.parametrize("seed, m, n, expected", [(58, 3, 4, 0.391205), (1038, 3, 2, 0.205636)])
 def test_former_misses_reach_the_multi_start_oracle(seed, m, n, expected):
     # with the rho_A eigenbasis, the identity and 64 seeded Haar bases as
@@ -589,14 +624,14 @@ def test_backtrack_floor_saves_evaluations(monkeypatch):
     # so no line search of any start runs through all _BACKTRACKS halvings:
     # with one halving fewer allowed, every start ends as before, after as
     # many evaluations.  Without the floor some line search does on the
-    # first state (171 evaluations, not 142); the other two took 254 and 148
+    # first state (168 evaluations, not 139); the other two took 251 and 146
     # evaluations before it
     s, q = ginibre_state(3, 3, 2), ginibre_state(5, 2, 4)
     r, rq = discord_a(s), discord_a(q)
-    assert r.optimizer_evals < 254 and rq.optimizer_evals < 148
+    assert r.optimizer_evals < 251 and rq.optimizer_evals < 146
     states = [ginibre_state(1, 3, 2), s, q]
     reports = [discord_a(states[0]), r, rq]
-    assert reports[0].optimizer_evals == 142
+    assert reports[0].optimizer_evals == 139
     monkeypatch.setattr(D, "_BACKTRACKS", D._BACKTRACKS - 1)
     for state, report in zip(states, reports):
         capped = discord_a(state)
