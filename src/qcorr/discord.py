@@ -11,9 +11,9 @@ within a fraction of eps_opt of either bound.  This early exit, tried on
 the rho_A eigenbasis first, is exact for classical-quantum inputs, where
 that basis attains the mutual information, and for pure states, where it
 is a Schmidt basis with H = 0.  Otherwise the eigenbasis and the
-eigenbases of the singular operators of rho - rho_A x rho_B (for a qubit A
-also of their bisectors) are scored, and the best dim_a are refined by BFGS
-on the unitary group U(dim_a) modulo column phases, with the analytic
+eigenbases of the singular operators of rho - rho_A x rho_B and of the two
+bisectors of the leading pair are scored, and the best dim_a are refined by
+BFGS on the unitary group U(dim_a) modulo column phases, with the analytic
 gradient of the conditional entropy.  The starts are refined together in
 rounds: each round takes one batched exp(K), one batched line-search trial
 and one batched gradient over the starts still active, and each start keeps
@@ -21,10 +21,11 @@ its own line search and inverse Hessian.  One evaluator, _trial, gives
 every value of the conditional entropy: the exit, the scores, the trials
 and conditional_entropy.  It decomposes the conditional states once, and
 the gradient at a scored start or an accepted trial reuses that
-decomposition, so no basis is evaluated twice.  Each contraction over the
-blocks of rho is one matmul.  The line search has a rounding floor: a
-halved step is not tried once its predicted decrease is a rounding-level
-fraction of H, and the start's refinement ends there.
+decomposition, so no start is evaluated twice.  The rho_A eigenbasis alone
+is scored twice: by the exit and again as the first candidate.  Each
+contraction over the blocks of rho is one matmul.  The line search has a
+rounding floor: a halved step is not tried once its predicted decrease is a
+rounding-level fraction of H, and the start's refinement ends there.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -87,7 +88,7 @@ class DiscordReport:
     eigenbasis, then each start) or tried in a line search, and one per
     gradient at an accepted trial; the gradient at a start comes with its
     score.  grid_resolution counts the starts scored before refinement:
-    min(dim_a^2, dim_b^2), 10 for a qubit A, 0 on early exit.
+    min(dim_a^2, dim_b^2), plus 2 when that is above 1, 0 on early exit.
     """
 
     mutual_information: float
@@ -230,14 +231,12 @@ def _singular_bases(b: np.ndarray, m: int) -> np.ndarray:
     rows rho_ij - (rho_A)_ij rho_B, from the _block_stack b and M = m.  An X_k
     of distinct s_k is Hermitian up to a phase, which tr(X_k^2) exposes (at a
     repeated s_k it is any member of the subspace; phase 1 where tr(X_k^2) = 0).
-    The last s_k is 0, as the partial traces vanish, and is left out.  For a
-    qubit A, whose X_k are the principal axes of T, bisectors X_i +- X_j follow."""
+    The last s_k is 0, as the partial traces vanish, and is left out.  The
+    bisectors X_1 +- X_2 of the leading pair follow, for any dim_a."""
     c = b - np.einsum("kaa->k", b)[:, None, None] * b[:: m + 1].sum(axis=0)
     x = np.linalg.svd(c.reshape(len(b), -1), full_matrices=False)[0][:, :-1].T.reshape(-1, m, m)
     h = hermitize(np.exp(-0.5j * np.angle(np.einsum("kij,kji->k", x, x)))[:, None, None] * x)
-    if m == 2:
-        i, j = np.triu_indices(len(h), 1)
-        h = np.concatenate([h, h[i] + h[j], h[i] - h[j]])
+    h = np.concatenate([h, h[:1] + h[1:2], h[:1] - h[1:2]])
     return np.linalg.eigh(h)[1]
 
 
