@@ -26,8 +26,6 @@ class AnalysisReport:
     """Everything known about one state."""
 
     state: BipartiteState
-    trace: float
-    spectrum: list[float]
     sppt: SpptVerdict
     discord: DiscordReport
     cq: CqVerdict
@@ -54,8 +52,6 @@ def analyze(
 
     return AnalysisReport(
         state=state,
-        trace=float(np.trace(state.rho).real),
-        spectrum=[float(x) for x in state.spectrum],
         sppt=sppt,
         discord=report,
         cq=cq,
@@ -104,9 +100,9 @@ def to_machine(report: AnalysisReport) -> dict:
     theta, phi = _bloch_angles(report.discord)
     return {
         "dims": [report.state.dim_a, report.state.dim_b],
-        "trace": report.trace,
-        "spectrum": report.spectrum,
-        "pt_spectrum": [float(x) for x in report.sppt.ppt.spectrum],
+        "trace": float(np.trace(report.state.rho).real),
+        "spectrum": report.state.spectrum.tolist(),
+        "pt_spectrum": report.sppt.ppt.spectrum.tolist(),
         "is_ppt": report.sppt.ppt.is_ppt,
         "ppt_min_eigenvalue": report.sppt.ppt.min_eigenvalue,
         "is_sppt": report.sppt.is_sppt,
@@ -126,19 +122,19 @@ def to_machine(report: AnalysisReport) -> dict:
     }
 
 
-def _fmt_spec(values: list[float]) -> str:
+def _fmt_spec(values) -> str:
     return " ".join(f"{x:.6f}" for x in values)
 
 
 def to_human(report: AnalysisReport) -> str:
     """Plain-text rendering of the report."""
-    d = report.discord
+    s, d = report.state, report.discord
     ppt = report.sppt.ppt
     theta, phi = _bloch_angles(d)
     lines = [
-        f"state               {report.state.dim_a}x{report.state.dim_b}, trace {report.trace:.12f}",
-        f"spectrum            {_fmt_spec(report.spectrum)}",
-        f"pt spectrum         {_fmt_spec(list(ppt.spectrum))}",
+        f"state               {s.dim_a}x{s.dim_b}, trace {np.trace(s.rho).real:.12f}",
+        f"spectrum            {_fmt_spec(s.spectrum)}",
+        f"pt spectrum         {_fmt_spec(ppt.spectrum)}",
         f"ppt                 {'yes' if ppt.is_ppt else 'NO'}"
         f" (min eigenvalue {ppt.min_eigenvalue: .3e})",
         f"sppt                {'yes' if report.sppt.is_sppt else 'NO'}"

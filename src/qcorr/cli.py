@@ -5,6 +5,10 @@ scan-inclusions.  Exit codes: 0 success, 1 a verified claim failed
 (an assertion, a disagreement, or a missing witness), 2 input error
 (unreadable or invalid state file, bad parameters).
 
+Reports are JSON under --format machine, else text, written to --output
+or stdout; remark-3xn always prints, as its --output names the witness
+file, and scan-inclusions writes CSV with its tallies on stderr.
+
 Every randomized command either takes --seed or reports the seed it
 chose, so any reported state can be regenerated exactly.
 """
@@ -68,11 +72,13 @@ def _seed(args) -> int:
     return int(args.seed) if args.seed is not None else int(np.random.SeedSequence().entropy) % 2**63
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, doc: dict, text: str) -> None:
+    """Write doc as JSON under --format machine, else text, to --output or stdout."""
+    out = json.dumps(doc, indent=1) if args.format == "machine" else text
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        Path(args.output).write_text(out + "\n")
     else:
-        print(text)
+        print(out)
 
 
 def _flag(value: bool) -> str:
@@ -83,16 +89,11 @@ def cmd_analyze(args) -> int:
     tol = _tol(args)
     state, meta = statefile.read_statefile(args.path, tol)
     report = analysis.analyze(state, tol, _opt(args))
-    if args.format == "machine":
-        doc = analysis.to_machine(report)
-        if meta:
-            doc["metadata"] = meta
-        _emit(args, json.dumps(doc, indent=1))
-    else:
-        text = analysis.to_human(report)
-        if meta:
-            text = f"metadata            {json.dumps(meta)}\n" + text
-        _emit(args, text)
+    doc, text = analysis.to_machine(report), analysis.to_human(report)
+    if meta:
+        doc["metadata"] = meta
+        text = f"metadata            {json.dumps(meta)}\n" + text
+    _emit(args, doc, text)
     return EXIT_CLAIM if report.inconsistency else EXIT_OK
 
 
@@ -105,17 +106,14 @@ def cmd_verify_theorem1(args) -> int:
     results = [(v.is_sppt, v.residuals["normality"]) for v in verdicts]
     passes = sum(ok for ok, _ in results)
     max_resid = max([0.0] + [resid for _, resid in results])
-    if args.format == "machine":
-        _emit(args, json.dumps({
-            "samples": args.samples,
-            "dim_b": n,
-            "passes": passes,
-            "max_normality_residual": max_resid,
-            "seed": seed,
-        }, indent=1))
-    else:
-        _emit(args, f"{passes}/{args.samples} random CQ 2x{n} states SPPT, "
-                    f"max normality residual {max_resid:.3e}, seed {seed}")
+    _emit(args, {
+        "samples": args.samples,
+        "dim_b": n,
+        "passes": passes,
+        "max_normality_residual": max_resid,
+        "seed": seed,
+    }, f"{passes}/{args.samples} random CQ 2x{n} states SPPT, "
+       f"max normality residual {max_resid:.3e}, seed {seed}")
     return EXIT_OK if passes == args.samples else EXIT_CLAIM
 
 
@@ -142,24 +140,44 @@ def cmd_remark_3xn(args) -> int:
             "family": f"random_cq(3,{n}); sample index {k}",
         })
         lines.append(f"worst offender (residual {worst_resid:.3e}) written to {witness_path}")
-    if args.format == "machine":
-        print(json.dumps({
-            "samples": args.samples,
-            "dim_b": n,
-            "offenders": offenders,
-            "fraction": frac,
-            "worst_s12_normality": worst_resid,
-            "median_s12_normality": float(np.median(resids)) if args.samples else None,
-            "witness": witness_path,
-            "seed": seed,
-        }, indent=1))
-    else:
-        print("\n".join(lines))
+    doc = {
+        "samples": args.samples,
+        "dim_b": n,
+        "offenders": offenders,
+        "fraction": frac,
+        "worst_s12_normality": worst_resid,
+        "median_s12_normality": float(np.median(resids)) if args.samples else None,
+        "witness": witness_path,
+        "seed": seed,
+    }
+    # not _emit: --output names the witness file, so the report always goes to stdout
+    print(json.dumps(doc, indent=1) if args.format == "machine" else "\n".join(lines))
     return EXIT_OK if offenders > 0 else EXIT_CLAIM
 
 
-def _xstate_rows(params: families.XStateParams, tol: Tolerance):
-    """(analytic, numeric) verdict triples for one X-state parameter set."""
+def _verdict_table(args, head: dict, analytic: dict, numeric: dict, width: int,
+                   tail: dict, lines: list[str]) -> int:
+    """Emit analytic against numeric verdicts; EXIT_CLAIM on any disagreement.
+
+    The document is head, analytic, numeric, tail and the mismatched keys.
+    The text has one row per analytic verdict, '-' where numeric lacks it,
+    with verdict names padded to width, followed by lines.
+    """
+    mismatches = [k for k in numeric if analytic[k] != numeric[k]]
+    rows = [f"{'verdict':<{width}} analytic  numeric"]
+    for k, want in analytic.items():
+        num = _flag(numeric[k]) if k in numeric else "-"
+        mark = "  <- disagreement" if k in mismatches else ""
+        rows.append(f"{k:<{width}} {_flag(want):<9} {num}{mark}")
+    doc = {**head, "analytic": analytic, "numeric": numeric, **tail, "mismatches": mismatches}
+    _emit(args, doc, "\n".join([*rows, *lines]))
+    return EXIT_CLAIM if mismatches else EXIT_OK
+
+
+def cmd_xstate(args) -> int:
+    tol = _tol(args)
+    params = families.XStateParams(a11=args.a11, a22=args.a22, b11=args.b11, b22=args.b22,
+                                   a12=args.a12, b12=args.b12)
     analytic = {
         "positive": families.xstate_is_positive(params),
         "ppt": families.xstate_is_ppt(params),
@@ -173,36 +191,12 @@ def _xstate_rows(params: families.XStateParams, tol: Tolerance):
         sppt = factorization.is_sppt(state, tol)
         numeric.update(ppt=sppt.ppt.is_ppt, sppt=sppt.is_sppt,
                        zero_discord=discord.cq_detect(state, tol).is_cq)
-    return analytic, numeric
-
-
-def cmd_xstate(args) -> int:
-    tol = _tol(args)
-    params = families.XStateParams(
-        a11=args.a11, a22=args.a22, b11=args.b11, b22=args.b22,
-        a12=args.a12, b12=args.b12,
-    )
-    analytic, numeric = _xstate_rows(params, tol)
-    mismatches = [k for k in numeric if analytic[k] != numeric[k]]
-    if args.format == "machine":
-        _emit(args, json.dumps({
-            "params": {
-                "a11": args.a11, "a22": args.a22, "b11": args.b11, "b22": args.b22,
-                "a12": [args.a12.real, args.a12.imag],
-                "b12": [args.b12.real, args.b12.imag],
-            },
-            "analytic": analytic,
-            "numeric": numeric,
-            "mismatches": mismatches,
-        }, indent=1))
-    else:
-        lines = ["verdict          analytic  numeric"]
-        for k in ("positive", "ppt", "sppt", "zero_discord"):
-            num = _flag(numeric[k]) if k in numeric else "-"
-            mark = "  <- disagreement" if k in mismatches else ""
-            lines.append(f"{k:<16} {_flag(analytic[k]):<9} {num}{mark}")
-        _emit(args, "\n".join(lines))
-    return EXIT_CLAIM if mismatches else EXIT_OK
+    head = {"params": {
+        "a11": args.a11, "a22": args.a22, "b11": args.b11, "b22": args.b22,
+        "a12": [args.a12.real, args.a12.imag],
+        "b12": [args.b12.real, args.b12.imag],
+    }}
+    return _verdict_table(args, head, analytic, numeric, 16, {}, [])
 
 
 def cmd_bell(args) -> int:
@@ -222,26 +216,10 @@ def cmd_bell(args) -> int:
     report = analysis.analyze(state, tol, _opt(args))
     numeric = {"sppt": report.sppt.is_sppt, "zero_discord": report.cq.is_cq}
     com, rep = report.cq.commutator, report.discord
-    mismatches = [k for k in numeric if analytic[k] != numeric[k]]
-    if args.format == "machine":
-        _emit(args, json.dumps({
-            "p": p,
-            "analytic": analytic,
-            "numeric": numeric,
-            "commutator": com,
-            "discord": rep.discord,
-            "mutual_information": rep.mutual_information,
-            "mismatches": mismatches,
-        }, indent=1))
-    else:
-        lines = ["verdict       analytic  numeric"]
-        for k in ("sppt", "zero_discord"):
-            mark = "  <- disagreement" if k in mismatches else ""
-            lines.append(f"{k:<13} {_flag(analytic[k]):<9} {_flag(numeric[k])}{mark}")
-        lines.append(f"commutator    {com:.3e}")
-        lines.append(f"discord       {rep.discord:.6f} bits")
-        _emit(args, "\n".join(lines))
-    return EXIT_CLAIM if mismatches else EXIT_OK
+    tail = {"commutator": com, "discord": rep.discord,
+            "mutual_information": rep.mutual_information}
+    lines = [f"commutator    {com:.3e}", f"discord       {rep.discord:.6f} bits"]
+    return _verdict_table(args, {"p": p}, analytic, numeric, 13, tail, lines)
 
 
 def _simplex_grid(steps: int):

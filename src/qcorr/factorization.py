@@ -45,8 +45,6 @@ __all__ = [
     "SpptFactorization",
     "SpptVerdict",
     "factorize",
-    "assemble_x",
-    "canonical_y",
     "gauge_transform",
     "is_sppt",
 ]
@@ -179,21 +177,6 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
             mass_sq += float(mass @ mass)
             deficient = deficient or bool((mass > tol.eps_residual).any())
     return _finished(x, s, state.rho, deficient, float(np.sqrt(mass_sq)))
-
-
-def assemble_x(f: SpptFactorization) -> np.ndarray:
-    """The upper block-triangular factor X with rho = X^dagger X."""
-    return _factor(f.x, f.s)
-
-
-def canonical_y(f: SpptFactorization) -> np.ndarray:
-    """Y^dagger Y for the factor Y obtained by replacing every S_jl with S_jl^dagger.
-
-    Equals the partial transpose of the factorized state exactly when the
-    normality and cross conditions of the SPPT certificate hold.
-    """
-    y = _factor(f.x, dagger(f.s))
-    return dagger(y) @ y
 
 
 def gauge_transform(

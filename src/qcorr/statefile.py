@@ -45,10 +45,11 @@ def _entry_error(i: int, pair) -> ParseError:
 def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, dict]:
     """Parse and validate a document; returns the state and its metadata.
 
-    Matrix entries are [re, im] pairs of JSON numbers; a boolean, NaN, an
-    infinity or an integer beyond the float range raises ParseError naming
-    the entry, as do other structural problems.  A well-formed matrix that
-    is not a valid density matrix raises the specific validation error instead.
+    dims are two JSON integers, not booleans.  Matrix entries are [re, im]
+    pairs of JSON numbers; a boolean, NaN, an infinity or an integer beyond
+    the float range raises ParseError naming the entry, as do other
+    structural problems.  A well-formed matrix that is not a valid density
+    matrix raises the specific validation error instead.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
@@ -56,7 +57,7 @@ def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, 
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)  # bool is an int subclass
     ):
         raise ParseError(f"dims must be two positive integers, got {dims!r}")
     m, n = dims

@@ -701,6 +701,24 @@ def child_seeds(master: int, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# the factor of a canonical factorization, laid out block by block
+
+
+def factor_x(f, adjoint: bool = False) -> np.ndarray:
+    """The upper block-triangular X of f, with X_j = f.x[j] on the block
+    diagonal and S_jl X_j above it, so that rho = X^dagger X.
+
+    With adjoint, S_jl^dagger replaces S_jl: the factor Y of the SPPT
+    definition, for which Y^dagger Y = rho^{T_A} exactly on an SPPT state.
+    """
+    m = len(f.x)
+    s = np.conj(np.swapaxes(f.s, -2, -1)) if adjoint else f.s
+    zero = np.zeros_like(f.x[0])
+    return np.block([[f.x[j] if l == j else s[j, l] @ f.x[j] if l > j else zero
+                      for l in range(m)] for j in range(m)])
+
+
+# ---------------------------------------------------------------------------
 # unrolled 2xN and 3xN canonical factorizations: the strong-PPT test as it was
 # written before the block Cholesky took dim_a as a parameter, kept as an
 # oracle for qcorr.factorization

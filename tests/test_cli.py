@@ -402,6 +402,50 @@ def test_xstate_boundary_disagreement_is_a_claim_failure(capsys):
     assert not doc["analytic"]["sppt"] and doc["numeric"]["sppt"]
 
 
+XSTATE_AGREE = ["--a11", ".3", "--a22", ".2", "--b11", ".3", "--b22", ".2", "--a12", ".1"]
+
+
+@pytest.mark.parametrize("params, rc, table", [
+    (XSTATE_AGREE + ["--b12", ".1"], EXIT_OK,
+     ["positive         yes       yes",
+      "ppt              yes       yes",
+      "sppt             yes       yes",
+      "zero_discord     NO        NO"]),
+    (XSTATE_AGREE + ["--b12", "0.1000000001"], EXIT_CLAIM,
+     ["positive         yes       yes",
+      "ppt              yes       yes",
+      "sppt             NO        yes  <- disagreement",
+      "zero_discord     NO        NO"]),
+    # not a state: the numeric pipeline stops after the eigenvalue check
+    (["--a11", ".5", "--a22", ".5", "--b11", "0", "--b22", "0", "--b12", "0.1"], EXIT_OK,
+     ["positive         NO        NO",
+      "ppt              NO        -",
+      "sppt             NO        -",
+      "zero_discord     NO        -"]),
+])
+def test_xstate_human_table(params, rc, table, capsys):
+    assert main(["xstate", *params]) == rc
+    out, err = capsys.readouterr()
+    assert out == "\n".join(["verdict          analytic  numeric", *table]) + "\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["xstate", *XSTATE_AGREE], ["params", "analytic", "numeric", "mismatches"]),
+    (["bell", "--p", "0.7,0.1,0.1,0.1"],
+     ["p", "analytic", "numeric", "commutator", "discord", "mutual_information", "mismatches"]),
+    (["verify-theorem1", "--samples", "2", "--seed", "1"],
+     ["samples", "dim_b", "passes", "max_normality_residual", "seed"]),
+    (["remark-3xn", "--samples", "2", "--dim-b", "2", "--seed", "1"],
+     ["samples", "dim_b", "offenders", "fraction", "worst_s12_normality",
+      "median_s12_normality", "witness", "seed"]),
+])
+def test_machine_output_key_order(argv, keys, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # remark-3xn writes its witness to the working directory
+    main([*argv, "--format", "machine"])
+    assert list(json.loads(capsys.readouterr().out)) == keys
+
+
 # ---------------------------------------------------------------------------
 # scan-inclusions
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import unrolled_sppt
+from helpers import factor_x, unrolled_sppt
 from qcorr import (
     BipartiteState,
     CqSpec,
@@ -37,7 +37,7 @@ from qcorr.errors import (
     NotPsd,
     NotUnitary,
 )
-from qcorr.factorization import assemble_x, canonical_y, gauge_transform
+from qcorr.factorization import gauge_transform
 from qcorr.matlib import dagger, fro_norm
 
 
@@ -69,7 +69,7 @@ def test_reconstruction_is_tight_on_full_rank_states():
     for seed, (da, db) in [(0, (2, 1)), (1, (2, 2)), (2, (2, 3)), (3, (2, 5))]:
         s = ginibre_state(seed, da, db)
         f = factorize(s)
-        x = assemble_x(f)
+        x = factor_x(f)
         assert fro_norm(dagger(x) @ x - s.rho) < 1e-10
         assert f.reconstruction_residual < 1e-10
         assert not f.rank_deficient
@@ -86,13 +86,15 @@ def test_adjoint_replacement_matches_partial_transpose_iff_normal():
     # SPPT state: Y^dagger Y must equal rho^{T_A}
     s = random_sppt(3, rng_seed=10)
     f = factorize(s)
-    assert fro_norm(canonical_y(f) - partial_transpose_a(s)) < 1e-10
+    y = factor_x(f, adjoint=True)
+    assert fro_norm(dagger(y) @ y - partial_transpose_a(s)) < 1e-10
     # state with non-normal S: the same construction must fail to match
     p = XStateParams(a11=0.3, a22=0.2, b11=0.3, b22=0.2, a12=0.15, b12=0.02)
     t = xstate(p)
     g = factorize(t)
     assert g.residuals["normality"] > 1e-3
-    assert fro_norm(canonical_y(g) - partial_transpose_a(t)) > 1e-3
+    y = factor_x(g, adjoint=True)
+    assert fro_norm(dagger(y) @ y - partial_transpose_a(t)) > 1e-3
 
 
 def test_gauge_transform_preserves_state_and_verdict():
@@ -101,7 +103,7 @@ def test_gauge_transform_preserves_state_and_verdict():
     g1 = random_unitary(4, rng_seed=1)
     g2 = random_unitary(4, rng_seed=2)
     t = gauge_transform(f, (g1, g2))
-    x = assemble_x(t)
+    x = factor_x(t)
     assert fro_norm(dagger(x) @ x - s.rho) < 1e-9
     assert t.residuals["normality"] == pytest.approx(f.residuals["normality"], abs=1e-8)
     assert t.rank_deficient == f.rank_deficient
@@ -123,7 +125,7 @@ def test_gauge_transform_on_three_levels():
     s = ginibre_state(7, 3, 2)
     f = factorize(s)
     t = gauge_transform(f, [random_unitary(2, rng_seed=k) for k in range(3)])
-    x = assemble_x(t)
+    x = factor_x(t)
     assert fro_norm(dagger(x) @ x - s.rho) < 1e-9
     for key, value in f.residuals.items():
         assert t.residuals[key] == pytest.approx(value, abs=1e-8)
@@ -207,7 +209,8 @@ def test_is_sppt_serves_any_dim_a():
         v = is_sppt(s)
         assert v.is_sppt, (da, db, v.residuals)
         # the definition itself: replacing every S_jl by S_jl^dagger gives rho^{T_A}
-        assert fro_norm(canonical_y(v.factorization) - partial_transpose_a(s)) <= 1e-9
+        y = factor_x(v.factorization, adjoint=True)
+        assert fro_norm(dagger(y) @ y - partial_transpose_a(s)) <= 1e-9
     for seed, (da, db) in enumerate([(4, 2), (4, 3)]):
         assert not is_sppt(ginibre_state(50 + seed, da, db)).is_sppt
 
@@ -255,7 +258,7 @@ def test_factorization_reconstructs_random_states(seed, dim_b):
     f = factorize(s)
     scale = max(1.0, fro_norm(s.rho))
     assert f.reconstruction_residual < 1e-8 * scale
-    x = assemble_x(f)
+    x = factor_x(f)
     assert fro_norm(dagger(x) @ x - s.rho) < 1e-8 * scale
 
 
@@ -275,7 +278,7 @@ def test_cq_states_on_a_qubit_have_normal_s(seed):
 def test_3xn_reconstruction_and_residual_keys():
     s = ginibre_state(21, 3, 3)
     f = factorize(s)
-    x = assemble_x(f)
+    x = factor_x(f)
     assert fro_norm(dagger(x) @ x - s.rho) < 1e-9
     assert list(f.residuals) == ["normality_s12", "normality_s13", "normality_s23", "cross"]
     assert not f.rank_deficient

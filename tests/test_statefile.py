@@ -80,6 +80,8 @@ def test_metadata_key_is_omitted_when_empty():
         lambda d: d.pop("dims"),
         lambda d: d.update(dims=["two", 2]),
         lambda d: d.update(dims=[0, 4]),
+        # True == 1, so a 1x2 matrix would otherwise pass the length check
+        lambda d: d.update(dims=[True, 2], matrix=d["matrix"][:4]),
         lambda d: d.update(dims=[2, 2, 2]),
         lambda d: d.update(matrix=d["matrix"][:-1]),
         lambda d: d["matrix"].__setitem__(0, [0.1]),
