@@ -34,7 +34,6 @@ from .factorization import (
     SpptFactorization,
     SpptVerdict,
     factorize,
-    gauge_transform,
     is_sppt,
 )
 from .families import (
@@ -78,7 +77,6 @@ __all__ = [
     "SpptFactorization",
     "SpptVerdict",
     "factorize",
-    "gauge_transform",
     "is_sppt",
     "OptimizerConfig",
     "DEFAULT_OPT",

@@ -74,7 +74,7 @@ def _seed(args) -> int:
 
 def _emit(args, doc: dict, text: str) -> None:
     """Write doc as JSON under --format machine, else text, to --output or stdout."""
-    out = json.dumps(doc, indent=1) if args.format == "machine" else text
+    out = json.dumps(doc, indent=1, allow_nan=False) if args.format == "machine" else text
     if args.output:
         Path(args.output).write_text(out + "\n")
     else:

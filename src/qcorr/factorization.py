@@ -38,14 +38,13 @@ import numpy as np
 
 from . import bipartite
 from .bipartite import BipartiteState, assemble_blocks, block_tensor
-from .errors import DimensionMismatch, InconsistentBlocks, NotPsd, NotUnitary
+from .errors import InconsistentBlocks, NotPsd
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize
 
 __all__ = [
     "SpptFactorization",
     "SpptVerdict",
     "factorize",
-    "gauge_transform",
     "is_sppt",
 ]
 
@@ -58,8 +57,7 @@ class SpptFactorization:
     zero elsewhere, shape (M, M, N, N).  residuals holds the normality and
     cross residuals of S under the names is_sppt reports.  unexplained_mass
     is the Frobenius norm of the off-block parts outside the range of their
-    row's X_j (zero when every X_j has full rank); rho is the factorized
-    matrix.
+    row's X_j (zero when every X_j has full rank).
     """
 
     x: np.ndarray
@@ -68,7 +66,6 @@ class SpptFactorization:
     reconstruction_residual: float
     rank_deficient: bool
     unexplained_mass: float
-    rho: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,30 +111,6 @@ def _conditions(m: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.nda
 _EPS_RANK = 1e-10
 
 
-def _factor(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Upper block-triangular matrix with diagonal blocks x[j] and s[j, l] x[j] above."""
-    blocks = s @ x[:, None]  # s is zero on and below the block diagonal
-    blocks[np.diag_indices(len(x))] = x
-    return assemble_blocks(blocks)
-
-
-def _finished(x, s, rho, rank_deficient: bool, unexplained_mass: float) -> SpptFactorization:
-    """The factorization record, with every residual computed from x and s."""
-    keys, j, k, l = _conditions(len(x))
-    a, bd = s[j, k], dagger(s[j, l])
-    residuals = np.linalg.norm(a @ bd - bd @ a, axis=(-2, -1))
-    big_x = _factor(x, s)
-    return SpptFactorization(
-        x=x,
-        s=s,
-        residuals=dict(zip(keys, residuals.tolist())),
-        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - rho),
-        rank_deficient=rank_deficient,
-        unexplained_mass=unexplained_mass,
-        rho=rho,
-    )
-
-
 def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
     """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
     t = block_tensor(state)
@@ -176,35 +149,21 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
             mass = np.linalg.norm(r[1:] - proj @ r[1:] @ proj, axis=(-2, -1))
             mass_sq += float(mass @ mass)
             deficient = deficient or bool((mass > tol.eps_residual).any())
-    return _finished(x, s, state.rho, deficient, float(np.sqrt(mass_sq)))
-
-
-def gauge_transform(
-    f: SpptFactorization, unitaries, tol: Tolerance = DEFAULT_TOL
-) -> SpptFactorization:
-    """Apply the gauge freedom X_j -> G_j X_j, S_jl -> G_j S_jl G_j^dagger.
-
-    unitaries holds one unitary G_j per A level.  The factorized state, the
-    normality and cross residuals and the SPPT verdict are invariant (the
-    residuals are recomputed from the transformed factors, so equality is
-    numerical, not assumed).
-    """
-    m, n = f.x.shape[:2]
-    gs = [np.asarray(g, dtype=np.complex128) for g in unitaries]
-    if len(gs) != m:
-        raise DimensionMismatch(f"expected {m} unitaries, got {len(gs)}")
-    for j, g in enumerate(gs, 1):
-        if g.shape != (n, n):
-            raise DimensionMismatch(f"g{j} must be {n}x{n}, got {g.shape}")
-        if not np.isfinite(g).all():
-            raise NotUnitary(f"g{j} has NaN or infinite entries")
-        defect = fro_norm(dagger(g) @ g - np.eye(n))
-        if defect > tol.eps_residual:
-            raise NotUnitary(f"g{j} unitarity defect {defect:.3e}")
-    g = np.array(gs)
-    # rank_deficient and unexplained_mass are gauge-invariant; carried over
-    return _finished(g @ f.x, g[:, None] @ f.s @ dagger(g)[:, None], f.rho,
-                     f.rank_deficient, f.unexplained_mass)
+    keys, j, k, l = _conditions(m)
+    a, bd = s[j, k], dagger(s[j, l])
+    residuals = np.linalg.norm(a @ bd - bd @ a, axis=(-2, -1))
+    # the factor: diagonal blocks x[j], and s[j, l] x[j] above (s is zero elsewhere)
+    blocks = s @ x[:, None]
+    blocks[np.diag_indices(m)] = x
+    big_x = assemble_blocks(blocks)
+    return SpptFactorization(
+        x=x,
+        s=s,
+        residuals=dict(zip(keys, residuals.tolist())),
+        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.rho),
+        rank_deficient=deficient,
+        unexplained_mass=float(np.sqrt(mass_sq)),
+    )
 
 
 def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:

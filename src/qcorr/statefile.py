@@ -49,7 +49,9 @@ def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, 
     pairs of JSON numbers; a boolean, NaN, an infinity or an integer beyond
     the float range raises ParseError naming the entry, as do other
     structural problems.  A well-formed matrix that is not a valid density
-    matrix raises the specific validation error instead.
+    matrix raises the specific validation error instead.  Metadata that
+    strict JSON cannot hold, such as NaN or an infinity at any depth, raises
+    ParseError.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
@@ -81,6 +83,10 @@ def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, 
         raise _entry_error(i, entries[i])
     if not isinstance(metadata := doc.get("metadata"), dict | None):  # null reads as absent
         raise ParseError(f"metadata must be an object, got {metadata!r}")
+    try:  # json.loads reads NaN and Infinity, which RFC 8259 JSON has no place for
+        json.dumps(metadata, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"metadata must be strict JSON, got {metadata!r}: {exc}") from None
     state = validate(pairs.view(np.complex128).reshape(m * n, m * n), m, n, tol)
     return state, metadata or {}
 

@@ -11,6 +11,8 @@ as the reference its replacement must reproduce exactly.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from qcorr import BipartiteState, Tolerance
@@ -701,7 +703,8 @@ def child_seeds(master: int, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the factor of a canonical factorization, laid out block by block
+# the factor of a canonical factorization, laid out block by block, and its
+# gauge freedom
 
 
 def factor_x(f, adjoint: bool = False) -> np.ndarray:
@@ -716,6 +719,33 @@ def factor_x(f, adjoint: bool = False) -> np.ndarray:
     zero = np.zeros_like(f.x[0])
     return np.block([[f.x[j] if l == j else s[j, l] @ f.x[j] if l > j else zero
                       for l in range(m)] for j in range(m)])
+
+
+def gauge_transport(x, s, unitaries) -> SimpleNamespace:
+    """The factors x and s moved along the gauge freedom of rho = X^dagger X:
+    X_j -> G_j X_j and S_jl -> G_j S_jl G_j^dagger, with one unitary G_j per
+    A level.  The result carries the new x and s, so factor_x takes it."""
+    m = len(x)
+    g = [np.asarray(u, dtype=np.complex128) for u in unitaries]
+    return SimpleNamespace(
+        x=np.array([g[j] @ x[j] for j in range(m)]),
+        s=np.array([[g[j] @ s[j, l] @ np.conj(g[j].T) for l in range(m)] for j in range(m)]),
+    )
+
+
+def sppt_residuals(s) -> list[float]:
+    """Frobenius norms of S_jk S_jl^dagger - S_jl^dagger S_jk for j < k <= l:
+    first every normality condition (k = l), then every cross condition
+    (k < l), each group in (j, k, l) order."""
+    m = len(s)
+
+    def residual(j, k, l):
+        a, bd = s[j, k], np.conj(s[j, l].T)
+        return float(np.linalg.norm(a @ bd - bd @ a))
+
+    return ([residual(j, k, k) for j in range(m) for k in range(j + 1, m)]
+            + [residual(j, k, l) for j in range(m) for k in range(j + 1, m)
+               for l in range(k + 1, m)])
 
 
 # ---------------------------------------------------------------------------

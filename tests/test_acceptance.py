@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from helpers import (brute_discord_2q, child_seeds, factor_x, pseudo_inverse,
-                     sample_xstate_params, simplex_grid)
+from helpers import (brute_discord_2q, child_seeds, factor_x, gauge_transport,
+                     pseudo_inverse, sample_xstate_params, simplex_grid, sppt_residuals)
 from qcorr import (OptimizerConfig, Tolerance, bipartite, discord,
                    factorization, families, statefile)
 from qcorr.analysis import analyze, to_machine
@@ -214,10 +214,10 @@ def test_criterion_09_factorization_soundness_and_gauge_invariance():
 
         g1 = families.random_unitary(n, seed + 1)
         g2 = families.random_unitary(n, seed + 2)
-        g = factorization.gauge_transform(f, (g1, g2), TOL)
+        g = gauge_transport(f.x, f.s, (g1, g2))
         x = factor_x(g)
         drift = max(fro_norm(dagger(x) @ x - state.rho),
-                    abs(g.residuals["normality"] - f.residuals["normality"]))
+                    abs(sppt_residuals(g.s)[0] - f.residuals["normality"]))
         worst_gauge = max(worst_gauge, drift)
         assert drift <= 1e-8
     print(f"acceptance 09: PASS (1000 factorizations, worst reconstruction "

@@ -20,8 +20,6 @@ from qcorr import (
     CqSpec,
     build_cq_state,
     conditional_entropy,
-    factorize,
-    gauge_transform,
     is_ppt,
     partial_trace_a,
     partial_trace_b,
@@ -118,8 +116,6 @@ NON_FINITE_CASES = {
     "von_neumann_entropy": (NotDensityMatrix, lambda bad: von_neumann_entropy(np.diag([bad, 1.0]))),
     "conditional_entropy": (NotUnitary,
                             lambda bad: conditional_entropy(bell_state(), np.diag([bad, 1.0]))),
-    "gauge_transform": (NotUnitary, lambda bad: gauge_transform(
-        factorize(bell_state()), (np.diag([bad, 1.0]), np.eye(2)))),
     "build_cq_state_sigma": (InvalidSpec, lambda bad: build_cq_state(
         CqSpec(2, np.eye(2), (np.diag([bad, 0.5]), np.diag([0.0, 0.5]))))),
     "build_cq_state_u": (InvalidSpec, lambda bad: build_cq_state(

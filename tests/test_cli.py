@@ -113,6 +113,17 @@ def test_analyze_rejects_an_integer_beyond_the_float_range(tmp_path, capsys):
     assert "ParseError" in err and "matrix entry 0" in err
 
 
+def test_analyze_rejects_non_finite_metadata(tmp_path, capsys):
+    # json.loads reads NaN; echoing it would print a report that is not JSON
+    path = tmp_path / "nan_seed.json"
+    path.write_text('{"dims": [1, 1], "matrix": [[1, 0]], "metadata": {"seed": NaN}}')
+    rc = main(["analyze", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert "error: ParseError: metadata must be strict JSON" in captured.err
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path / "absent.json")])
     assert rc == EXIT_INPUT

@@ -93,6 +93,9 @@ def test_metadata_key_is_omitted_when_empty():
         lambda d: d.update(metadata=0),
         lambda d: d.update(metadata=False),
         lambda d: d.update(metadata=""),
+        # json.loads reads NaN and Infinity, which RFC 8259 JSON does not allow
+        lambda d: d.update(metadata={"seed": float("nan")}),
+        lambda d: d.update(metadata={"family": "cq", "runs": [{"t": [0.5, float("-inf")]}]}),
     ],
 )
 def test_structural_errors_raise_parse_error(mutate):
