@@ -51,7 +51,9 @@ class BipartiteState:
 
 def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
     """Check Hermiticity, unit trace and positivity, then wrap the matrix
-    with the spectrum its positivity check computed.
+    with the spectrum its positivity check computed, the only Hermitian part
+    formed; rho is kept as given, and later decompositions read its lower
+    triangle.
 
     Raises DimensionMismatch, NotDensityMatrix (a NaN or infinite entry),
     NotHermitian, TraceNotOne or NotPsd naming the violated invariant and
@@ -124,8 +126,7 @@ class PptVerdict:
 
 def is_ppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> PptVerdict:
     """Spectral test: rho^{T_A} PSD within the eps_psd floor."""
-    pt = partial_transpose_a(state)
-    w = npl.eigvalsh(hermitize(pt))
+    w = npl.eigvalsh(partial_transpose_a(state))
     lam_min = float(w[0])
     return PptVerdict(
         is_ppt=lam_min >= -tol.eps_psd,

@@ -34,6 +34,7 @@ it serves any dim_a.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,10 @@ class CqVerdict:
     off_block_residual is the Frobenius norm of the strict upper off-diagonal
     blocks in the best product basis found; is_cq holds when it is at most
     _EPS_CQ.  basis columns are the classical A-side vectors and sigma_list
-    the (unnormalized, PSD-clamped) conditional B-side operators; both are
-    None when the state is not classical-quantum.  commutator is the
-    state's commutator_criterion, which cq_detect computes as its first gate.
+    the (unnormalized, PSD-clamped, Hermitian up to rounding) conditional
+    B-side operators; both are None when the state is not classical-quantum.
+    commutator is the state's commutator_criterion, which cq_detect computes
+    as its first gate.
 
     When a degenerate rho_A cluster has three or more levels the best basis
     is found by a local method, so for a state that is not classical-quantum
@@ -161,7 +163,7 @@ def _marginals(state: BipartiteState):
     one eigh of rho_A, whose eigenvalues give S(rho_A), one eigvalsh of rho_B
     and the spectrum validate kept, ascending again so that S(rho) sums in
     the order of an eigvalsh of rho."""
-    w, v = np.linalg.eigh(hermitize(partial_trace_b(state)))
+    w, v = np.linalg.eigh(partial_trace_b(state))
     s_b = _entropy_of(partial_trace_a(state))
     s = _spectrum_entropy(state.spectrum[::-1])
     return max(0.0, _spectrum_entropy(w) + s_b - s), s_b, v[:, ::-1]
@@ -416,8 +418,11 @@ def commutator_criterion(state: BipartiteState) -> float:
     blocks, formed on the block view of rho: M^3 N^2 products instead of the
     (MN)^3 of two dense products with rho_A x I_B.
     """
-    t = block_tensor(state)
-    rho_a = partial_trace_b(state)
+    return _commutator(block_tensor(state), partial_trace_b(state))
+
+
+def _commutator(t: np.ndarray, rho_a: np.ndarray) -> float:
+    """commutator_criterion from the block view t of rho and rho_A."""
     return fro_norm(np.einsum("ikab,kj->ijab", t, rho_a) - np.einsum("ik,kjab->ijab", rho_a, t))
 
 
@@ -430,10 +435,19 @@ _EPS_DEGENERATE = 1e-8
 _EPS_CQ = 1e-6
 
 
+@functools.lru_cache(maxsize=None)
+def _upper(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only block indices (k, l), k < l, of an M x M grid."""
+    iu = np.triu_indices(m, 1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def _off_mass(blocks: np.ndarray) -> float:
     """Squared Frobenius norm of the blocks above the block diagonal."""
-    g = np.einsum("klab,klab->kl", blocks.conj(), blocks).real.tolist()
-    return float(sum(sum(row[k + 1:]) for k, row in enumerate(g)))
+    up = blocks[_upper(len(blocks))]
+    return float(np.vdot(up, up).real)
 
 
 def _rotate_pair(bp: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
@@ -486,11 +500,12 @@ def cq_detect(
     """
     m = state.dim_a
     b = block_tensor(state)
-    w, v = np.linalg.eigh(hermitize(partial_trace_b(state)))
+    rho_a = partial_trace_b(state)
+    w, v = np.linalg.eigh(rho_a)
     lam, basis = w[::-1], v[:, ::-1].copy()
     bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
 
-    com = commutator_criterion(state)
+    com = _commutator(b, rho_a)
     if com > tol.eps_residual:
         return CqVerdict(is_cq=False, basis=None, off_block_residual=float(np.sqrt(_off_mass(bp))),
                          sigma_list=None, commutator=com)
@@ -517,7 +532,7 @@ def cq_detect(
         return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None,
                          commutator=com)
     # the diagonal blocks, each clamped to its PSD part, from one batched eigh
-    w, v = np.linalg.eigh(hermitize(np.einsum("kkab->kab", bp)))
+    w, v = np.linalg.eigh(np.einsum("kkab->kab", bp))
     sigma = from_eig(np.maximum(w, 0.0), v)
     return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=list(sigma),
                      commutator=com)

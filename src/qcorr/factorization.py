@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bipartite
-from .bipartite import BipartiteState, assemble_blocks, block_tensor
+from .bipartite import BipartiteState, block_tensor
 from .errors import InconsistentBlocks, NotPsd
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize
 
@@ -124,7 +124,7 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         r = t[j, j:]
         if j:
             r = r - ((x[:j] @ dagger(s[:j, j]))[:, None] @ (s[:j, j:] @ x[:j, None])).sum(axis=0)
-        w, v = np.linalg.eigh(hermitize(r[0]))
+        w, v = np.linalg.eigh(r[0])
         lam = np.maximum(w, 0.0)
         root = np.sqrt(lam)
         x[j] = from_eig(root, v)
@@ -146,16 +146,19 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         s[j, j + 1:] = xp @ r[1:] @ xp
         if not keep.all():  # the off blocks' mass outside the range of X_j; none at full rank
             proj = hermitize(x[j] @ xp)
-            mass = np.linalg.norm(r[1:] - proj @ r[1:] @ proj, axis=(-2, -1))
+            outside = (r[1:] - proj @ r[1:] @ proj).reshape(m - j - 1, n * n)
+            mass = np.sqrt(np.vecdot(outside, outside).real)
             mass_sq += float(mass @ mass)
             deficient = deficient or bool((mass > tol.eps_residual).any())
     keys, j, k, l = _conditions(m)
     a, bd = s[j, k], dagger(s[j, l])
-    residuals = np.linalg.norm(a @ bd - bd @ a, axis=(-2, -1))
+    # (len(j), n * n), not -1: dim_a = 1 has no conditions and an empty stack
+    c = (a @ bd - bd @ a).reshape(len(j), n * n)
+    residuals = np.sqrt(np.vecdot(c, c).real)
     # the factor: diagonal blocks x[j], and s[j, l] x[j] above (s is zero elsewhere)
     blocks = s @ x[:, None]
     blocks[np.diag_indices(m)] = x
-    big_x = assemble_blocks(blocks)
+    big_x = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
     return SpptFactorization(
         x=x,
         s=s,
@@ -171,7 +174,8 @@ def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
     ppt = bipartite.is_ppt(state, tol)
     f = factorize(state, tol)
     _, j, k, l = _conditions(state.dim_a)
-    norms = np.linalg.norm(f.s, axis=(-2, -1))
+    s = f.s.reshape(*f.s.shape[:2], -1)
+    norms = np.sqrt(np.vecdot(s, s).real)
     bound = tol.eps_sppt * np.maximum(1.0, norms[j, k] * norms[j, l])
     normal_ok = bool(np.all(np.fromiter(f.residuals.values(), float, len(j)) <= bound))
     recon_ok = f.reconstruction_residual <= tol.eps_residual

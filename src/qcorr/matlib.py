@@ -5,7 +5,9 @@ is numpy.linalg called directly.  The thresholds a caller may set live in
 the Tolerance record and are passed explicitly; fixed cutoffs are private
 constants next to their only user.  dagger, fro_norm, hermitize and
 from_eig take numpy arrays and check nothing, not even the dtype: the
-modules that call them validate their inputs first.
+modules that call them validate their inputs first.  The Hermitian part of
+a state is formed once, for validate's spectrum; every later decomposition
+reads the lower triangle, as numpy.linalg.eigh does.
 """
 
 from __future__ import annotations
@@ -66,11 +68,12 @@ def fro_norm(a: np.ndarray) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^dagger) / 2; removes rounding asymmetry."""
+    """Hermitian part (a + a^dagger) / 2; removes rounding asymmetry.  Not
+    needed before numpy.linalg.eigh, which reads the lower triangle alone."""
     return (a + dagger(a)) * 0.5
 
 
 def from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hermitian matrix V diag(w) V^dagger from eigenvalues w and eigenvector
-    columns v, batched over leading axes."""
-    return hermitize((v * w[..., None, :]) @ dagger(v))
+    """V diag(w) V^dagger, Hermitian up to rounding, from eigenvalues w and
+    eigenvector columns v, batched over leading axes."""
+    return (v * w[..., None, :]) @ dagger(v)

@@ -22,3 +22,25 @@ def linalg_calls(monkeypatch):
     for name in list(calls):
         monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
+
+
+@pytest.fixture
+def hermitize_calls(monkeypatch):
+    """Live counts of hermitize calls made while the test runs, per module of
+    the verdict layer (bipartite, factorization, discord), through a counting
+    wrapper patched over each module's name for it."""
+    from qcorr import bipartite, discord, factorization
+    from qcorr.matlib import hermitize
+
+    calls = {"bipartite": 0, "factorization": 0, "discord": 0}
+
+    def counting(name):
+        def wrapper(a):
+            calls[name] += 1
+            return hermitize(a)
+        return wrapper
+
+    for module in (bipartite, factorization, discord):
+        name = module.__name__.rsplit(".", 1)[1]
+        monkeypatch.setattr(module, "hermitize", counting(name))
+    return calls

@@ -327,12 +327,16 @@ def test_verdicts_make_one_eigh_per_a_level_and_nothing_more(linalg_calls):
         commutator_criterion(s)
         assert calls == {"eigh": 0, "eigvalsh": 0}, m
     # a rank-deficient extraction, whose completion rows are clamped, costs
-    # no further decomposition
-    for m, n in [(2, 3), (3, 3), (4, 2)]:
+    # no further decomposition; its mass outside the range, one reduction
+    # per row, is the one the per-block norms of np.linalg.norm gave
+    mass = {(2, 3): 0.37128406578720446, (3, 3): 0.46754724636971823, (4, 2): 0.5302159837636267}
+    for (m, n), want in mass.items():
         s = random_pure(m, n, rng_seed=[70, m, n])
         calls.update(eigh=0, eigvalsh=0)
-        assert is_sppt(s).rank_deficient
+        v = is_sppt(s)
+        assert v.rank_deficient
         assert calls == {"eigh": m, "eigvalsh": 1}, (m, n)
+        assert abs(v.residuals["unexplained_mass"] - want) <= 1e-15, (m, n)
 
 
 def test_only_rows_with_off_blocks_form_a_pseudoinverse(monkeypatch):
@@ -360,3 +364,80 @@ def test_only_rows_with_off_blocks_form_a_pseudoinverse(monkeypatch):
     calls.clear()
     assert cq_detect(random_cq(3, 2, rng_seed=4)).is_cq
     assert calls == [(3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian part is formed once, by validate
+
+
+def test_only_validate_forms_a_hermitian_part(hermitize_calls):
+    # validate forms one, for its spectrum; is_ppt, a full-rank factorize,
+    # cq_detect (accepting or not) and commutator_criterion hand their
+    # matrices to eigh as they are, since eigh reads the lower triangle
+    from qcorr import commutator_criterion, cq_detect
+
+    calls = hermitize_calls
+    none = {"bipartite": 0, "factorization": 0, "discord": 0}
+    for m, rho in [(2, random_ginibre_density(6, 64)), (3, random_ginibre_density(9, 65)),
+                   (3, random_cq(3, 2, rng_seed=4).rho)]:
+        calls.update(none)
+        s = validate(rho, m, len(rho) // m)
+        assert calls == {**none, "bipartite": 1}, m
+        for call in (is_ppt, factorize, cq_detect, commutator_criterion):
+            calls.update(none)
+            call(s)
+            assert calls == none, (m, call.__name__)
+        assert not factorize(s).rank_deficient
+    assert cq_detect(s).is_cq  # the last state takes the accepting branch
+
+
+@pytest.mark.parametrize("dim_a", [2, 3, 4])
+@pytest.mark.parametrize("dim_b", [1, 2, 3])
+def test_exactly_hermitian_input_decomposes_as_its_hermitian_part(dim_a, dim_b):
+    # hermitize of an exactly Hermitian matrix is the matrix, bit for bit,
+    # so the decompositions that no longer form it give the same bits
+    from qcorr import block_tensor, cq_detect, partial_trace_b
+    from qcorr.discord import _marginals
+    from qcorr.matlib import from_eig, hermitize
+
+    for seed in range(4):
+        states = [ginibre_state([seed, dim_a, dim_b], dim_a, dim_b),
+                  random_cq(dim_a, dim_b, rng_seed=[seed, dim_a, dim_b])]
+        for s in states:
+            assert np.array_equal(s.rho, dagger(s.rho))
+            pt = np.linalg.eigvalsh(hermitize(partial_transpose_a(s)))
+            assert np.array_equal(is_ppt(s).spectrum, pt[::-1])
+            eig = np.linalg.eigh(hermitize(partial_trace_b(s)))[1][:, ::-1]
+            assert np.array_equal(_marginals(s)[2], eig)
+            w, v = np.linalg.eigh(hermitize(block_tensor(s)[0, 0]))
+            assert np.array_equal(factorize(s).x[0], from_eig(np.sqrt(np.maximum(w, 0.0)), v))
+            if dim_b == 1:  # a product state
+                assert is_sppt(s).is_sppt
+        v = cq_detect(states[1])
+        assert v.is_cq
+        assert np.array_equal(v.basis, eig)
+
+
+def test_a_defect_under_the_hermiticity_bound_moves_each_number_by_order_delta():
+    # validate keeps a matrix within its Hermiticity bound as given, and the
+    # decompositions read its lower triangle: against its Hermitian part the
+    # verdict numbers move by a small multiple of the defect delta
+    from qcorr import cq_detect
+    from qcorr.matlib import hermitize
+
+    rho = random_ginibre_density(6, [0, 2, 3])
+    re, im = np.random.default_rng([0, 99]).standard_normal((2, 6, 6))
+    g = re + 1j * im
+    e = (g - dagger(g)) / 2  # anti-Hermitian, with an imaginary diagonal ...
+    e[np.diag_indices(6)] -= np.trace(e) / 6  # ... that leaves the trace at 1
+    delta = 0.5 * 1e-8
+    e *= delta / fro_norm(e - dagger(e))
+    assert np.abs(np.diag(e).imag).min() > 0.0
+    s, h = validate(rho + e, 2, 3), validate(hermitize(rho + e), 2, 3)
+    assert np.array_equal(s.rho, rho + e)
+    assert fro_norm(s.rho - dagger(s.rho)) == pytest.approx(delta, rel=1e-6)
+    vs, vh = is_sppt(s), is_sppt(h)
+    for key, multiple in [("ppt_min_eigenvalue", 1.0), ("normality", 10.0)]:
+        assert abs(vs.residuals[key] - vh.residuals[key]) <= multiple * delta, key
+    off = cq_detect(s).off_block_residual - cq_detect(h).off_block_residual
+    assert abs(off) <= delta
