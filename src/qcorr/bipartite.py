@@ -38,22 +38,22 @@ TRACE_ATOL = 1e-10
 class BipartiteState:
     """Validated density matrix on C^dim_a (x) C^dim_b.
 
-    Construct through validate(); rho is stored read-only, and so is
-    spectrum, the eigenvalues of rho in descending order from validate's
-    positivity check.
+    Construct through validate(); rho is stored read-only as given, and so
+    are hermitian, its Hermitian part, which every verdict reads, and
+    spectrum, the eigenvalues of hermitian in descending order.
     """
 
     dim_a: int
     dim_b: int
     rho: np.ndarray
     spectrum: np.ndarray
+    hermitian: np.ndarray
 
 
 def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
-    """Check Hermiticity, unit trace and positivity, then wrap the matrix
-    with the spectrum its positivity check computed, the only Hermitian part
-    formed; rho is kept as given, and later decompositions read its lower
-    triangle.
+    """Check Hermiticity, unit trace and positivity, then wrap the matrix,
+    kept as given, with the Hermitian part (formed here and nowhere else)
+    and the spectrum its positivity check computed.
 
     Raises DimensionMismatch, NotDensityMatrix (a NaN or infinite entry),
     NotHermitian, TraceNotOne or NotPsd naming the violated invariant and
@@ -73,18 +73,19 @@ def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> Bipar
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise TraceNotOne(f"trace {tr:.17g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    w = np.ascontiguousarray(npl.eigvalsh(hermitize(m))[::-1])
+    h = hermitize(m)
+    w = np.ascontiguousarray(npl.eigvalsh(h)[::-1])
     if w[-1] < -tol.eps_psd:
         raise NotPsd(f"min eigenvalue {w[-1]:.3e} below -{tol.eps_psd:.1e}")
-    m.setflags(write=False)
-    w.setflags(write=False)
-    return BipartiteState(dim_a=dim_a, dim_b=dim_b, rho=m, spectrum=w)
+    for a in (m, w, h):
+        a.setflags(write=False)
+    return BipartiteState(dim_a=dim_a, dim_b=dim_b, rho=m, spectrum=w, hermitian=h)
 
 
 def block_tensor(state: BipartiteState) -> np.ndarray:
-    """All blocks as an (M, M, N, N) view t: t[k-1, l-1] is block (k, l), 1-based."""
+    """The Hermitian part's blocks as an (M, M, N, N) view: t[k-1, l-1] is block (k, l)."""
     m, n = state.dim_a, state.dim_b
-    return state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    return state.hermitian.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
 
 def assemble_blocks(blocks) -> np.ndarray:
@@ -97,9 +98,9 @@ def assemble_blocks(blocks) -> np.ndarray:
 
 
 def partial_transpose_a(state: BipartiteState) -> np.ndarray:
-    """Blockwise transpose over the A index: block (k, l) -> block (l, k)."""
+    """Blockwise transpose over A of the Hermitian part: block (k, l) -> block (l, k)."""
     m, n = state.dim_a, state.dim_b
-    return state.rho.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
+    return state.hermitian.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
 
 
 def partial_trace_a(state: BipartiteState) -> np.ndarray:

@@ -9,7 +9,8 @@ one batched product over (i, l).  Its first entry is the Schur complement
 M_jj, whose one eigh gives X_j = sqrt(M_jj) with every negative eigenvalue
 clamped.  Only a row with off blocks, every row but the last, also forms
 X_j^+ from that eigh, and the rest of r give its whole row
-S_jl = X_j^+ r_l X_j^+, l > j, in one batched product.
+S_jl = X_j^+ r_l X_j^+, l > j, in one batched product; a row that earlier
+rows explain, whose M_jj is rounding noise, has X_j^+ = 0 and S = 0.
 
 The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
 gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
@@ -107,7 +108,8 @@ def _conditions(m: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.nda
     return (tuple(keys), *index)
 
 
-# Eigenvalues at most _EPS_RANK times the largest count as zero in a pseudoinverse.
+# Eigenvalues of M_jj at most _EPS_RANK tr rho_jj count as zero in X_j^+, not
+# _EPS_RANK times M_jj's largest, which is no scale when M_jj is all rounding.
 _EPS_RANK = 1e-10
 
 
@@ -117,6 +119,7 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
     m, n = state.dim_a, state.dim_b
     x = np.zeros((m, n, n), dtype=np.complex128)
     s = np.zeros((m, m, n, n), dtype=np.complex128)
+    cut = _EPS_RANK * np.einsum("jjaa->j", t).real
     deficient = False
     mass_sq = 0.0
     for j in range(m):
@@ -128,7 +131,7 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         lam = np.maximum(w, 0.0)
         root = np.sqrt(lam)
         x[j] = from_eig(root, v)
-        keep = lam > _EPS_RANK * lam[-1]
+        keep = lam > cut[j]
         if w[0] < -tol.eps_psd:
             floor = f"min eigenvalue {w[0]:.3e} below -{tol.eps_psd:.3e}"
             if j == 0:  # a diagonal block of rho itself
@@ -163,7 +166,7 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         x=x,
         s=s,
         residuals=dict(zip(keys, residuals.tolist())),
-        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.rho),
+        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.hermitian),
         rank_deficient=deficient,
         unexplained_mass=float(np.sqrt(mass_sq)),
     )

@@ -6,8 +6,8 @@ the Tolerance record and are passed explicitly; fixed cutoffs are private
 constants next to their only user.  dagger, fro_norm, hermitize and
 from_eig take numpy arrays and check nothing, not even the dtype: the
 modules that call them validate their inputs first.  The Hermitian part of
-a state is formed once, for validate's spectrum; every later decomposition
-reads the lower triangle, as numpy.linalg.eigh does.
+a state is formed once, by validate, which keeps it; every decomposition
+reads the lower triangle of a matrix derived from it, as numpy.linalg.eigh does.
 """
 
 from __future__ import annotations
