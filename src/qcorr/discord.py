@@ -23,9 +23,9 @@ and conditional_entropy.  It decomposes the conditional states once, and
 the gradient at a scored start or an accepted trial reuses that
 decomposition, so no start is evaluated twice.  The rho_A eigenbasis alone
 is scored twice: by the exit and again as the first candidate.  Each
-contraction over the blocks of rho is one matmul.  The line search has a
-rounding floor: a halved step is not tried once its predicted decrease is a
-rounding-level fraction of H, and the start's refinement ends there.
+contraction over the blocks of rho is one matmul.  A start has one stop
+rule: it makes a line-search trial only while the trial's predicted decrease
+is above rounding level, and its refinement ends at the first that is not.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -208,23 +208,18 @@ def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_T
     return float(_trial(u, _block_stack(state))[0])
 
 
-# Iterative searches stop once an iteration lowers their objective by no
-# more than this fraction of it; values of an objective this close (a few
-# ulps) count as tied.
+# The one rounding floor of the searches, for ties, steps and sweeps: values
+# of H within _PROGRESS_RTOL max(1, |H|) of the least tie (_tied), a refinement
+# makes no trial whose predicted decrease is not above it (_refine), and sweeps
+# stop at a relative gain of at most _PROGRESS_RTOL (_MAX_SWEEPS).
 _PROGRESS_RTOL = 1e-15
 # Measurement outcomes of probability at most _EPS_PROB count as zero.
 _EPS_PROB = 1e-12
 
-# A refinement stops once a step lowers the conditional entropy by no more
-# than _PROGRESS_RTOL of it (near the optimum h + _ARMIJO * t * slope rounds
-# to h, and Armijo would go on accepting steps that change nothing), or once
-# the gradient norm is below _GRAD_TOL; the step cap only guards against a
-# stalled loop.  Armijo backtracking halves the step at most _BACKTRACKS
-# times.
-_GRAD_TOL = 1e-10
+# A trial is accepted when it meets Armijo with _ARMIJO and lowers H; the
+# step cap only guards against a stalled refinement.
 _MAX_STEPS = 200
 _ARMIJO = 1e-4
-_BACKTRACKS = 30
 
 
 def _singular_bases(b: np.ndarray, m: int) -> np.ndarray:
@@ -288,31 +283,34 @@ def _refine(u: np.ndarray, b: np.ndarray, h: np.ndarray, kept):
     them, and one _gradient of those whose trial was accepted, reusing that
     trial's decomposition.  Each start keeps its own line search and inverse
     Hessian, so it follows the path it would follow alone; a single start is a
-    batch of one.  The first trial of a line search takes the full step; a
-    halved step is tried only while its predicted decrease -t * slope exceeds
-    _PROGRESS_RTOL of H, since below that it could only change H by rounding,
-    and the start's refinement ends there as when the backtracks run out.
+    batch of one.  A line search tries the full step, then halves it, and
+    accepts the first trial that meets Armijo and lowers H.  A start makes a
+    trial only while its predicted decrease -t * slope exceeds
+    _PROGRESS_RTOL max(1, |H|), below which H moves by rounding alone, and
+    ends at the first step t that fails this, or after _MAX_STEPS steps.  The
+    inverse Hessian, updated only when s^T y > 0, keeps every direction
+    descending; one that did not would fail the rule at once.
     """
     u = np.array(u)
     n, m = u.shape[:2]
-    iu = np.triu_indices(m, 1)
+    iu = _upper(m)
     p = iu[0].size
     h, g = h.tolist(), list(_gradient(kept, iu))
     hinv = [np.eye(2 * p) for _ in range(n)]
-    evals, steps, tries = [0] * n, [0] * n, [0] * n
+    evals, steps = [0] * n, [0] * n
     d, slope, t = [None] * n, [0.0] * n, [1.0] * n
+
+    def worth(i) -> bool:
+        """Whether start i's trial at step t[i] predicts more than rounding."""
+        return -t[i] * slope[i] > _PROGRESS_RTOL * max(1.0, abs(h[i]))
 
     def search(i) -> bool:
         """Start line search steps[i] of start i, or return False: it is done."""
-        if steps[i] == _MAX_STEPS or np.sqrt(g[i] @ g[i]) < _GRAD_TOL:
+        if steps[i] == _MAX_STEPS:
             return False
         d[i] = -hinv[i] @ g[i]
-        slope[i] = float(g[i] @ d[i])
-        if slope[i] >= 0.0:
-            hinv[i] = np.eye(2 * p)
-            d[i], slope[i] = -g[i], -float(g[i] @ g[i])
-        t[i], tries[i] = 1.0, 0
-        return True
+        slope[i], t[i] = float(g[i] @ d[i]), 1.0
+        return worth(i)
 
     active = [i for i in range(n) if search(i)]
     while active:
@@ -325,17 +323,13 @@ def _refine(u: np.ndarray, b: np.ndarray, h: np.ndarray, kept):
         live, accepted = set(), []
         for j, i in enumerate(active):
             evals[i] += 1
-            tries[i] += 1
             h_j = float(h_new[j])
-            if h_j <= h[i] + _ARMIJO * t[i] * slope[i]:
-                progress = h[i] - h_j
-                if progress > 0.0:
-                    u[i], h[i] = u_new[j], h_j
-                if progress > _PROGRESS_RTOL * abs(h[i]):
-                    accepted.append(j)
+            if h_j < h[i] and h_j <= h[i] + _ARMIJO * t[i] * slope[i]:
+                u[i], h[i] = u_new[j], h_j
+                accepted.append(j)
                 continue
             t[i] *= 0.5
-            if -t[i] * slope[i] > _PROGRESS_RTOL * abs(h[i]) and tries[i] < _BACKTRACKS:
+            if worth(i):
                 live.add(i)
         if accepted:
             g_new = _gradient(tuple(a[accepted] for a in kept), iu)

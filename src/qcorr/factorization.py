@@ -6,11 +6,11 @@ S_jl X_j above the diagonal.  It is built row by row.  Row j first forms
 the part of rho_jl, l >= j, that rows i < j leave unexplained,
 r_l = rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i), for all l at once as
 one batched product over (i, l).  Its first entry is the Schur complement
-M_jj, whose one eigh gives X_j = sqrt(M_jj) with every negative eigenvalue
-clamped.  Only a row with off blocks, every row but the last, also forms
-X_j^+ from that eigh, and the rest of r give its whole row
+M_jj, whose one eigh gives X_j = sqrt(M_jj) with every eigenvalue at or
+below the rank cut counted as zero.  Only a row with off blocks (all but
+the last) also forms X_j^+ from that eigh, and the rest of r give its whole row
 S_jl = X_j^+ r_l X_j^+, l > j, in one batched product; a row that earlier
-rows explain, whose M_jj is rounding noise, has X_j^+ = 0 and S = 0.
+rows explain, whose M_jj is rounding noise, has X_j = X_j^+ = 0 and S = 0.
 
 The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
 gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
@@ -26,8 +26,8 @@ is reported, and the verdict is negative rather than silently passed.
 
 The eigh of row j also decides its positivity: a least eigenvalue of M_jj
 below -eps_psd raises NotPsd on row 1 and InconsistentBlocks on a later row,
-unless an earlier row was flagged, in which case the row keeps the clamped
-root as a best-effort completion, takes X_j^+ = 0 and so extracts S = 0.
+unless an earlier row was flagged, in which case the row keeps X_j as a
+best-effort completion, takes X_j^+ = 0 and so extracts S = 0.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ def _conditions(m: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.nda
     return (tuple(keys), *index)
 
 
-# Eigenvalues of M_jj at most _EPS_RANK tr rho_jj count as zero in X_j^+, not
-# _EPS_RANK times M_jj's largest, which is no scale when M_jj is all rounding.
+# Eigenvalues of M_jj at most _EPS_RANK max(tr rho_jj, 0) count as zero in X_j
+# and X_j^+ (validate lets a diagonal entry of rho reach -eps_psd); M_jj's own
+# largest is no scale when M_jj is all rounding.
 _EPS_RANK = 1e-10
 
 
@@ -119,7 +120,7 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
     m, n = state.dim_a, state.dim_b
     x = np.zeros((m, n, n), dtype=np.complex128)
     s = np.zeros((m, m, n, n), dtype=np.complex128)
-    cut = _EPS_RANK * np.einsum("jjaa->j", t).real
+    cut = _EPS_RANK * np.maximum(np.einsum("jjaa->j", t).real, 0.0)
     deficient = False
     mass_sq = 0.0
     for j in range(m):
@@ -128,10 +129,9 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         if j:
             r = r - ((x[:j] @ dagger(s[:j, j]))[:, None] @ (s[:j, j:] @ x[:j, None])).sum(axis=0)
         w, v = np.linalg.eigh(r[0])
-        lam = np.maximum(w, 0.0)
-        root = np.sqrt(lam)
+        keep = w > cut[j]
+        root = np.sqrt(np.where(keep, w, 0.0))
         x[j] = from_eig(root, v)
-        keep = lam > cut[j]
         if w[0] < -tol.eps_psd:
             floor = f"min eigenvalue {w[0]:.3e} below -{tol.eps_psd:.3e}"
             if j == 0:  # a diagonal block of rho itself

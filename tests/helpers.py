@@ -65,16 +65,6 @@ def eig2(a: float, d: float, b: complex) -> tuple[float, float]:
     return float(m - r), float(m + r)
 
 
-def binary_entropy(x) -> np.ndarray:
-    x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
-    out = np.zeros_like(x)
-    for val in (x, 1.0 - x):
-        mask = val > 0.0
-        out = out - np.where(mask, val * np.log2(np.where(mask, val, 1.0)), 0.0)
-    return out
-
-
-
 def dense_commutator(state: BipartiteState) -> float:
     """Frobenius norm of [rho, rho_A x I_B] from the dense Kronecker product.
 
@@ -566,10 +556,13 @@ def sequential_refine(u: np.ndarray, b: np.ndarray):
     """(endpoint, H, evaluations) of one start u (M, M) on the block stack b.
 
     The measurement refinement as it was before its starts were refined in
-    lockstep: the same BFGS, line search and stop rules, on one basis, with
-    the single-basis trial and gradient it used.  It shares the package's
-    block contraction, entropy terms and constants, so the lockstep
-    refinement must reproduce it bit for bit, start by start.
+    lockstep: the same BFGS and line search, on one basis, with the
+    single-basis trial and gradient it used.  Its one stop rule is the
+    package's: a trial is made only while its predicted decrease -t * slope
+    exceeds _PROGRESS_RTOL max(1, |H|), and one that meets Armijo and lowers H
+    is accepted.  It shares the package's block contraction, entropy terms
+    and constants, so the lockstep refinement must reproduce it bit for bit,
+    start by start.
     """
     m = u.shape[0]
     iu = np.triu_indices(m, 1)
@@ -585,30 +578,18 @@ def sequential_refine(u: np.ndarray, b: np.ndarray):
     hinv = np.eye(g.size)
     evals = 1
     for it in range(D._MAX_STEPS):
-        if np.sqrt(g @ g) < D._GRAD_TOL:
-            break
         d = -hinv @ g
-        slope = float(g @ d)
-        if slope >= 0.0:
-            hinv = np.eye(g.size)
-            d, slope = -g, -float(g @ g)
-        t = 1.0
-        for _ in range(D._BACKTRACKS):
+        slope, t = float(g @ d), 1.0
+        while -t * slope > D._PROGRESS_RTOL * max(1.0, abs(h)):
             u_new = u @ step(t * d)
             h_new, kept = _seq_trial(u_new, b)
             evals += 1
-            if h_new <= h + D._ARMIJO * t * slope:
+            if h_new < h and h_new <= h + D._ARMIJO * t * slope:
                 break
             t *= 0.5
-            if -t * slope <= D._PROGRESS_RTOL * abs(h):
-                return u, h, evals
         else:
             break
-        progress = h - h_new
-        if progress > 0.0:
-            u, h = u_new, h_new
-        if progress <= D._PROGRESS_RTOL * abs(h):
-            break
+        u, h = u_new, h_new
         g_new = _seq_gradient(kept, iu)
         evals += 1
         s, y = t * d, g_new - g

@@ -638,25 +638,44 @@ def test_classical_correlation_matches_multi_start_oracle(seed, m, n):
         H.measured_correlation(s, r.optimal_basis), abs=1e-12)
 
 
-def test_backtrack_floor_saves_evaluations(monkeypatch):
-    # halved steps whose predicted decrease is below rounding are not tried,
-    # so no line search of any start runs through all _BACKTRACKS halvings:
-    # with one halving fewer allowed, every start ends as before, after as
-    # many evaluations.  Without the floor some line search does on the
-    # second state (119 evaluations, not 90), the third takes 42, not 41, and
-    # the first takes its 146 all the same
+@pytest.mark.parametrize("seed, evals, cc", [
+    (12, 503, 0.7643006332050759), (22, 523, 0.8959760358446411),
+    (59, 567, 0.45614576932917267), (97, 525, 0.7340625276134549)])
+def test_line_searches_end_at_rounding_level(monkeypatch, seed, evals, cc):
+    # the optimal H of these states is 0 to rounding, so a floor relative to
+    # |H| alone stops no line search: with halved steps tried while
+    # -t * slope > _PROGRESS_RTOL |H|, up to a cap of 30 halvings, a line
+    # search of each made all 30 trials, and evals and cc are the search's
+    # evaluations and value then.  A floor of _PROGRESS_RTOL max(1, |H|)
+    # ends every line search long before
+    s = rank2_state([seed, 4, 2, 2], 4, 2)
+    r = discord_a(s)
+    assert r.optimizer_evals < evals
+    assert abs(r.classical_correlation - cc) <= 1e-13
+    b = D._block_stack(s)
+    cands = np.concatenate([D._marginals(s)[2][None], D._singular_bases(b, s.dim_a)])
+    hs, kept = D._trial(cands, b)
+    calls = []
+
+    def logged(f, tag):
+        def call(*args):
+            calls.append(tag)
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(D, "_trial", logged(D._trial, "t"))
+    monkeypatch.setattr(D, "_gradient", logged(D._gradient, "g"))
+    for i in np.argsort(D._tied(hs), kind="stable")[: s.dim_a]:
+        # one start at a time, so the trials between gradients are one line search
+        D._refine(cands[i:i + 1], b, hs[i:i + 1], [a[i:i + 1] for a in kept])
+    assert max(map(len, "".join(calls).split("g"))) < 30
+
+
+def test_search_keeps_its_values_on_former_backtracking_states():
+    # values the search has kept through each change to its stop rules;
+    # 0.30978217788826734 is the one it reached under a bare halving cap
     s, q = ginibre_state(3, 3, 2), ginibre_state(5, 2, 4)
     r, rq = discord_a(s), discord_a(q)
-    assert r.optimizer_evals < 119 and rq.optimizer_evals < 42
-    states = [ginibre_state(1, 3, 2), s, q]
-    reports = [discord_a(states[0]), r, rq]
-    assert reports[0].optimizer_evals == 146
-    monkeypatch.setattr(D, "_BACKTRACKS", D._BACKTRACKS - 1)
-    for state, report in zip(states, reports):
-        capped = discord_a(state)
-        assert capped.optimizer_evals == report.optimizer_evals
-        assert capped.optimal_basis.tobytes() == report.optimal_basis.tobytes()
-    # 0.30978217788826734 is the value the search reached before the floor
     assert abs(r.classical_correlation - H.searched_cc(s)) <= 0.25 * DEFAULT_OPT.eps_opt
     assert r.classical_correlation == pytest.approx(0.30978217788826734, abs=1e-9)
     assert rq.classical_correlation == pytest.approx(H.searched_cc_qubit(q), abs=1e-9)

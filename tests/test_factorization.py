@@ -471,14 +471,26 @@ def test_rows_that_earlier_rows_explain_extract_no_s(dim_a):
     # rank: every later Schur complement is rounding noise of its block's
     # size.  The pseudoinverse cut follows tr rho_jj, so those rows extract S = 0
     # instead of amplifying the noise through X_j^+ into residuals of order
-    # 1e3, and a rounding-level nudge of rho moves no residual beyond rounding
+    # 1e3, and their X_j = 0 instead of square roots of that noise, so a
+    # rounding-level nudge of rho moves no residual and no X_j beyond rounding
     for seed in range(10):
         rho = rank2_density([seed, dim_a, 2], 2 * dim_a)
         v = is_sppt(validate(rho, dim_a, 2))
         f = v.factorization
         assert not v.rank_deficient and not v.ppt.is_ppt, seed
-        assert not f.s[1:].any(), seed
+        assert not f.s[1:].any() and not f.x[1:].any(), seed
         nudge = np.random.default_rng(seed).standard_normal(rho.shape) * 1e-17
         w = is_sppt(validate(rho + (nudge + nudge.T) / 2, dim_a, 2))
         for key, value in v.residuals.items():
             assert abs(w.residuals[key] - value) <= 1e-12 * max(1.0, value), (seed, key)
+        assert np.abs(w.factorization.x - f.x).max() <= 1e-12, seed
+
+
+def test_a_block_of_negative_trace_under_the_psd_bound_is_rank_zero():
+    # validate accepts a diagonal entry of rho down to -eps_psd, so the trace
+    # of a block that holds no state can be below 0; its row counts every
+    # eigenvalue as zero, not as a rank whose pseudoinverse divides by 0
+    rho = np.diag([0.5, 0.5 + 1e-12, -1e-12, 0.0, 0.0, 0.0]).astype(complex)
+    v = is_sppt(validate(rho, 3, 2))
+    assert v.is_sppt and not v.rank_deficient
+    assert not v.factorization.x[1:].any() and not v.factorization.s.any()
