@@ -28,7 +28,6 @@ from .discord import (
     cq_detect,
     discord_a,
     mutual_information,
-    von_neumann_entropy,
 )
 from .factorization import (
     SpptFactorization,
@@ -82,7 +81,6 @@ __all__ = [
     "DEFAULT_OPT",
     "DiscordReport",
     "CqVerdict",
-    "von_neumann_entropy",
     "mutual_information",
     "conditional_entropy",
     "discord_a",

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteState, block_tensor, partial_trace_a, partial_trace_b, validate
-from .errors import DimensionMismatch, NotDensityMatrix, NotUnitary
+from .bipartite import BipartiteState, block_tensor, partial_trace_a, partial_trace_b
+from .errors import DimensionMismatch, NotUnitary
 from .matlib import (DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize,
                      require_finite_nonnegative)
 
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_OPT",
     "DiscordReport",
     "CqVerdict",
-    "von_neumann_entropy",
     "mutual_information",
     "conditional_entropy",
     "discord_a",
@@ -137,22 +136,6 @@ def _entropy_terms(w: np.ndarray, p: np.ndarray):
     return -(w * lw).sum(axis=(-2, -1)), lw
 
 
-def von_neumann_entropy(sigma, tol: Tolerance = DEFAULT_TOL) -> float:
-    """S(sigma) = -tr(sigma log2 sigma) of a density matrix, in bits.
-
-    Beyond the square shape, validate (as a 1 x N state) does the checking,
-    and its spectrum gives S.
-    """
-    a = np.asarray(sigma, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotDensityMatrix(f"expected a square matrix, got shape {a.shape}")
-    return _spectrum_entropy(validate(a, 1, a.shape[0], tol).spectrum[::-1])
-
-
-def _entropy_of(m: np.ndarray) -> float:
-    return _spectrum_entropy(np.linalg.eigvalsh(hermitize(m)))
-
-
 def _spectrum_entropy(w: np.ndarray) -> float:
     # S is the conditional entropy of one outcome of probability 1
     return float(_entropy_terms(w[None], np.ones(1))[0])
@@ -162,9 +145,10 @@ def _marginals(state: BipartiteState):
     """(I(rho), S(rho_B), the rho_A eigenbasis by descending eigenvalue), from
     one eigh of rho_A, whose eigenvalues give S(rho_A), one eigvalsh of rho_B
     and the spectrum validate kept, ascending again so that S(rho) sums in
-    the order of an eigvalsh of rho."""
+    the order of an eigvalsh of rho.  Both marginals are sums over the
+    Hermitian part, so neither is re-symmetrized."""
     w, v = np.linalg.eigh(partial_trace_b(state))
-    s_b = _entropy_of(partial_trace_a(state))
+    s_b = _spectrum_entropy(np.linalg.eigvalsh(partial_trace_a(state)))
     s = _spectrum_entropy(state.spectrum[::-1])
     return max(0.0, _spectrum_entropy(w) + s_b - s), s_b, v[:, ::-1]
 

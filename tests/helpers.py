@@ -7,7 +7,9 @@ characterizations (Bloch-span rank, commuting slice families) instead of the
 detection algorithms under test.  A test that compares the package against
 these oracles can only pass if both derivations agree.  The exception is
 sequential_refine, the measurement refinement the package replaced, kept
-as the reference its replacement must reproduce exactly.
+as the reference its replacement must reproduce exactly; it and its trial
+are the only code here that reads qcorr.discord.  The seeded test states
+are inputs, not oracles: they build states through the package.
 """
 from __future__ import annotations
 
@@ -15,9 +17,32 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qcorr import BipartiteState, Tolerance
+from qcorr import BipartiteState, Tolerance, random_ginibre_density, validate
 from qcorr import discord as D
 from qcorr.errors import InconsistentBlocks, NotPsd
+
+
+# ---------------------------------------------------------------------------
+# seeded test states (not oracles)
+
+
+def ginibre_state(seed, dim_a: int, dim_b: int) -> BipartiteState:
+    """The seeded Ginibre density of qcorr.random_ginibre_density, validated."""
+    return validate(random_ginibre_density(dim_a * dim_b, seed), dim_a, dim_b)
+
+
+def bell_state() -> BipartiteState:
+    """|Phi+><Phi+| on 2x2."""
+    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    return validate(np.outer(v, v), 2, 2)
+
+
+def rank2_state(key, m: int, n: int) -> BipartiteState:
+    """G G^+ / tr with G an (m n) x 2 complex Gaussian matrix seeded by key."""
+    rng = np.random.default_rng(key)
+    g = rng.standard_normal((m * n, 2)) + 1j * rng.standard_normal((m * n, 2))
+    rho = g @ g.conj().T
+    return validate(rho / np.trace(rho).real, m, n)
 
 
 # ---------------------------------------------------------------------------

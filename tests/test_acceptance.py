@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from helpers import (brute_discord_2q, child_seeds, factor_x, gauge_transport,
-                     pseudo_inverse, sample_xstate_params, simplex_grid, sppt_residuals)
+                     pseudo_inverse, sample_xstate_params, simplex_grid, sppt_residuals,
+                     vn_entropy)
 from qcorr import (OptimizerConfig, Tolerance, bipartite, discord,
                    factorization, families, statefile)
 from qcorr.analysis import analyze, to_machine
@@ -164,7 +165,7 @@ def test_criterion_06_pure_state_discord_equals_marginal_entropy():
         n = (2, 3, 4)[i % 3]
         state = families.random_pure(2, n, seed)
         d = discord.discord_a(state, OPT).discord
-        ent = discord.von_neumann_entropy(bipartite.partial_trace_b(state), TOL)
+        ent = vn_entropy(bipartite.partial_trace_b(state))
         worst = max(worst, abs(d - ent))
         assert abs(d - ent) <= 1e-3
     print(f"acceptance 06: PASS (100 pure states, worst |discord - S(rho_A)| "

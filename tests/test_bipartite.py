@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_partial_transpose
+from helpers import bell_state, ginibre_state, naive_partial_transpose
 from qcorr import (
-    BipartiteState,
     assemble_blocks,
     block_tensor,
     bell_diagonal,
@@ -24,9 +23,7 @@ from qcorr import (
     partial_trace_a,
     partial_trace_b,
     partial_transpose_a,
-    random_ginibre_density,
     validate,
-    von_neumann_entropy,
 )
 from qcorr.bipartite import TRACE_ATOL
 from qcorr.matlib import hermitize
@@ -39,15 +36,6 @@ from qcorr.errors import (
     NotUnitary,
     TraceNotOne,
 )
-
-
-def ginibre_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
-    return validate(random_ginibre_density(dim_a * dim_b, seed), dim_a, dim_b)
-
-
-def bell_state() -> BipartiteState:
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    return validate(np.outer(v, v), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +90,8 @@ def test_validate_rejects_negative_eigenvalue():
 
 @pytest.mark.parametrize("error", [NotHermitian, TraceNotOne, NotPsd])
 def test_each_violated_requirement_is_a_not_density_matrix(error):
-    # von_neumann_entropy raises whatever validate raises, and its callers
-    # catch NotDensityMatrix
+    # validate raises the specific requirement it checks, and a caller can
+    # catch every one of them as NotDensityMatrix
     assert issubclass(error, NotDensityMatrix)
 
 
@@ -113,7 +101,6 @@ NON_FINITE_CASES = {
     "validate_diagonal": (NotDensityMatrix,
                           lambda bad: validate(np.diag([bad, 1.0, 0.0, 0.0]), 2, 2)),
     "validate_all_entries": (NotDensityMatrix, lambda bad: validate(np.full((4, 4), bad), 2, 2)),
-    "von_neumann_entropy": (NotDensityMatrix, lambda bad: von_neumann_entropy(np.diag([bad, 1.0]))),
     "conditional_entropy": (NotUnitary,
                             lambda bad: conditional_entropy(bell_state(), np.diag([bad, 1.0]))),
     "build_cq_state_sigma": (InvalidSpec, lambda bad: build_cq_state(

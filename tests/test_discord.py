@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import re
 import json
 import os
 import pathlib
@@ -26,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers as H
+from helpers import bell_state, ginibre_state, rank2_state
 from qcorr import (
     BellDiagonalParams,
     BipartiteState,
@@ -49,21 +49,11 @@ from qcorr import (
     random_sppt,
     random_unitary,
     validate,
-    von_neumann_entropy,
     xstate,
 )
 from qcorr import discord as D
 from qcorr.bipartite import assemble_blocks, block_tensor
-from qcorr.errors import DimensionMismatch, NotDensityMatrix, NotUnitary
-
-
-def ginibre_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
-    return validate(random_ginibre_density(dim_a * dim_b, seed), dim_a, dim_b)
-
-
-def bell_state() -> BipartiteState:
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    return validate(np.outer(v, v), 2, 2)
+from qcorr.errors import DimensionMismatch, NotUnitary
 
 
 def classically_correlated() -> BipartiteState:
@@ -75,46 +65,26 @@ def classically_correlated() -> BipartiteState:
 
 
 def test_entropy_closed_forms():
-    assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
-    assert von_neumann_entropy(np.eye(8) / 8) == pytest.approx(3.0, abs=1e-12)
-    assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    # the one entropy kernel, on the spectra eigvalsh gives
+    def entropy(m):
+        return D._spectrum_entropy(np.linalg.eigvalsh(m))
+
+    assert entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+    assert entropy(np.eye(8) / 8) == pytest.approx(3.0, abs=1e-12)
+    assert entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     # binary entropy at 1/4: 2 - (3/4) log2 3
     expected = 2.0 - 0.75 * np.log2(3.0)
-    assert von_neumann_entropy(np.diag([0.75, 0.25])) == pytest.approx(expected, abs=1e-12)
-
-
-def test_entropy_rejects_non_density_inputs():
-    with pytest.raises(NotDensityMatrix):
-        von_neumann_entropy(np.diag([0.5, 0.6]))  # trace 1.1
-    with pytest.raises(NotDensityMatrix):
-        von_neumann_entropy(np.array([[0.5, 0.4], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(NotDensityMatrix):
-        von_neumann_entropy(np.diag([1.1, -0.1]))  # negative eigenvalue
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
-def test_entropy_rejects_a_matrix_that_is_not_square(shape):
-    message = f"expected a square matrix, got shape {shape}"
-    with pytest.raises(NotDensityMatrix, match=f"^{re.escape(message)}$"):
-        von_neumann_entropy(np.full(shape, 0.25))
+    assert entropy(np.diag([0.75, 0.25])) == pytest.approx(expected, abs=1e-12)
 
 
 def test_entropy_is_basis_independent():
+    # S(rho_B) of a product state is that of rho_B's spectrum in any basis
+    # rho_B is written in, and the mutual information stays 0
     u = random_unitary(3, rng_seed=3)
-    d = np.diag([0.5, 0.3, 0.2])
-    assert von_neumann_entropy(u @ d @ u.conj().T) == pytest.approx(
-        von_neumann_entropy(d), abs=1e-10
-    )
-
-
-def test_entropy_takes_the_spectrum_validate_computed(linalg_calls):
-    # validate's positivity check is the only decomposition, and the entropy
-    # is bit for bit the one of a second eigvalsh of the same matrix
-    u = random_unitary(3, rng_seed=3)
-    a = u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T
-    h = von_neumann_entropy(a)
-    assert linalg_calls == {"eigh": 0, "eigvalsh": 1}
-    assert h == D._entropy_of(validate(a, 1, 3).rho)
+    rho_b = u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T
+    s = validate(np.kron(np.diag([0.25, 0.75]), rho_b), 2, 3)
+    assert D._marginals(s)[1] == pytest.approx(H.entropy_bits([0.5, 0.3, 0.2]), abs=1e-10)
+    assert mutual_information(s) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_mutual_information_benchmarks():
@@ -137,11 +107,11 @@ def test_mutual_information_nonnegative_and_bounded(seed):
 
 def test_mutual_information_matches_the_eigvalsh_form():
     # discord_a and mutual_information take S(rho_A) from the eigh of rho_A
-    # that yields the rho_A eigenbasis; the old form, one eigvalsh per
-    # marginal, is the oracle
+    # that yields the rho_A eigenbasis and S(rho) from validate's spectrum;
+    # the oracle takes one eigvalsh per matrix, through helpers.vn_entropy
     def eigvalsh_form(s):
-        return max(0.0, sum(D._entropy_of(x) for x in (partial_trace_b(s), partial_trace_a(s)))
-                   - D._entropy_of(s.rho))
+        return max(0.0, sum(H.vn_entropy(x) for x in (partial_trace_b(s), partial_trace_a(s)))
+                   - H.vn_entropy(s.rho))
 
     for m, n in [(2, 2), (2, 8), (3, 2), (3, 4), (4, 2)]:
         for seed in range(5):
@@ -326,14 +296,6 @@ def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypat
     assert trial_rows > len(rounds)  # the starts share their trial calls
 
 
-def rank2_state(key, m: int, n: int) -> BipartiteState:
-    """G G^+ / tr with G an (m n) x 2 complex Gaussian matrix seeded by key."""
-    rng = np.random.default_rng(key)
-    g = rng.standard_normal((m * n, 2)) + 1j * rng.standard_normal((m * n, 2))
-    rho = g @ g.conj().T
-    return validate(rho / np.trace(rho).real, m, n)
-
-
 def test_lockstep_refinement_equals_the_sequential_oracle():
     # a panel fixed before it was run: 20 Ginibre and 10 rank-2 states of
     # each shape and 10 random_sppt states of each 2xN; every start the
@@ -385,7 +347,7 @@ def test_classical_correlation_of_classical_state_is_full():
 def test_classical_correlation_achieves_its_reported_value():
     s = ginibre_state(3, 2, 2)
     r = discord_a(s)
-    achieved = von_neumann_entropy(partial_trace_a(s)) - conditional_entropy(s, r.optimal_basis)
+    achieved = H.vn_entropy(partial_trace_a(s)) - conditional_entropy(s, r.optimal_basis)
     assert r.classical_correlation == pytest.approx(achieved, abs=1e-9)
 
 
@@ -393,7 +355,7 @@ def test_classical_correlation_dominates_coarse_grid():
     # soundness: the optimum can only improve on any explicit measurement
     s = ginibre_state(4, 2, 3)
     value = discord_a(s).classical_correlation
-    sb = von_neumann_entropy(partial_trace_a(s))
+    sb = H.vn_entropy(partial_trace_a(s))
     for theta in np.linspace(0.0, np.pi, 7):
         for phi in np.linspace(0.0, 2 * np.pi, 9, endpoint=False):
             objective = sb - conditional_entropy(s, bloch_basis(theta, phi))
@@ -424,7 +386,8 @@ def test_discord_report_is_consistent():
     assert r.discord == pytest.approx(
         max(0.0, r.mutual_information - r.classical_correlation), abs=1e-12
     )
-    assert r.mutual_information == pytest.approx(mutual_information(s), abs=1e-12)
+    assert r.mutual_information == pytest.approx(H._mutual_information(s, H.blocks_of(s)),
+                                                 abs=1e-12)
     # scored starts: the rho_A eigenbasis and the eigenbases of the
     # min(2^2, 2^2) - 1 = 3 singular operators of rho - rho_A x rho_B that are
     # not set by rounding, and of the 2 bisectors of the leading pair
@@ -443,7 +406,7 @@ def test_discord_of_pure_states_equals_entanglement_entropy():
     for seed, n in [(0, 2), (1, 3), (2, 4)]:
         s = random_pure(2, n, rng_seed=seed)
         r = discord_a(s)
-        expected = von_neumann_entropy(partial_trace_b(s))
+        expected = H.vn_entropy(partial_trace_b(s))
         assert r.discord == pytest.approx(expected, abs=1e-3)
 
 
@@ -883,6 +846,30 @@ def test_no_private_top_level_name_is_unused():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(f"{f}: {n}" for n, f in defined.items() if n not in used) == []
+
+
+def test_oracles_read_qcorr_discord_only_in_the_sequential_reference():
+    # the oracles in helpers stay independent of the algorithms they check;
+    # sequential_refine and its trial, the reference the lockstep refinement
+    # must reproduce bit for bit, are the one declared exception
+    allowed = {"_seq_trial", "sequential_refine"}
+    tree = ast.parse(pathlib.Path(H.__file__).read_text(encoding="utf-8"))
+    aliases, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qcorr.discord":
+            reads.append(f"line {node.lineno}: from qcorr.discord import")
+        elif isinstance(node, ast.ImportFrom) and node.module == "qcorr":
+            aliases |= {a.asname or a.name for a in node.names if a.name == "discord"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "qcorr.discord" and a.asname}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in allowed:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                reads.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    assert aliases and reads == []
 
 
 def test_every_parameter_is_read():

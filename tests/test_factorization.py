@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import factor_x, gauge_transport, sppt_residuals, unrolled_sppt
+from helpers import (bell_state, factor_x, gauge_transport, ginibre_state, rank2_state,
+                     sppt_residuals, unrolled_sppt)
 from qcorr import (
     BipartiteState,
     CqSpec,
@@ -33,15 +34,6 @@ from qcorr import (
 )
 from qcorr.errors import InconsistentBlocks, NotPsd
 from qcorr.matlib import dagger, fro_norm
-
-
-def ginibre_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
-    return validate(random_ginibre_density(dim_a * dim_b, seed), dim_a, dim_b)
-
-
-def bell_state() -> BipartiteState:
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    return validate(np.outer(v, v), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +367,16 @@ def test_only_rows_with_off_blocks_form_a_pseudoinverse(monkeypatch):
 def test_only_validate_forms_a_hermitian_part(hermitize_calls):
     # validate forms one, for its spectrum; is_ppt, a full-rank factorize,
     # cq_detect (accepting or not) and commutator_criterion hand their
-    # matrices to eigh as they are, since eigh reads the lower triangle
-    from qcorr import commutator_criterion, cq_detect
+    # matrices to eigh as they are, since eigh reads the lower triangle.
+    # discord_a forms one only when it searches: the phase fix of the
+    # singular operators, which are Hermitian up to a phase
+    from qcorr import commutator_criterion, cq_detect, discord_a
 
     calls = hermitize_calls
     none = {"bipartite": 0, "factorization": 0, "discord": 0}
-    for m, rho in [(2, random_ginibre_density(6, 64)), (3, random_ginibre_density(9, 65)),
-                   (3, random_cq(3, 2, rng_seed=4).rho)]:
+    for m, rho, searched in [(2, random_ginibre_density(6, 64), True),
+                             (3, random_ginibre_density(9, 65), True),
+                             (3, random_cq(3, 2, rng_seed=4).rho, False)]:
         calls.update(none)
         s = validate(rho, m, len(rho) // m)
         assert calls == {**none, "bipartite": 1}, m
@@ -389,6 +384,10 @@ def test_only_validate_forms_a_hermitian_part(hermitize_calls):
             calls.update(none)
             call(s)
             assert calls == none, (m, call.__name__)
+        calls.update(none)
+        r = discord_a(s)
+        assert (r.grid_resolution > 0) == searched, m
+        assert calls == {**none, "discord": int(searched)}, m
         assert not factorize(s).rank_deficient
     assert cq_detect(s).is_cq  # the last state takes the accepting branch
 
@@ -458,13 +457,6 @@ def test_a_defect_at_the_psd_boundary_cannot_turn_a_verdict():
     assert np.array_equal(s.hermitian, np.real(rho).astype(complex))
 
 
-def rank2_density(key, n: int) -> np.ndarray:
-    """G G^dagger / tr with G an n x 2 complex Gaussian matrix seeded by key."""
-    re, im = np.random.default_rng(key).standard_normal((2, n, 2))
-    rho = (re + 1j * im) @ dagger(re + 1j * im)
-    return rho / np.trace(rho).real
-
-
 @pytest.mark.parametrize("dim_a", [3, 4])
 def test_rows_that_earlier_rows_explain_extract_no_s(dim_a):
     # a rank-2 Mx2 state is explained by its first row, whose X_1 has full
@@ -474,8 +466,8 @@ def test_rows_that_earlier_rows_explain_extract_no_s(dim_a):
     # 1e3, and their X_j = 0 instead of square roots of that noise, so a
     # rounding-level nudge of rho moves no residual and no X_j beyond rounding
     for seed in range(10):
-        rho = rank2_density([seed, dim_a, 2], 2 * dim_a)
-        v = is_sppt(validate(rho, dim_a, 2))
+        s = rank2_state([seed, dim_a, 2], dim_a, 2)
+        rho, v = s.rho, is_sppt(s)
         f = v.factorization
         assert not v.rank_deficient and not v.ppt.is_ppt, seed
         assert not f.s[1:].any() and not f.x[1:].any(), seed

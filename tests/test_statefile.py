@@ -10,20 +10,15 @@ import pathlib
 import numpy as np
 import pytest
 
+from helpers import ginibre_state
 from qcorr import (
-    BipartiteState,
     random_cq,
-    random_ginibre_density,
     read_statefile,
     validate,
     write_statefile,
 )
 from qcorr.errors import ParseError, TraceNotOne
 from qcorr.statefile import state_from_dict, state_to_dict
-
-
-def ginibre_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
-    return validate(random_ginibre_density(dim_a * dim_b, seed), dim_a, dim_b)
 
 
 def test_dict_round_trip_is_bit_exact():
