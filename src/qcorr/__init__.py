@@ -24,7 +24,6 @@ from .discord import (
     DiscordReport,
     OptimizerConfig,
     commutator_criterion,
-    conditional_entropy,
     cq_detect,
     discord_a,
     mutual_information,
@@ -82,7 +81,6 @@ __all__ = [
     "DiscordReport",
     "CqVerdict",
     "mutual_information",
-    "conditional_entropy",
     "discord_a",
     "commutator_criterion",
     "cq_detect",

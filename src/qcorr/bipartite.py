@@ -4,7 +4,9 @@ A state on C^M (x) C^N is stored as an (M*N) x (M*N) matrix whose row
 index (k-1)*N + j addresses A basis state k and B basis state j, both
 1-based.  block_tensor(state) views the matrix as an (M, M, N, N) array t
 whose t[k-1, l-1] is the N x N submatrix at block row k and block column l;
-the partial transpose over A swaps block indices.
+the partial transpose over A swaps block indices.  A validated state holds
+one matrix, the Hermitian part of its input, so every verdict and every
+written state file reads the same exactly Hermitian rho.
 """
 
 from __future__ import annotations
@@ -38,22 +40,23 @@ TRACE_ATOL = 1e-10
 class BipartiteState:
     """Validated density matrix on C^dim_a (x) C^dim_b.
 
-    Construct through validate(); rho is stored read-only as given, and so
-    are hermitian, its Hermitian part, which every verdict reads, and
-    spectrum, the eigenvalues of hermitian in descending order.
+    Construct through validate(); rho, the Hermitian part of the matrix
+    given, and spectrum, its eigenvalues in descending order, are stored
+    read-only.  rho is exactly Hermitian and is the one matrix every
+    verdict reads.
     """
 
     dim_a: int
     dim_b: int
     rho: np.ndarray
     spectrum: np.ndarray
-    hermitian: np.ndarray
 
 
 def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
-    """Check Hermiticity, unit trace and positivity, then wrap the matrix,
-    kept as given, with the Hermitian part (formed here and nowhere else)
-    and the spectrum its positivity check computed.
+    """Check Hermiticity, unit trace and positivity, then wrap the Hermitian
+    part of the matrix (formed here and nowhere else) with the spectrum its
+    positivity check computed.  A defect within the Hermiticity bound is
+    dropped: the state is its Hermitian part.
 
     Raises DimensionMismatch, NotDensityMatrix (a NaN or infinite entry),
     NotHermitian, TraceNotOne or NotPsd naming the violated invariant and
@@ -77,15 +80,15 @@ def validate(rho, dim_a: int, dim_b: int, tol: Tolerance = DEFAULT_TOL) -> Bipar
     w = np.ascontiguousarray(npl.eigvalsh(h)[::-1])
     if w[-1] < -tol.eps_psd:
         raise NotPsd(f"min eigenvalue {w[-1]:.3e} below -{tol.eps_psd:.1e}")
-    for a in (m, w, h):
+    for a in (w, h):
         a.setflags(write=False)
-    return BipartiteState(dim_a=dim_a, dim_b=dim_b, rho=m, spectrum=w, hermitian=h)
+    return BipartiteState(dim_a=dim_a, dim_b=dim_b, rho=h, spectrum=w)
 
 
 def block_tensor(state: BipartiteState) -> np.ndarray:
-    """The Hermitian part's blocks as an (M, M, N, N) view: t[k-1, l-1] is block (k, l)."""
+    """The blocks of rho as an (M, M, N, N) view: t[k-1, l-1] is block (k, l)."""
     m, n = state.dim_a, state.dim_b
-    return state.hermitian.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    return state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
 
 def assemble_blocks(blocks) -> np.ndarray:
@@ -98,9 +101,9 @@ def assemble_blocks(blocks) -> np.ndarray:
 
 
 def partial_transpose_a(state: BipartiteState) -> np.ndarray:
-    """Blockwise transpose over A of the Hermitian part: block (k, l) -> block (l, k)."""
+    """Blockwise transpose over A of rho: block (k, l) -> block (l, k)."""
     m, n = state.dim_a, state.dim_b
-    return state.hermitian.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
+    return state.rho.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
 
 
 def partial_trace_a(state: BipartiteState) -> np.ndarray:

@@ -18,14 +18,14 @@ gradient of the conditional entropy.  The starts are refined together in
 rounds: each round takes one batched exp(K), one batched line-search trial
 and one batched gradient over the starts still active, and each start keeps
 its own line search and inverse Hessian.  One evaluator, _trial, gives
-every value of the conditional entropy: the exit, the scores, the trials
-and conditional_entropy.  It decomposes the conditional states once, and
-the gradient at a scored start or an accepted trial reuses that
-decomposition, so no start is evaluated twice.  The rho_A eigenbasis alone
-is scored twice: by the exit and again as the first candidate.  Each
-contraction over the blocks of rho is one matmul.  A start has one stop
-rule: it makes a line-search trial only while the trial's predicted decrease
-is above rounding level, and its refinement ends at the first that is not.
+every value of the conditional entropy: the exit, the scores and the
+trials.  It decomposes the conditional states once, and the gradient at a
+scored start or an accepted trial reuses that decomposition, so no start
+is evaluated twice.  The rho_A eigenbasis alone is scored twice: by the
+exit and again as the first candidate.  Each contraction over the blocks
+of rho is one matmul.  A start has one stop rule: it makes a line-search
+trial only while the trial's predicted decrease is above rounding level,
+and its refinement ends at the first that is not.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteState, block_tensor, partial_trace_a, partial_trace_b
-from .errors import DimensionMismatch, NotUnitary
 from .matlib import (DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize,
                      require_finite_nonnegative)
 
@@ -50,7 +49,6 @@ __all__ = [
     "DiscordReport",
     "CqVerdict",
     "mutual_information",
-    "conditional_entropy",
     "discord_a",
     "commutator_criterion",
     "cq_detect",
@@ -171,25 +169,6 @@ def _contract(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
     a _block_stack b, as one matmul."""
     lead = coef.shape[:-2]
     return (coef.reshape(*lead, -1) @ b.reshape(len(b), -1)).reshape(*lead, *b.shape[1:])
-
-
-def conditional_entropy(state: BipartiteState, basis, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Sum over outcomes of p_k S(sigma_B|k), in bits, for the measurement
-    along the columns of basis, an orthonormal basis of C^dim_a.
-
-    This is the objective discord_a minimizes, evaluated by _trial, the
-    code that scores and refines its measurements.
-    """
-    u = np.asarray(basis, dtype=np.complex128)
-    m = state.dim_a
-    if u.shape != (m, m):
-        raise DimensionMismatch(f"basis must be {m}x{m}, got {u.shape}")
-    if not np.isfinite(u).all():
-        raise NotUnitary("basis has NaN or infinite entries")
-    defect = fro_norm(dagger(u) @ u - np.eye(m))
-    if defect > tol.eps_residual:
-        raise NotUnitary(f"basis unitarity defect {defect:.3e}")
-    return float(_trial(u, _block_stack(state))[0])
 
 
 # The one rounding floor of the searches, for ties, steps and sweeps: values

@@ -23,10 +23,6 @@ class NotPsd(NotDensityMatrix):
     """An eigenvalue lies below the configured positivity floor."""
 
 
-class NotUnitary(QcorrError):
-    """Unitarity defect exceeds the configured residual tolerance."""
-
-
 class TraceNotOne(NotDensityMatrix):
     """Trace deviates from one beyond the configured tolerance."""
 

@@ -166,7 +166,7 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         x=x,
         s=s,
         residuals=dict(zip(keys, residuals.tolist())),
-        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.hermitian),
+        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.rho),
         rank_deficient=deficient,
         unexplained_mass=float(np.sqrt(mass_sq)),
     )

@@ -235,7 +235,7 @@ def bell_diagonal(params: BellDiagonalParams, tol: Tolerance = DEFAULT_TOL) -> B
     """rho = sum_i p_i P_i over the Bell projectors."""
     p = (params.p1, params.p2, params.p3, params.p4)
     rho = sum(w * proj for w, proj in zip(p, bell_projectors()))
-    return validate(hermitize(rho), 2, 2, tol)
+    return validate(rho, 2, 2, tol)
 
 
 def induced_xstate(params: BellDiagonalParams) -> XStateParams:
@@ -340,8 +340,7 @@ def random_sppt(n: int, rng_seed, tol: Tolerance = DEFAULT_TOL) -> BipartiteStat
     zero = np.zeros((n, n), dtype=np.complex128)
     x = assemble_blocks(np.array([[x1, s @ x1], [zero, x2]]))
     rho = dagger(x) @ x
-    rho = hermitize(rho / np.trace(rho).real)
-    return validate(rho, 2, n, tol)
+    return validate(rho / np.trace(rho).real, 2, n, tol)
 
 
 def random_pure(dim_a: int, n: int, rng_seed, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:

@@ -3,8 +3,10 @@
 A state file holds {"dims": [M, N], "matrix": [[re, im], ...]} with the
 (M N)^2 entries in row-major order, plus an optional "metadata" object
 (label, seed, family).  JSON floats are emitted with Python's shortest
-round-trip representation, so a written file reproduces the matrix bit
-for bit when read back.
+round-trip representation, so a written file reproduces the state's
+matrix bit for bit when read back.  That matrix is the Hermitian part
+validate kept, so a file read with a Hermiticity defect under the bound
+is written back without it.
 """
 
 from __future__ import annotations

@@ -560,6 +560,37 @@ def searched_cc(state: BipartiteState) -> float:
     return max(0.0, s_b - best)
 
 
+# sigma_y (x) sigma_y, the spin flip of Wootters' concurrence
+_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+
+
+def kw_classical_correlation(state: BipartiteState) -> float:
+    """Classical correlation J = S(rho_B) - E_F(rho_BE), maximized over every
+    POVM on A, of an M x 2 state of rank at most 2, in closed form (Koashi &
+    Winter, PRA 69, 022309 (2004)); it bounds every projective value above.
+
+    rho is purified from its top two eigenpairs to psi[a, b, e] =
+    sqrt(lambda_e) v_e[2a + b], so E is a qubit and rho_BE = W W^+ with
+    W[(b, e), a] = psi[a, b, e].  Wootters' concurrence (PRL 80, 2245 (1998))
+    C = max(0, l_1 - l_2 - l_3 - l_4) takes the l_i as the singular values of
+    W^T (sigma_y (x) sigma_y) W, the square roots of the eigenvalues of
+    rho_BE rho~_BE, without their rounding at zero; then
+    E_F = h((1 + sqrt(1 - C^2)) / 2)."""
+    if state.dim_b != 2:
+        raise ValueError("kw_classical_correlation expects dim_b = 2")
+    w, v = np.linalg.eigh(state.rho)
+    if len(w) > 2 and w[-3] > 1e-12:
+        raise ValueError(f"kw_classical_correlation expects rank <= 2, third eigenvalue {w[-3]:.3e}")
+    psi = v[:, -2:] * np.sqrt(np.clip(w[-2:], 0.0, None))  # psi[2a + b, e]
+    big_w = psi.reshape(state.dim_a, 4).T  # row 2b + e, column a
+    rho_be = big_w @ big_w.conj().T
+    rho_b = rho_be[0::2, 0::2] + rho_be[1::2, 1::2]
+    sv = np.concatenate([np.linalg.svd(big_w.T @ _FLIP @ big_w, compute_uv=False), np.zeros(4)])
+    c = max(0.0, sv[0] - sv[1:4].sum())
+    x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
+    return vn_entropy(rho_b) - entropy_bits([x, 1.0 - x])
+
+
 def _seq_trial(u: np.ndarray, b: np.ndarray):
     t = D._contract(np.einsum("ik,jl->klij", np.conj(u), u), b)
     sig = np.einsum("kkab->kab", t)

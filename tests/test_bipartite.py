@@ -18,7 +18,6 @@ from qcorr import (
     BellDiagonalParams,
     CqSpec,
     build_cq_state,
-    conditional_entropy,
     is_ppt,
     partial_trace_a,
     partial_trace_b,
@@ -33,7 +32,6 @@ from qcorr.errors import (
     NotDensityMatrix,
     NotHermitian,
     NotPsd,
-    NotUnitary,
     TraceNotOne,
 )
 
@@ -101,8 +99,6 @@ NON_FINITE_CASES = {
     "validate_diagonal": (NotDensityMatrix,
                           lambda bad: validate(np.diag([bad, 1.0, 0.0, 0.0]), 2, 2)),
     "validate_all_entries": (NotDensityMatrix, lambda bad: validate(np.full((4, 4), bad), 2, 2)),
-    "conditional_entropy": (NotUnitary,
-                            lambda bad: conditional_entropy(bell_state(), np.diag([bad, 1.0]))),
     "build_cq_state_sigma": (InvalidSpec, lambda bad: build_cq_state(
         CqSpec(2, np.eye(2), (np.diag([bad, 0.5]), np.diag([0.0, 0.5]))))),
     "build_cq_state_u": (InvalidSpec, lambda bad: build_cq_state(

@@ -174,6 +174,27 @@ def test_analyze_impossible_tolerance_reports_inconsistency(tmp_path, capsys):
     assert doc["inconsistency"]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the 2xN claim check compares an absolute off-block residual with "
+                          "a relative normality residual, so it fires a few 1e-8 from the CQ set")
+def test_a_state_near_the_cq_set_is_not_a_claim_failure(tmp_path, capsys):
+    # rho = (1 - t) chi + t P at t = 10^-7.5, chi classical-quantum and P a
+    # Ginibre density: cq_detect accepts it at an off-block residual of
+    # 1.025e-7 and is_sppt rejects it at a normality residual of 1.244e-7, so
+    # analyze reports INCONSISTENT and exits 1, though no method has failed.
+    # The theorem holds on the certified CQ state, not on rho; once the check
+    # moves there this passes and the mark goes
+    from qcorr.analysis import analyze
+
+    t = 10 ** -7.5
+    rho = (1 - t) * random_cq(2, 2, [6, 2, 2]).rho + t * random_ginibre_density(4, [6, 2, 2, 7])
+    s = validate(rho, 2, 2)
+    rc = main(["analyze", write_state(tmp_path, "near_cq.json", s)])
+    capsys.readouterr()
+    assert analyze(s).inconsistency is None
+    assert rc == EXIT_OK
+
+
 def test_analyze_human_flags_a_rank_deficient_extraction(tmp_path, capsys):
     assert main(["analyze", bell_state_file(tmp_path)]) == EXIT_OK
     assert "\n                    rank-deficient extraction: SPPT not decidable\n" in (

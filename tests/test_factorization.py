@@ -118,8 +118,7 @@ def test_inconsistent_blocks_raise():
     # bypasses validation on purpose: rho22 is too small for the off block,
     # so the Schur complement is clearly negative
     rho = np.array([[0.5, 0.4], [0.4, 0.1]], dtype=complex)
-    state = BipartiteState(dim_a=2, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1],
-                           hermitian=rho)
+    state = BipartiteState(dim_a=2, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
     with pytest.raises(InconsistentBlocks):
         factorize(state)
     with pytest.raises(InconsistentBlocks):
@@ -136,8 +135,7 @@ def test_indefinite_blocks_raise_as_the_unrolled_factorizations_did():
          InconsistentBlocks, "rho33 minus the explained part is not PSD: "
          "min eigenvalue -2.500e-01 below -1.000e-09"),
     ]:
-        state = BipartiteState(dim_a=3, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1],
-                               hermitian=rho)
+        state = BipartiteState(dim_a=3, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             factorize(state)
         with pytest.raises(error):
@@ -365,7 +363,7 @@ def test_only_rows_with_off_blocks_form_a_pseudoinverse(monkeypatch):
 
 
 def test_only_validate_forms_a_hermitian_part(hermitize_calls):
-    # validate forms one, for its spectrum; is_ppt, a full-rank factorize,
+    # validate forms one, the state's rho; is_ppt, a full-rank factorize,
     # cq_detect (accepting or not) and commutator_criterion hand their
     # matrices to eigh as they are, since eigh reads the lower triangle.
     # discord_a forms one only when it searches: the phase fix of the
@@ -420,9 +418,9 @@ def test_exactly_hermitian_input_decomposes_as_its_hermitian_part(dim_a, dim_b):
 
 
 def test_a_defect_under_the_hermiticity_bound_leaves_every_number_unmoved():
-    # validate keeps a matrix within its Hermiticity bound as given, and every
-    # verdict reads the Hermitian part it kept beside it: a defect delta just
-    # under the bound, with an imaginary diagonal, moves no number at all
+    # validate keeps only the Hermitian part of a matrix within its
+    # Hermiticity bound: a defect delta just under the bound, with an
+    # imaginary diagonal, is dropped bit for bit and moves no number at all
     from qcorr import cq_detect
     from qcorr.matlib import hermitize
 
@@ -434,10 +432,11 @@ def test_a_defect_under_the_hermiticity_bound_leaves_every_number_unmoved():
     delta = 0.5 * 1e-8
     e *= delta / fro_norm(e - dagger(e))
     assert np.abs(np.diag(e).imag).min() > 0.0
+    assert fro_norm(rho + e - dagger(rho + e)) == pytest.approx(delta, rel=1e-6)
     s, h = validate(rho + e, 2, 3), validate(hermitize(rho + e), 2, 3)
-    assert np.array_equal(s.rho, rho + e)
-    assert fro_norm(s.rho - dagger(s.rho)) == pytest.approx(delta, rel=1e-6)
-    assert np.array_equal(s.hermitian, h.rho)
+    assert np.array_equal(s.rho, hermitize(rho + e))
+    assert np.array_equal(s.rho, dagger(s.rho))
+    assert np.array_equal(s.rho, h.rho)
     assert is_sppt(s).residuals == is_sppt(h).residuals
     assert cq_detect(s).off_block_residual == cq_detect(h).off_block_residual
 
@@ -446,15 +445,18 @@ def test_a_defect_at_the_psd_boundary_cannot_turn_a_verdict():
     # |0><0| (x) |0><0| on 2x3 plus an anti-Hermitian E = 3e-9 i (|1><2| + |2><1|):
     # a defect of 8.5e-9 passes validate, and the lower triangle of rho
     # alone has eigenvalues +-3e-9 in its null block, past the PSD floor;
-    # the Hermitian part is the product state, PPT and SPPT
+    # the Hermitian part, the one matrix validate keeps, is the product state,
+    # PPT and SPPT
+    from qcorr.matlib import hermitize
+
     rho = np.zeros((6, 6), dtype=complex)
     rho[0, 0] = 1.0
     rho[1, 2] = rho[2, 1] = 3e-9j
     s = validate(rho, 2, 3)
     v = is_sppt(s)
     assert v.ppt.is_ppt and v.is_sppt
-    assert np.array_equal(s.rho, rho)
-    assert np.array_equal(s.hermitian, np.real(rho).astype(complex))
+    assert np.array_equal(s.rho, hermitize(rho))
+    assert np.array_equal(s.rho, np.real(rho).astype(complex))
 
 
 @pytest.mark.parametrize("dim_a", [3, 4])

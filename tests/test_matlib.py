@@ -80,7 +80,7 @@ def hand_built(blocks, dim_a: int = 2) -> BipartiteState:
     nothing beyond the PSD floor, so any Hermitian block pattern reaches it."""
     rho = np.block(blocks).astype(np.complex128)
     return BipartiteState(dim_a=dim_a, dim_b=len(rho) // dim_a, rho=rho,
-                          spectrum=np.linalg.eigvalsh(rho)[::-1], hermitian=rho)
+                          spectrum=np.linalg.eigvalsh(rho)[::-1])
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -159,8 +159,7 @@ def test_psd_sqrt_squares_back_property(seed, n):
 def test_custom_tolerance_threads_through_psd_check():
     # rho11 = diag(0.5, -1e-3) is below the default floor, within a loose one
     rho = np.diag([0.5, -1e-3, 0.25, 0.251]).astype(complex)
-    state = BipartiteState(dim_a=2, dim_b=2, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1],
-                           hermitian=rho)
+    state = BipartiteState(dim_a=2, dim_b=2, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
     with pytest.raises(NotPsd, match=r"^min eigenvalue -1\.000e-03 below -1\.000e-09$"):
         factorize(state)
     f = factorize(state, Tolerance(eps_psd=1e-2))

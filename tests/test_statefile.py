@@ -12,12 +12,23 @@ import pytest
 
 from helpers import ginibre_state
 from qcorr import (
+    BellDiagonalParams,
+    CqSpec,
+    XStateParams,
+    bell_diagonal,
+    build_cq_state,
     random_cq,
+    random_ginibre_density,
+    random_pure,
+    random_sppt,
+    random_unitary,
     read_statefile,
     validate,
     write_statefile,
+    xstate,
 )
 from qcorr.errors import ParseError, TraceNotOne
+from qcorr.matlib import dagger, fro_norm, hermitize
 from qcorr.statefile import state_from_dict, state_to_dict
 
 
@@ -42,6 +53,38 @@ def test_file_round_trip_through_json(tmp_path):
     assert doc["dims"] == [3, 2]
     assert len(doc["matrix"]) == 36
     assert all(len(pair) == 2 for pair in doc["matrix"])
+
+
+def test_a_state_is_one_exactly_hermitian_matrix_that_a_file_keeps(tmp_path):
+    # every family's state is exactly Hermitian and reads back bit for bit;
+    # a file whose matrix has a defect under the Hermiticity bound is written
+    # back as its Hermitian part, the one matrix validate keeps
+    path = tmp_path / "s.json"
+    states = [
+        xstate(XStateParams(a11=0.3, a22=0.2, b11=0.3, b22=0.2, a12=0.1, b12=0.05j)),
+        bell_diagonal(BellDiagonalParams(0.4, 0.3, 0.2, 0.1)),
+        build_cq_state(CqSpec(2, random_unitary(2, 3), (np.diag([0.3, 0.2]), np.diag([0.1, 0.4])))),
+        random_cq(3, 2, rng_seed=5),
+        random_sppt(3, rng_seed=5),
+        random_pure(2, 3, rng_seed=5),
+        ginibre_state(5, 3, 2),
+    ]
+    for s in states:
+        assert np.array_equal(s.rho, s.rho.conj().T)
+        write_statefile(path, s)
+        assert np.array_equal(read_statefile(path)[0].rho, s.rho)
+
+    rho = random_ginibre_density(6, 7)
+    g = np.random.default_rng(8).standard_normal((6, 6)) * 1j
+    e = (g + g.T) / 2  # anti-Hermitian, with an imaginary diagonal
+    e[np.diag_indices(6)] -= np.trace(e) / 6  # of trace 0, so tr(rho + e) = 1
+    e *= 0.5e-8 / fro_norm(e - dagger(e))
+    doc = {"dims": [2, 3], "matrix": [[z.real, z.imag] for z in (rho + e).reshape(-1)]}
+    s, _ = state_from_dict(doc)
+    write_statefile(path, s)
+    written = np.array(json.loads(path.read_text())["matrix"]).view(np.complex128).reshape(6, 6)
+    assert np.array_equal(written, hermitize(rho + e))
+    assert not np.array_equal(written, rho + e)
 
 
 def test_full_precision_floats_survive():
@@ -118,10 +161,14 @@ def test_booleans_and_integers_beyond_the_float_range_raise_parse_error(entry):
 
 
 def test_int_float_and_numpy_float_entries_are_numbers():
-    doc = {"dims": [1, 2], "matrix": [[1, 0], [0, 0.0], [0, 0], [np.float64(0.0), -0.0]]}
+    # a -0.0 is read as itself.  The Hermitian part validate keeps has
+    # imaginary part 0.0 on the diagonal; off it, hermitize's complex product
+    # (a + a^dagger) * 0.5 keeps an imaginary -0.0 where the real part is
+    # negative, so the sign is checked on such a conjugate pair
+    doc = {"dims": [1, 2], "matrix": [[0.5, 0], [-0.25, -0.0], [np.float64(-0.25), 0], [0.5, 0.0]]}
     t, _ = state_from_dict(doc)
-    assert np.array_equal(t.rho, np.diag([1.0, 0.0]))
-    assert np.signbit(t.rho[1, 1].imag)
+    assert np.array_equal(t.rho, [[0.5, -0.25], [-0.25, 0.5]])
+    assert np.signbit(t.rho[0, 1].imag) and not np.signbit(t.rho[1, 0].imag)
 
 
 def test_non_dict_document_raises_parse_error():
