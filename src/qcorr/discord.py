@@ -29,12 +29,15 @@ and its refinement ends at the first that is not.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
-it serves any dim_a.
+it serves any dim_a.  A rotation reads the pair's Pauli components with one
+matmul and is applied to the whole block grid by one matmul, the
+contraction _trial uses.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -407,27 +410,37 @@ def _off_mass(blocks: np.ndarray) -> float:
     return float(np.vdot(up, up).real)
 
 
-def _rotate_pair(bp: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
-    """Rotate basis columns p, q to minimize the (p, q) off-block, in place.
+# The Pauli components (x, y, z) of a 2x2 block grid as _contract coefficients:
+# sum_ij _PAULI[mu, i, j] b_ij = A_mu for b = I (x) A_0 + sum_mu sigma_mu (x) A_mu.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]]) / 2
 
-    Writing the pair's 2x2 block grid as sum_mu sigma_mu (x) A_mu, the
-    rotation whose first vector has Bloch direction n leaves
-    tr(Gamma) - n^T Gamma n in the off-block, Gamma_{mu nu} = Re tr(A_mu A_nu)
-    over (x, y, z); the top eigenvector of Gamma is the global minimizer.
-    Blocks coupling p or q to other indices only mix among themselves.
+
+def _rotate_pair(bp: np.ndarray, basis: np.ndarray, p: int, q: int):
+    """(bp, basis) with basis columns p, q rotated to minimize the (p, q)
+    off-block of the (M, M, N, N) block grid bp.
+
+    Writing the pair's 2x2 block grid as I (x) A_0 + sum_mu sigma_mu (x) A_mu,
+    the rotation whose first vector has Bloch direction n leaves
+    tr(Gamma) - n^T Gamma n in the off-block, Gamma_{mu nu} = Re tr(A_mu^+ A_nu)
+    over (x, y, z); the top eigenvector of Gamma is the global minimizer.  The
+    A_mu are one matmul of the pair's four blocks against _PAULI.  The
+    rotation U, the identity outside columns p, q, is applied to the whole
+    grid as T_kl = sum_ij conj(U_ik) U_jl bp_ij by one _contract, as in
+    _trial, so blocks coupling p or q to other indices mix among themselves
+    and the others are unchanged.
     """
-    b_pp, b_pq, b_qp, b_qq = bp[p, p], bp[p, q], bp[q, p], bp[q, q]
-    comps = np.stack([b_pq + b_qp, 1j * (b_pq - b_qp), b_pp - b_qq]).reshape(3, -1) / 2
-    n = np.linalg.eigh((comps.conj() @ comps.T).real)[1][:, -1]
-    if n[2] < 0.0:
-        n = -n
-    c = np.sqrt((1.0 + n[2]) / 2.0)
-    z = (n[0] + 1j * n[1]) / (2.0 * c)
-    u = np.array([[c, -np.conj(z)], [z, c]])
-    pq = [p, q]
-    bp[pq] = np.einsum("ik,i...->k...", u.conj(), bp[pq])
-    bp[:, pq] = np.einsum("jl,kj...->kl...", u, bp[:, pq])
-    basis[:, pq] = basis[:, pq] @ u
+    m, n = bp.shape[1], bp.shape[-1]
+    comps = _contract(_PAULI, bp[[p, p, q, q], [p, q, p, q]]).reshape(3, -1)
+    x, y, z = np.linalg.eigh((comps.conj() @ comps.T).real)[1][:, -1].tolist()
+    if z < 0.0:
+        x, y, z = -x, -y, -z
+    c = math.sqrt((1.0 + z) / 2.0)
+    e = complex(x, y) / (2.0 * c)
+    u = np.eye(m, dtype=np.complex128)
+    u[p, p] = u[q, q] = c
+    u[q, p], u[p, q] = e, -e.conjugate()
+    bp = _contract(np.einsum("ik,jl->klij", u.conj(), u), bp.reshape(m * m, n, n))
+    return bp, basis @ u
 
 
 def cq_detect(
@@ -439,17 +452,20 @@ def cq_detect(
 
     The search space is the orthonormal A-side bases; any such basis must
     diagonalize rho_A, so the blocks are rotated to the rho_A eigenbasis and
-    only rotations inside degenerate eigenvalue clusters (gap at most
-    _EPS_DEGENERATE) remain free.  Those rotations leave the off-block mass
-    between clusters unchanged; inside the clusters it is minimized by
-    Jacobi sweeps over index pairs, each pair rotation in closed form (see
-    _rotate_pair), so a 2-fold cluster is solved by one rotation, and when
-    no cluster has more than two levels a single sweep is final.  For a
-    cluster of three or more levels the sweeps are a local method: on a
-    state that is not classical-quantum they may stop above the least
-    off-block mass (on the 4x3 state mixed_marginal_state(10, 4, 3) of the
-    tests they stop at a squared residual of 1.738e-2, where restarts from
-    Haar bases reach 1.731e-2), so the reported residual is an upper bound.
+    only rotations inside degenerate eigenvalue clusters (runs of the
+    descending spectrum with gaps at most _EPS_DEGENERATE) remain free.
+    Those rotations leave the off-block mass between clusters unchanged;
+    inside the clusters it is minimized by Jacobi sweeps over index pairs,
+    each pair rotation in closed form and applied to the whole block grid by
+    one contraction (see _rotate_pair).  So a 2-fold cluster is solved by one
+    rotation, and when no cluster has more than two levels a single sweep is
+    final; otherwise the sweeps stop once one lowers the off-block mass by at
+    most _PROGRESS_RTOL of it.  For a cluster of three or more levels the
+    sweeps are a local method: on a state that is not classical-quantum they
+    may stop above the least off-block mass (on the 4x3 state
+    mixed_marginal_state(10, 4, 3) of the tests they stop at a squared
+    residual of 1.738e-2, where restarts from Haar bases reach 1.731e-2), so
+    the reported residual is an upper bound.
     An accepted state is certified all the same: see CqVerdict.  A commutator
     above tol.eps_residual, the only setting read, short-circuits to a
     negative verdict, reporting the plain eigenbasis residual.  opt is
@@ -459,7 +475,7 @@ def cq_detect(
     b = block_tensor(state)
     rho_a = partial_trace_b(state)
     w, v = np.linalg.eigh(rho_a)
-    lam, basis = w[::-1], v[:, ::-1].copy()
+    basis = v[:, ::-1]
     bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
 
     com = _commutator(b, rho_a)
@@ -468,18 +484,21 @@ def cq_detect(
                          sigma_list=None, commutator=com)
 
     # the eigenvalues descend, so a cluster is a run of gaps <= _EPS_DEGENERATE
-    cluster = np.cumsum(np.concatenate(([0], lam[:-1] - lam[1:] > _EPS_DEGENERATE)))
+    lam = w[::-1].tolist()
+    cluster = [0]
+    for hi, lo in zip(lam, lam[1:]):
+        cluster.append(cluster[-1] + (hi - lo > _EPS_DEGENERATE))
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
     # no cluster above 2 levels: each rotation is exact and touches no other
     # pair, so one sweep is the minimum
-    disjoint = np.bincount(cluster).max() <= 2
+    disjoint = all(cluster[p] != cluster[p + 2] for p in range(m - 2))
 
     mass = _off_mass(bp)
     for _ in range(_MAX_SWEEPS):
         if not pairs or mass == 0.0:
             break
         for p, q in pairs:
-            _rotate_pair(bp, basis, p, q)
+            bp, basis = _rotate_pair(bp, basis, p, q)
         last, mass = mass, _off_mass(bp)
         if disjoint or last - mass <= _PROGRESS_RTOL * last:
             break

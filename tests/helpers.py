@@ -5,11 +5,13 @@ package internals: explicit loops instead of reshapes, closed-form 2x2
 eigenvalues instead of LAPACK where possible, and alternative mathematical
 characterizations (Bloch-span rank, commuting slice families) instead of the
 detection algorithms under test.  A test that compares the package against
-these oracles can only pass if both derivations agree.  The exception is
-sequential_refine, the measurement refinement the package replaced, kept
-as the reference its replacement must reproduce exactly; it and its trial
-are the only code here that reads qcorr.discord.  The seeded test states
-are inputs, not oracles: they build states through the package.
+these oracles can only pass if both derivations agree.  Two methods the
+package replaced are kept as references its replacements must reproduce:
+sequential_refine, the measurement refinement, exactly, and
+inplace_cq_detect, the CQ detection with in-place pair rotations, to
+rounding.  sequential_refine and its trial are the only code here that
+reads qcorr.discord.  The seeded test states are inputs, not oracles: they
+build states through the package.
 """
 from __future__ import annotations
 
@@ -395,6 +397,83 @@ def searched_off_mass(state: BipartiteState, eps_degenerate: float = 1e-8,
         elif len(cl) == 3:
             total += _triple_min(sub, floor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# classical-quantum detection as it was before each pair rotation contracted
+# the whole block grid: the same Jacobi sweeps, with each closed-form pair
+# rotation written in place on the pair's rows and columns of the block grid.
+# It is the reference qcorr.discord.cq_detect must reproduce to rounding, and
+# reads nothing from qcorr.discord: its constants are the package's, written
+# out.
+
+_CQ_EPS_DEGENERATE = 1e-8
+_CQ_EPS = 1e-6
+_CQ_EPS_RESIDUAL = 1e-8
+_CQ_RTOL = 1e-15
+_CQ_MAX_SWEEPS = 100
+
+
+def _inplace_rotate_pair(bp: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
+    """Rotate basis columns p, q to minimize the (p, q) off-block, in place:
+    Gamma_{mu nu} = Re tr(A_mu^+ A_nu) over the pair's Pauli components, and
+    its top eigenvector is the Bloch direction of the first rotated vector."""
+    b_pp, b_pq, b_qp, b_qq = bp[p, p], bp[p, q], bp[q, p], bp[q, q]
+    comps = np.stack([b_pq + b_qp, 1j * (b_pq - b_qp), b_pp - b_qq]).reshape(3, -1) / 2
+    n = np.linalg.eigh((comps.conj() @ comps.T).real)[1][:, -1]
+    if n[2] < 0.0:
+        n = -n
+    c = np.sqrt((1.0 + n[2]) / 2.0)
+    z = (n[0] + 1j * n[1]) / (2.0 * c)
+    u = np.array([[c, -np.conj(z)], [z, c]])
+    pq = [p, q]
+    bp[pq] = np.einsum("ik,i...->k...", u.conj(), bp[pq])
+    bp[:, pq] = np.einsum("jl,kj...->kl...", u, bp[:, pq])
+    basis[:, pq] = basis[:, pq] @ u
+
+
+def inplace_cq_detect(state: BipartiteState) -> SimpleNamespace:
+    """(is_cq, off_block_residual, basis, sigma_list) by Jacobi sweeps inside
+    the degenerate clusters of the descending rho_A eigenbasis, one in-place
+    pair rotation at a time; a single sweep when no cluster has more than two
+    levels.  A dense commutator above the default eps_residual is a negative
+    verdict at the eigenbasis residual."""
+    m, n = state.dim_a, state.dim_b
+    b = state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    w, v = np.linalg.eigh(np.einsum("klaa->kl", b))
+    lam, basis = w[::-1], v[:, ::-1].copy()
+    bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
+
+    def mass() -> float:
+        return sum(float(np.linalg.norm(bp[k, l])) ** 2 for k in range(m) for l in range(k + 1, m))
+
+    if dense_commutator(state) > _CQ_EPS_RESIDUAL:
+        return SimpleNamespace(is_cq=False, off_block_residual=np.sqrt(mass()), basis=None,
+                               sigma_list=None)
+    clusters = [[0]]
+    for i in range(1, m):
+        if lam[i - 1] - lam[i] <= _CQ_EPS_DEGENERATE:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    pairs = [(p, q) for cl in clusters for i, p in enumerate(cl) for q in cl[i + 1:]]
+    total = mass()
+    for _ in range(_CQ_MAX_SWEEPS):
+        if not pairs or total == 0.0:
+            break
+        for p, q in pairs:
+            _inplace_rotate_pair(bp, basis, p, q)
+        last, total = total, mass()
+        if max(map(len, clusters)) <= 2 or last - total <= _CQ_RTOL * last:
+            break
+    off = float(np.sqrt(total))
+    if off > _CQ_EPS:
+        return SimpleNamespace(is_cq=False, off_block_residual=off, basis=None, sigma_list=None)
+    sigma = []
+    for k in range(m):
+        wk, vk = np.linalg.eigh(bp[k, k])
+        sigma.append((vk * np.clip(wk, 0.0, None)) @ vk.conj().T)
+    return SimpleNamespace(is_cq=True, off_block_residual=off, basis=basis, sigma_list=sigma)
 
 
 # ---------------------------------------------------------------------------

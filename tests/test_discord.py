@@ -6,7 +6,8 @@ A (helpers.searched_cc_qubit) and a multi-start BFGS search for any dim_a
 (helpers.searched_cc) pin the optimizer, and the former one-start-at-a-time
 refinement (helpers.sequential_refine) pins the lockstep one bit for bit;
 two independent structural characterizations (Bloch-span rank, commuting
-slice family) pin cq_detect.
+slice family) and the former in-place pair rotation
+(helpers.inplace_cq_detect) pin cq_detect.
 """
 from __future__ import annotations
 
@@ -1107,6 +1108,87 @@ def mixed_marginal_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
     k = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(dim_b))
     out = k @ rho @ k / dim_a
     return validate((out + out.conj().T) / 2, dim_a, dim_b)
+
+
+def test_cq_detect_matches_the_in_place_rotation_reference():
+    # the whole-grid contraction of each pair rotation against the in-place
+    # rotation it replaced, on a panel of states whose rho_A is degenerate:
+    # the Bell simplex at step 1/6, rho_A = I/M mixtures and CQ states
+    panel = [bell_diagonal(BellDiagonalParams(*p)) for p in H.simplex_grid(6)]
+    panel += [mixed_marginal_state(seed, dim_a, dim_b)
+              for dim_a, dim_b in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3), (5, 2)]
+              for seed in range(10)]
+    panel += [kron_cq_state(random_unitary(m, rng_seed=120 + m), [1.0 / m] * m, 3, seed=130 + m)
+              for m in range(2, 6)]
+    accepted = 0
+    for s in panel:
+        got, want = cq_detect(s), H.inplace_cq_detect(s)
+        assert got.is_cq == want.is_cq
+        assert abs(got.off_block_residual - want.off_block_residual) <= 1e-12
+        if got.is_cq:
+            accepted += 1
+            diff = rebuild_from_verdict(got, s.dim_b) - rebuild_from_verdict(want, s.dim_b)
+            assert np.abs(diff).max() <= 1e-12
+    assert accepted >= 4
+
+
+def logged_rotations(monkeypatch) -> list:
+    """The (p, q) of every pair rotation cq_detect makes from now on."""
+    rotated, rotate = [], D._rotate_pair
+
+    def logged(bp, basis, p, q):
+        rotated.append((p, q))
+        return rotate(bp, basis, p, q)
+
+    monkeypatch.setattr(D, "_rotate_pair", logged)
+    return rotated
+
+
+@pytest.mark.parametrize("gaps", [(0.5,), (2.0,), (0.5, 2.0), (2.0, 0.5), (0.5, 0.5)],
+                         ids=["below", "above", "below-above", "above-below", "below-below"])
+def test_cq_detect_rotates_exactly_the_pairs_inside_a_cluster(gaps, monkeypatch):
+    # rho_A gaps of 0.5 and 2 times _EPS_DEGENERATE, in a random basis so
+    # that the eigenbasis leaves off-block mass inside a cluster: a pair is
+    # rotated exactly when every gap between its levels is at most the
+    # threshold
+    gaps = [g * D._EPS_DEGENERATE for g in gaps]
+    m = len(gaps) + 1
+    lam = -np.concatenate([[0.0], np.cumsum(gaps)])
+    lam += (1.0 - lam.sum()) / m
+    s = kron_cq_state(random_unitary(m, rng_seed=140 + m), lam, 2, seed=150)
+    rotated = logged_rotations(monkeypatch)
+    assert cq_detect(s).is_cq
+    want = {(p, q) for p in range(m) for q in range(p + 1, m)
+            if all(g <= D._EPS_DEGENERATE for g in gaps[p:q])}
+    assert set(rotated) == want
+
+
+def test_cq_detect_sweeps_once_unless_a_cluster_has_three_levels(monkeypatch):
+    # a 2-fold cluster is solved by its one rotation, so with no larger
+    # cluster there is no second sweep; a 3-fold cluster sweeps until a
+    # sweep's relative gain is at most _PROGRESS_RTOL
+    rotated = logged_rotations(monkeypatch)
+    masses, off_mass = [], D._off_mass
+    monkeypatch.setattr(D, "_off_mass", lambda b: masses.append(off_mass(b)) or masses[-1])
+    for s, pairs in [
+        (bell_diagonal(BellDiagonalParams(0.7, 0.1, 0.1, 0.1)), [(0, 1)]),
+        (kron_cq_state(random_unitary(4, rng_seed=160), [0.3, 0.3, 0.2, 0.2], 2, seed=161),
+         [(0, 1), (2, 3)]),
+    ]:
+        rotated.clear()
+        masses.clear()
+        cq_detect(s)
+        assert rotated == pairs
+        assert len(masses) == 2  # before and after the one sweep
+    for seed in range(3):
+        rotated.clear()
+        masses.clear()
+        cq_detect(mixed_marginal_state(seed, 3, 2))
+        sweeps = len(masses) - 1
+        assert 2 <= sweeps < D._MAX_SWEEPS
+        assert rotated == [(0, 1), (0, 2), (1, 2)] * sweeps
+        gains = [(last - mass) / last for last, mass in zip(masses, masses[1:])]
+        assert min(gains[:-1]) > D._PROGRESS_RTOL >= gains[-1]
 
 
 def test_cq_detect_residual_against_cluster_search():

@@ -207,8 +207,10 @@ def test_write_statefile_ends_with_newline(tmp_path):
 
 def test_fixture_generator_reproduces_the_stored_fixtures(tmp_path):
     # the generator is the only record of how the frozen fixtures were made,
-    # so every file it writes (matrix, name and metadata) must still equal
-    # the stored one byte for byte
+    # so every state file it writes (matrix, name and metadata) must still
+    # equal the stored one byte for byte.  Its expected.json is not compared:
+    # that file is frozen, reports are checked against it to 1e-9, and it is
+    # never regenerated to absorb rounding drift
     root = pathlib.Path(__file__).parents[1]
     spec = importlib.util.spec_from_file_location("make_fixtures", root / "scripts" / "make_fixtures.py")
     make_fixtures = importlib.util.module_from_spec(spec)
