@@ -2,15 +2,18 @@
 
 For an MxN state, any M >= 1, the factor X is upper block-triangular with
 diagonal blocks X_j, Hermitian PSD (the canonical gauge), and blocks
-S_jl X_j above the diagonal.  It is built row by row.  Row j first forms
-the part of rho_jl, l >= j, that rows i < j leave unexplained,
-r_l = rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i), for all l at once as
-one batched product over (i, l).  Its first entry is the Schur complement
-M_jj, whose one eigh gives X_j = sqrt(M_jj) with every eigenvalue at or
-below the rank cut counted as zero.  Only a row with off blocks (all but
-the last) also forms X_j^+ from that eigh, and the rest of r give its whole row
-S_jl = X_j^+ r_l X_j^+, l > j, in one batched product; a row that earlier
-rows explain, whose M_jj is rounding noise, has X_j = X_j^+ = 0 and S = 0.
+F_jl = S_jl X_j above the diagonal.  X is kept as it is built, one (MN, MN)
+matrix F filled block row by block row, and is never reassembled.  Row j
+first forms the part of rho_jl, l >= j, that rows i < j leave unexplained,
+r_l = rho_jl - sum_{i<j} F_ij^dagger F_il, for all l at once as one Gram
+product of F's columns above row j.  Its first entry is the Schur complement
+M_jj, whose one eigh gives X_j = sqrt(M_jj) with every eigenvalue at or below
+the rank cut counted as zero.  Only a row with off blocks (all but the last)
+also forms X_j^+, from the same V^dagger as X_j, and the rest of r give its
+whole row S_jl = X_j^+ r_l X_j^+, l > j, and F_jl = S_jl X_j by plain 2-D
+matrix products; a row that earlier rows explain, whose M_jj is
+rounding noise, has X_j = X_j^+ = 0 and S = 0.  The reconstruction residual
+|X^dagger X - rho|_F reads F itself.
 
 The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
 gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
@@ -54,11 +57,14 @@ __all__ = [
 class SpptFactorization:
     """Canonical factorization of an MxN state.
 
-    x[j] is X_{j+1}, shape (M, N, N); s[j, l] is S_{j+1,l+1} for j < l and
-    zero elsewhere, shape (M, M, N, N).  residuals holds the normality and
-    cross residuals of S under the names is_sppt reports.  unexplained_mass
-    is the Frobenius norm of the off-block parts outside the range of their
-    row's X_j (zero when every X_j has full rank).
+    x[j] is X_{j+1}, the diagonal of the factor F the factorization built
+    and checked, shape (M, N, N); s[j, l] is S_{j+1,l+1} for j < l and zero
+    elsewhere, shape (M, M, N, N), so F's block above the diagonal is
+    s[j, l] @ x[j].  residuals holds the normality and cross residuals of S
+    under the names is_sppt reports, and reconstruction_residual is
+    |F^dagger F - rho|_F.  unexplained_mass is the Frobenius norm of the
+    off-block parts outside the range of their row's X_j (zero when every
+    X_j has full rank).
     """
 
     x: np.ndarray
@@ -114,24 +120,34 @@ def _conditions(m: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.nda
 _EPS_RANK = 1e-10
 
 
-def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
-    """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
-    t = block_tensor(state)
+def _root_and_pinv(root: np.ndarray, inv: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V diag(root) V^dagger and V diag(inv) V^dagger, from one V^dagger."""
+    vh = dagger(v)
+    return (v * root) @ vh, (v * inv) @ vh
+
+
+def _factorize(state: BipartiteState, tol: Tolerance) -> tuple[SpptFactorization, np.ndarray]:
+    """factorize, and its condition residuals in _conditions order as an array."""
     m, n = state.dim_a, state.dim_b
-    x = np.zeros((m, n, n), dtype=np.complex128)
+    # the factor X as it is built: f[j, :, l] is block (j, l), so that
+    # f.reshape(m n, m n) is X itself
+    f = np.zeros((m, n, m, n), dtype=np.complex128)
+    big_x = f.reshape(m * n, m * n)
     s = np.zeros((m, m, n, n), dtype=np.complex128)
-    cut = _EPS_RANK * np.maximum(np.einsum("jjaa->j", t).real, 0.0)
+    cut = _EPS_RANK * np.maximum(np.einsum("jjaa->j", block_tensor(state)).real, 0.0)
     deficient = False
     mass_sq = 0.0
     for j in range(m):
-        # r[l - j] = rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i), l >= j; r[0] = M_jj
-        r = t[j, j:]
+        # r = [M_jj | r_{j+1} | ... | r_m], r_l = rho_jl - sum_{i<j} F_ij^dagger F_il:
+        # block row j of rho from the diagonal on, less one Gram product of X's columns
+        lo, hi = j * n, (j + 1) * n
+        r = state.rho[lo:hi, lo:]
         if j:
-            r = r - ((x[:j] @ dagger(s[:j, j]))[:, None] @ (s[:j, j:] @ x[:j, None])).sum(axis=0)
-        w, v = np.linalg.eigh(r[0])
+            r = r - dagger(big_x[:lo, lo:hi]) @ big_x[:lo, lo:]
+        w, v = np.linalg.eigh(r[:, :n])
         keep = w > cut[j]
         root = np.sqrt(np.where(keep, w, 0.0))
-        x[j] = from_eig(root, v)
         if w[0] < -tol.eps_psd:
             floor = f"min eigenvalue {w[0]:.3e} below -{tol.eps_psd:.3e}"
             if j == 0:  # a diagonal block of rho itself
@@ -144,12 +160,19 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         # extraction and the mass check, which on a 2x2 state cost more than
         # the row's eigh
         if j + 1 == m:
+            f[j, :, j] = from_eig(root, v)
             break
-        xp = from_eig(keep / np.where(keep, root, 1.0), v)
-        s[j, j + 1:] = xp @ r[1:] @ xp
+        xj, xp = _root_and_pinv(root, keep / np.where(keep, root, 1.0), v)
+        f[j, :, j] = xj
+        # S_jl = X_j^+ r_l X_j^+ for every l > j at once: row (a, l) of sr is row a of S_jl
+        k, off = m - j - 1, r[:, n:]
+        sr = (xp @ off).reshape(n * k, n) @ xp
+        s[j, j + 1:] = sr.reshape(n, k, n).swapaxes(0, 1)
+        f[j, :, j + 1:] = (sr @ xj).reshape(n, k, n)
         if not keep.all():  # the off blocks' mass outside the range of X_j; none at full rank
-            proj = hermitize(x[j] @ xp)
-            outside = (r[1:] - proj @ r[1:] @ proj).reshape(m - j - 1, n * n)
+            proj = hermitize(xj @ xp)
+            inside = ((proj @ off).reshape(n * k, n) @ proj).reshape(n, k, n)
+            outside = (off.reshape(n, k, n) - inside).swapaxes(0, 1).reshape(k, n * n)
             mass = np.sqrt(np.vecdot(outside, outside).real)
             mass_sq += float(mass @ mass)
             deficient = deficient or bool((mass > tol.eps_residual).any())
@@ -158,29 +181,32 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
     # (len(j), n * n), not -1: dim_a = 1 has no conditions and an empty stack
     c = (a @ bd - bd @ a).reshape(len(j), n * n)
     residuals = np.sqrt(np.vecdot(c, c).real)
-    # the factor: diagonal blocks x[j], and s[j, l] x[j] above (s is zero elsewhere)
-    blocks = s @ x[:, None]
-    blocks[np.diag_indices(m)] = x
-    big_x = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-    return SpptFactorization(
-        x=x,
+    diag = np.arange(m)
+    factorization = SpptFactorization(
+        x=f[diag, :, diag],
         s=s,
         residuals=dict(zip(keys, residuals.tolist())),
         reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.rho),
         rank_deficient=deficient,
         unexplained_mass=float(np.sqrt(mass_sq)),
     )
+    return factorization, residuals
+
+
+def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
+    """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
+    return _factorize(state, tol)[0]
 
 
 def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
     """Strong-PPT verdict from the canonical factorization residuals, any dim_a."""
     ppt = bipartite.is_ppt(state, tol)
-    f = factorize(state, tol)
+    f, residuals = _factorize(state, tol)
     _, j, k, l = _conditions(state.dim_a)
     s = f.s.reshape(*f.s.shape[:2], -1)
     norms = np.sqrt(np.vecdot(s, s).real)
     bound = tol.eps_sppt * np.maximum(1.0, norms[j, k] * norms[j, l])
-    normal_ok = bool(np.all(np.fromiter(f.residuals.values(), float, len(j)) <= bound))
+    normal_ok = bool(np.all(residuals <= bound))
     recon_ok = f.reconstruction_residual <= tol.eps_residual
     verdict = bool(normal_ok and recon_ok and ppt.is_ppt and not f.rank_deficient)
     return SpptVerdict(

@@ -5,13 +5,14 @@ package internals: explicit loops instead of reshapes, closed-form 2x2
 eigenvalues instead of LAPACK where possible, and alternative mathematical
 characterizations (Bloch-span rank, commuting slice families) instead of the
 detection algorithms under test.  A test that compares the package against
-these oracles can only pass if both derivations agree.  Two methods the
+these oracles can only pass if both derivations agree.  Three methods the
 package replaced are kept as references its replacements must reproduce:
-sequential_refine, the measurement refinement, exactly, and
-inplace_cq_detect, the CQ detection with in-place pair rotations, to
-rounding.  sequential_refine and its trial are the only code here that
-reads qcorr.discord.  The seeded test states are inputs, not oracles: they
-build states through the package.
+sequential_refine, the measurement refinement, exactly; inplace_cq_detect,
+the CQ detection with in-place pair rotations, to rounding; and
+rowwise_factorize, the block Cholesky with separate x and s, to rounding.
+sequential_refine and its trial are the only code here that reads
+qcorr.discord, and nothing here reads qcorr.factorization.  The seeded test
+states are inputs, not oracles: they build states through the package.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qcorr import BipartiteState, Tolerance, random_ginibre_density, validate
+from qcorr import (BipartiteState, Tolerance, random_cq, random_ginibre_density, random_pure,
+                   validate)
 from qcorr import discord as D
 from qcorr.errors import InconsistentBlocks, NotPsd
 
@@ -45,6 +47,20 @@ def rank2_state(key, m: int, n: int) -> BipartiteState:
     g = rng.standard_normal((m * n, 2)) + 1j * rng.standard_normal((m * n, 2))
     rho = g @ g.conj().T
     return validate(rho / np.trace(rho).real, m, n)
+
+
+def factorization_panel(dim_a: int) -> list[tuple[tuple, BipartiteState]]:
+    """(label, state) for the Ginibre, rank-2, pure and CQ states with this
+    dim_a, dim_b in (1, 2, 3, 8) up to dim_a dim_b = 24, and seeds 0-9."""
+    panel = []
+    for dim_b in (n for n in (1, 2, 3, 8) if dim_a * n <= 24):
+        for seed in range(10):
+            key = [seed, dim_a, dim_b]
+            panel += [(("ginibre", *key), ginibre_state(key, dim_a, dim_b)),
+                      (("rank2", *key), rank2_state(key, dim_a, dim_b)),
+                      (("pure", *key), random_pure(dim_a, dim_b, rng_seed=key)),
+                      (("cq", *key), random_cq(dim_a, dim_b, rng_seed=key))]
+    return panel
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +865,16 @@ def gauge_transport(x, s, unitaries) -> SimpleNamespace:
     )
 
 
+def sppt_residual_names(m: int) -> list[str]:
+    """qcorr's names for the values of sppt_residuals, in the same order."""
+    normal = [f"normality_s{j + 1}{k + 1}" for j in range(m) for k in range(j + 1, m)]
+    cross = [f"cross_s{j + 1}{k + 1}_s{j + 1}{l + 1}" for j in range(m)
+             for k in range(j + 1, m) for l in range(k + 1, m)]
+    if m == 2:
+        return ["normality"]
+    return [*normal, "cross"] if m == 3 else normal + cross
+
+
 def sppt_residuals(s) -> list[float]:
     """Frobenius norms of S_jk S_jl^dagger - S_jl^dagger S_jk for j < k <= l:
     first every normality condition (k = l), then every cross condition
@@ -989,3 +1015,69 @@ def unrolled_sppt(state: BipartiteState, tol: Tolerance = Tolerance()):
     recon_ok = residuals["reconstruction"] <= tol.eps_residual * scale
     verdict = bool(normal_ok and recon_ok and lam_min >= -tol.eps_psd and not deficient)
     return verdict, residuals, deficient
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row block Cholesky as qcorr.factorization wrote it before it kept
+# the factor as built: separate x and s, a four-way Schur update and a factor
+# reassembled from s @ x, kept as an oracle for qcorr.factorization
+
+
+def _dag_stack(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def rowwise_factorize(state: BipartiteState, tol: Tolerance = Tolerance()) -> SimpleNamespace:
+    """The canonical factorization with the fields of qcorr's SpptFactorization.
+
+    Row j's unexplained part is rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i),
+    X_j and X_j^+ come from two products with V^dagger, and the reconstruction
+    residual is read off the factor reassembled from its diagonal x and its
+    blocks s @ x.  The rank cut is EPS_RANK tr rho_jj, and the indefinite rows
+    raise NotPsd and InconsistentBlocks with qcorr's messages.
+    """
+    m, n = state.dim_a, state.dim_b
+    t = state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    x = np.zeros((m, n, n), dtype=np.complex128)
+    s = np.zeros((m, m, n, n), dtype=np.complex128)
+    cut = EPS_RANK * np.maximum(np.einsum("jjaa->j", t).real, 0.0)
+    deficient, mass_sq = False, 0.0
+    for j in range(m):
+        r = t[j, j:]
+        if j:
+            explained = (x[:j] @ _dag_stack(s[:j, j]))[:, None] @ (s[:j, j:] @ x[:j, None])
+            r = r - explained.sum(axis=0)
+        w, v = np.linalg.eigh(r[0])
+        keep = w > cut[j]
+        root = np.sqrt(np.where(keep, w, 0.0))
+        x[j] = (v * root) @ _dag(v)
+        if w[0] < -tol.eps_psd:
+            floor = f"min eigenvalue {w[0]:.3e} below -{tol.eps_psd:.3e}"
+            if j == 0:
+                raise NotPsd(floor)
+            if not deficient:
+                raise InconsistentBlocks(
+                    f"rho{j + 1}{j + 1} minus the explained part is not PSD: {floor}")
+            keep[:] = False
+        if j + 1 == m:
+            break
+        xp = (v * (keep / np.where(keep, root, 1.0))) @ _dag(v)
+        s[j, j + 1:] = xp @ r[1:] @ xp
+        if not keep.all():
+            proj = _herm(x[j] @ xp)
+            for l in range(j + 1, m):
+                mass = _fro(r[l - j] - proj @ r[l - j] @ proj)
+                mass_sq += mass**2
+                deficient = deficient or mass > tol.eps_residual
+    blocks = s @ x[:, None]
+    blocks[np.diag_indices(m)] = x
+    big_x = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+    names = sppt_residual_names(m)
+    return SimpleNamespace(
+        x=x,
+        s=s,
+        residuals=dict(zip(names, sppt_residuals(s))),
+        reconstruction_residual=_fro(np.conj(big_x.T) @ big_x - state.rho),
+        rank_deficient=deficient,
+        unexplained_mass=float(np.sqrt(mass_sq)),
+    )

@@ -884,6 +884,25 @@ def test_oracles_read_qcorr_discord_only_in_the_sequential_reference():
     assert aliases and reads == []
 
 
+def test_oracles_never_import_qcorr_factorization():
+    # rowwise_factorize and the unrolled factorizations check
+    # qcorr.factorization, so helpers takes nothing from it: not the module,
+    # and none of the names qcorr re-exports from it
+    from qcorr import factorization
+
+    tree = ast.parse(pathlib.Path(H.__file__).read_text(encoding="utf-8"))
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [a.name for a in node.names if a.name.startswith("qcorr.factorization")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "qcorr.factorization":
+            imports.append(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module == "qcorr":
+            imports += [a.name for a in node.names
+                        if a.name == "factorization" or a.name in factorization.__all__]
+    assert imports == []
+
+
 def test_every_parameter_is_read():
     # a parameter that its function never reads is a setting that does
     # nothing.  cq_detect's opt stays because bench/workloads.py passes it

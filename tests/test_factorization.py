@@ -2,7 +2,8 @@
 
 Closed-form S for X-shaped states, exact reconstruction, the S-adjoint
 replacement identity, gauge invariance, the qutrit side, dim_a >= 4, and
-agreement with the unrolled 2xN and 3xN factorizations kept in helpers.
+agreement with the unrolled 2xN and 3xN factorizations and the rowwise
+block Cholesky kept in helpers.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (bell_state, factor_x, gauge_transport, ginibre_state, rank2_state,
-                     sppt_residuals, unrolled_sppt)
+from helpers import (bell_state, factor_x, factorization_panel, gauge_transport, ginibre_state,
+                     rank2_state, rowwise_factorize, sppt_residuals, unrolled_sppt)
 from qcorr import (
     BipartiteState,
     CqSpec,
@@ -127,7 +128,8 @@ def test_inconsistent_blocks_raise():
 
 def test_indefinite_blocks_raise_as_the_unrolled_factorizations_did():
     # an indefinite rho11 is NotPsd; an indefinite third-row Schur complement
-    # after a full-rank extraction is InconsistentBlocks
+    # after a full-rank extraction is InconsistentBlocks, with the message of
+    # the rowwise reference
     for rho, error, message in [
         (np.diag([-0.1, 0.6, 0.5]).astype(complex), NotPsd,
          "min eigenvalue -1.000e-01 below -1.000e-09"),
@@ -138,6 +140,8 @@ def test_indefinite_blocks_raise_as_the_unrolled_factorizations_did():
         state = BipartiteState(dim_a=3, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             factorize(state)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            rowwise_factorize(state)
         with pytest.raises(error):
             unrolled_sppt(state)
 
@@ -224,6 +228,39 @@ def test_is_sppt_matches_unrolled_factorizations():
                         assert abs(v.residuals[key] - want) <= 1e-12, key
                     verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("dim_a", [1, 2, 3, 4])
+def test_factorize_matches_the_rowwise_reference(dim_a):
+    # the row loop as it was, kept in helpers: separate x and s, the four-way
+    # Schur update and the factor reassembled from s @ x.  The same flags and
+    # keys, every number to rounding, and on 2xN the same S bit for bit,
+    # since row 1 has no Schur update
+    for label, s in factorization_panel(dim_a):
+        f, want = factorize(s), rowwise_factorize(s)
+        assert f.rank_deficient == want.rank_deficient, label
+        assert list(f.residuals) == list(want.residuals), label
+        for got, ref in [(f.x, want.x), (f.s, want.s)]:
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), label
+        for key in (*want.residuals, "reconstruction_residual", "unexplained_mass"):
+            ref = want.residuals[key] if key in want.residuals else getattr(want, key)
+            got = f.residuals[key] if key in f.residuals else getattr(f, key)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (label, key)
+        if dim_a == 2:
+            assert np.array_equal(f.s, want.s), label
+
+
+@pytest.mark.parametrize("dim_a", [1, 2, 3, 4])
+def test_the_record_describes_the_factor_it_checked(dim_a):
+    # the reconstruction residual reads the factor as it was built, so the
+    # factor rebuilt from the record's x and s must be the one checked: the
+    # same residual, and s zero on and below the block diagonal
+    below = ~np.triu(np.ones((dim_a, dim_a), dtype=bool), 1)
+    for label, s in factorization_panel(dim_a):
+        f = factorize(s)
+        x = factor_x(f)
+        assert abs(fro_norm(dagger(x) @ x - s.rho) - f.reconstruction_residual) <= 1e-15, label
+        assert not f.s[below].any(), label
 
 
 @settings(max_examples=25, deadline=None)
@@ -333,26 +370,34 @@ def test_verdicts_make_one_eigh_per_a_level_and_nothing_more(linalg_calls):
 
 def test_only_rows_with_off_blocks_form_a_pseudoinverse(monkeypatch):
     # pins the row step: each of the m rows rebuilds its root from its eigh,
-    # and only the m - 1 rows with off blocks also rebuild X_j^+, so an m-row
-    # factorization makes 2m - 1 from_eig calls, rank-deficient or not; an
-    # accepted cq_detect makes one, for its clamped sigma_k
+    # and only the m - 1 rows with off blocks also rebuild X_j^+, from the
+    # same V^dagger as their root, so an m-row factorization forms m roots
+    # and m - 1 pseudoinverses, rank-deficient or not; an accepted cq_detect
+    # makes one from_eig call, for its clamped sigma_k
     from qcorr import cq_detect, discord, factorization
 
-    calls = []
-    real = factorization.from_eig
+    calls, formed = [], []
+    real, pair = factorization.from_eig, factorization._root_and_pinv
 
     def counting(w, v):
         calls.append(w.shape)
+        formed.append("root")
         return real(w, v)
 
+    def counting_pair(root, inv, v):
+        formed.extend(["root", "pinv"])
+        return pair(root, inv, v)
+
     monkeypatch.setattr(factorization, "from_eig", counting)
+    monkeypatch.setattr(factorization, "_root_and_pinv", counting_pair)
     monkeypatch.setattr(discord, "from_eig", counting)
     for m, s in [(2, ginibre_state(62, 2, 3)), (3, ginibre_state(63, 3, 3)),
                  (2, random_pure(2, 3, rng_seed=[70, 2, 3])),
                  (3, random_pure(3, 3, rng_seed=[70, 3, 3]))]:
-        calls.clear()
+        formed.clear()
         factorize(s)
-        assert len(calls) == 2 * m - 1, m
+        assert formed.count("root") == m and formed.count("pinv") == m - 1, m
+        assert formed[-1] == "root", m  # the last row forms its root alone
     calls.clear()
     assert cq_detect(random_cq(3, 2, rng_seed=4)).is_cq
     assert calls == [(3, 2)]
