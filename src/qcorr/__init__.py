@@ -26,7 +26,6 @@ from .discord import (
     commutator_criterion,
     cq_detect,
     discord_a,
-    mutual_information,
 )
 from .factorization import (
     SpptFactorization,
@@ -80,7 +79,6 @@ __all__ = [
     "DEFAULT_OPT",
     "DiscordReport",
     "CqVerdict",
-    "mutual_information",
     "discord_a",
     "commutator_criterion",
     "cq_detect",

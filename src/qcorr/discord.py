@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_OPT",
     "DiscordReport",
     "CqVerdict",
-    "mutual_information",
     "discord_a",
     "commutator_criterion",
     "cq_detect",
@@ -140,23 +139,6 @@ def _entropy_terms(w: np.ndarray, p: np.ndarray):
 def _spectrum_entropy(w: np.ndarray) -> float:
     # S is the conditional entropy of one outcome of probability 1
     return float(_entropy_terms(w[None], np.ones(1))[0])
-
-
-def _marginals(state: BipartiteState):
-    """(I(rho), S(rho_B), the rho_A eigenbasis by descending eigenvalue), from
-    one eigh of rho_A, whose eigenvalues give S(rho_A), one eigvalsh of rho_B
-    and the spectrum validate kept, ascending again so that S(rho) sums in
-    the order of an eigvalsh of rho.  Both marginals are sums over the
-    Hermitian part, so neither is re-symmetrized."""
-    w, v = np.linalg.eigh(partial_trace_b(state))
-    s_b = _spectrum_entropy(np.linalg.eigvalsh(partial_trace_a(state)))
-    s = _spectrum_entropy(state.spectrum[::-1])
-    return max(0.0, _spectrum_entropy(w) + s_b - s), s_b, v[:, ::-1]
-
-
-def mutual_information(state: BipartiteState) -> float:
-    """I(rho) = S(rho_A) + S(rho_B) - S(rho), clamped at 0."""
-    return _marginals(state)[0]
 
 
 def _block_stack(state: BipartiteState) -> np.ndarray:
@@ -326,40 +308,43 @@ def _tied(h: np.ndarray) -> np.ndarray:
     return np.where(h - least <= _PROGRESS_RTOL * max(1.0, abs(least)), least, h)
 
 
-def _classical_correlation(b: np.ndarray, eig: np.ndarray, s_b: float, mi: float,
-                           opt: OptimizerConfig):
-    """Best S(rho_B) - H(U) over orthonormal A bases U, any dim_a, from the
-    _block_stack b, the rho_A eigenbasis eig, S(rho_B) and I(rho).
+def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> DiscordReport:
+    """Quantum discord of the A side: mutual information minus C_A, any dim_a.
 
-    Returns (value, basis, objective evaluations, candidates scored).  The
-    value is at most mi, and since H(U) >= 0 it is also at most S(rho_B).
-    The eigenbasis is scored first, and when it comes within a quarter of
-    eps_opt of either bound the search is done: exact for classical-quantum
-    inputs, which attain mi there, and for pure states, whose rho_A
-    eigenbasis is a Schmidt basis with H = 0.  Otherwise the eigenbasis and
-    the _singular_bases, all fixed by the state, are scored by one _trial, and
-    the best dim_a are refined from their rows of it.  Scores and endpoints
-    that tie with the least (see _tied) keep candidate order: the starts are
-    the best by score, and the basis reported is the first refined endpoint,
-    in start order, that ties with the least H, so at a degenerate optimum
-    rounding does not choose among equally good bases.
+    I(rho) = S(rho_A) + S(rho_B) - S(rho), clamped at 0, takes S(rho_A) and
+    the rho_A eigenbasis (by descending eigenvalue) from one eigh of rho_A,
+    S(rho_B) from one eigvalsh and S(rho) from the spectrum validate kept,
+    ascending again as an eigvalsh of rho sums it.  Both marginals are sums
+    over the Hermitian part, so neither is re-symmetrized.
+
+    C_A, the best S(rho_B) - H(U) over orthonormal A bases U, is at most I(rho)
+    and, as H(U) >= 0, at most S(rho_B).  The eigenbasis is scored first, and
+    when it comes within a quarter of eps_opt of either bound the search is
+    done: exact for classical-quantum inputs, which attain I(rho) there, and
+    for pure states, whose rho_A eigenbasis is a Schmidt basis with H = 0.
+    Otherwise the eigenbasis and the _singular_bases, all fixed by the state,
+    are scored by one _trial, and the best dim_a are refined from their rows
+    of it.  Scores and endpoints that tie with the least (see _tied) keep
+    candidate order: the starts are the best by score, and the basis reported
+    is the first refined endpoint, in start order, that ties with the least
+    H, so at a degenerate optimum rounding does not choose among equally good
+    bases.
     """
+    w, v = np.linalg.eigh(partial_trace_b(state))
+    s_b = _spectrum_entropy(np.linalg.eigvalsh(partial_trace_a(state)))
+    mi = max(0.0, _spectrum_entropy(w) + s_b - _spectrum_entropy(state.spectrum[::-1]))
+    eig, b = v[:, ::-1], _block_stack(state)
     h_eig = float(_trial(eig, b)[0])
     if min(mi - (s_b - h_eig), h_eig) <= 0.25 * opt.eps_opt:
-        return max(0.0, s_b - h_eig), eig, 1, 0
-
-    cands = np.concatenate([eig[None], _singular_bases(b, len(eig))])
-    hs, kept = _trial(cands, b)
-    starts = np.argsort(_tied(hs), kind="stable")[: len(eig)]
-    u, h, n = _refine(cands[starts], b, hs[starts], [a[starts] for a in kept])
-    best = int(np.argmin(_tied(h)))
-    return max(0.0, s_b - float(h[best])), u[best], 1 + len(cands) + int(n.sum()), len(cands)
-
-
-def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> DiscordReport:
-    """Quantum discord of the A side: mutual information minus C_A, any dim_a."""
-    mi, s_b, eig = _marginals(state)
-    cc, basis, evals, grid = _classical_correlation(_block_stack(state), eig, s_b, mi, opt)
+        cc, basis, evals, grid = max(0.0, s_b - h_eig), eig, 1, 0
+    else:
+        cands = np.concatenate([eig[None], _singular_bases(b, len(eig))])
+        hs, kept = _trial(cands, b)
+        starts = np.argsort(_tied(hs), kind="stable")[: len(eig)]
+        u, h, n = _refine(cands[starts], b, hs[starts], [a[starts] for a in kept])
+        best = int(np.argmin(_tied(h)))
+        cc, basis = max(0.0, s_b - float(h[best])), u[best]
+        evals, grid = 1 + len(cands) + int(n.sum()), len(cands)
     return DiscordReport(
         mutual_information=mi,
         classical_correlation=cc,
@@ -467,9 +452,9 @@ def cq_detect(
     residual of 1.738e-2, where restarts from Haar bases reach 1.731e-2), so
     the reported residual is an upper bound.
     An accepted state is certified all the same: see CqVerdict.  A commutator
-    above tol.eps_residual, the only setting read, short-circuits to a
-    negative verdict, reporting the plain eigenbasis residual.  opt is
-    accepted for compatibility and no longer affects the result.
+    above tol.eps_residual, the only setting read, decides alone: no pair is
+    rotated, and the negative verdict reports the plain eigenbasis residual.
+    opt is accepted for compatibility and no longer affects the result.
     """
     m = state.dim_a
     b = block_tensor(state)
@@ -477,18 +462,16 @@ def cq_detect(
     w, v = np.linalg.eigh(rho_a)
     basis = v[:, ::-1]
     bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
-
     com = _commutator(b, rho_a)
-    if com > tol.eps_residual:
-        return CqVerdict(is_cq=False, basis=None, off_block_residual=float(np.sqrt(_off_mass(bp))),
-                         sigma_list=None, commutator=com)
 
     # the eigenvalues descend, so a cluster is a run of gaps <= _EPS_DEGENERATE
     lam = w[::-1].tolist()
     cluster = [0]
     for hi, lo in zip(lam, lam[1:]):
         cluster.append(cluster[-1] + (hi - lo > _EPS_DEGENERATE))
-    pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
+    # a commutator above tol.eps_residual decides alone: no pair is rotated
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)
+             if cluster[p] == cluster[q] and com <= tol.eps_residual]
     # no cluster above 2 levels: each rotation is exact and touches no other
     # pair, so one sweep is the minimum
     disjoint = all(cluster[p] != cluster[p + 2] for p in range(m - 2))
@@ -504,7 +487,7 @@ def cq_detect(
             break
 
     off = float(np.sqrt(mass))
-    if off > _EPS_CQ:
+    if com > tol.eps_residual or off > _EPS_CQ:
         return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None,
                          commutator=com)
     # the diagonal blocks, each clamped to its PSD part, from one batched eigh

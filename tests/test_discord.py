@@ -32,13 +32,13 @@ from qcorr import (
     BipartiteState,
     CqSpec,
     DEFAULT_OPT,
+    DEFAULT_TOL,
     XStateParams,
     bell_diagonal,
     build_cq_state,
     commutator_criterion,
     cq_detect,
     discord_a,
-    mutual_information,
     partial_trace_a,
     partial_trace_b,
     random_cq,
@@ -76,36 +76,42 @@ def test_entropy_closed_forms():
 
 
 def test_entropy_is_basis_independent():
-    # S(rho_B) of a product state is that of rho_B's spectrum in any basis
-    # rho_B is written in, and the mutual information stays 0
+    # S(rho_B) is that of rho_B's spectrum in any basis rho_B is written in:
+    # a pure state with Schmidt weights p whose B side is in a Haar basis
+    # exits at its Schmidt basis, where H = 0, so C_A = S(rho_B) = H(p); a
+    # product state's mutual information stays 0
+    p = [0.5, 0.3, 0.2]
     u = random_unitary(3, rng_seed=3)
-    rho_b = u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T
+    psi = (np.sqrt(p)[:, None] * u.T).ravel()  # sum_a sqrt(p_a) |a> (x) u|a>
+    r = discord_a(validate(np.outer(psi, psi.conj()), 3, 3))
+    assert r.grid_resolution == 0
+    assert r.classical_correlation == pytest.approx(H.entropy_bits(p), abs=1e-10)
+    rho_b = u @ np.diag(p) @ u.conj().T
     s = validate(np.kron(np.diag([0.25, 0.75]), rho_b), 2, 3)
-    assert D._marginals(s)[1] == pytest.approx(H.entropy_bits([0.5, 0.3, 0.2]), abs=1e-10)
-    assert mutual_information(s) == pytest.approx(0.0, abs=1e-10)
+    assert discord_a(s).mutual_information == pytest.approx(0.0, abs=1e-10)
 
 
 def test_mutual_information_benchmarks():
     a = np.diag([0.25, 0.75])
     b = np.diag([0.5, 0.3, 0.2])
     product = validate(np.kron(a, b), 2, 3)
-    assert mutual_information(product) == pytest.approx(0.0, abs=1e-10)
-    assert mutual_information(bell_state()) == pytest.approx(2.0, abs=1e-10)
-    assert mutual_information(classically_correlated()) == pytest.approx(1.0, abs=1e-10)
+    assert discord_a(product).mutual_information == pytest.approx(0.0, abs=1e-10)
+    assert discord_a(bell_state()).mutual_information == pytest.approx(2.0, abs=1e-10)
+    assert discord_a(classically_correlated()).mutual_information == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_mutual_information_nonnegative_and_bounded(seed):
     s = ginibre_state(seed, 2, 3)
-    mi = mutual_information(s)
+    mi = discord_a(s).mutual_information
     # 0 <= I <= 2 min(S(A), S(B)) <= 2 log2 dim_a
     assert -1e-10 <= mi <= 2.0 + 1e-10
 
 
 def test_mutual_information_matches_the_eigvalsh_form():
-    # discord_a and mutual_information take S(rho_A) from the eigh of rho_A
-    # that yields the rho_A eigenbasis and S(rho) from validate's spectrum;
+    # discord_a takes S(rho_A) from the eigh of rho_A that yields the rho_A
+    # eigenbasis and S(rho) from validate's spectrum;
     # the oracle takes one eigvalsh per matrix, through helpers.vn_entropy
     def eigvalsh_form(s):
         return max(0.0, sum(H.vn_entropy(x) for x in (partial_trace_b(s), partial_trace_a(s)))
@@ -115,7 +121,6 @@ def test_mutual_information_matches_the_eigvalsh_form():
         for seed in range(5):
             for s in (ginibre_state([seed, m, n], m, n), random_pure(m, n, rng_seed=[seed, m, n])):
                 want = eigvalsh_form(s)
-                assert abs(mutual_information(s) - want) <= 1e-14
                 assert abs(discord_a(s).mutual_information - want) <= 1e-14
 
 
@@ -291,6 +296,17 @@ def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypat
     assert trial_rows > len(rounds)  # the starts share their trial calls
 
 
+def scored_starts(s: BipartiteState):
+    """(block stack, starts, their H, their kept decompositions): the bases
+    discord_a refines, ranked from its candidates' scores."""
+    b = D._block_stack(s)
+    eig = np.linalg.eigh(partial_trace_b(s))[1][:, ::-1]
+    cands = np.concatenate([eig[None], D._singular_bases(b, s.dim_a)])
+    hs, kept = D._trial(cands, b)
+    best = np.argsort(D._tied(hs), kind="stable")[: s.dim_a]
+    return b, cands[best], hs[best], [a[best] for a in kept]
+
+
 def test_lockstep_refinement_equals_the_sequential_oracle():
     # a panel fixed before it was run: 20 Ginibre and 10 rank-2 states of
     # each shape and 10 random_sppt states of each 2xN; every start the
@@ -303,12 +319,8 @@ def test_lockstep_refinement_equals_the_sequential_oracle():
     assert len(states) == 310
     batches = 0
     for s in states:
-        b = D._block_stack(s)
-        cands = np.concatenate([D._marginals(s)[2][None], D._singular_bases(b, s.dim_a)])
-        hs, kept = D._trial(cands, b)
-        best = np.argsort(D._tied(hs), kind="stable")[: s.dim_a]
-        u0 = cands[best]
-        u, h, evals = D._refine(u0, b, hs[best], [a[best] for a in kept])
+        b, u0, h0, kept0 = scored_starts(s)
+        u, h, evals = D._refine(u0, b, h0, kept0)
         assert u.shape == u0.shape and h.shape == evals.shape == (len(u0),)
         for k, start in enumerate(u0):
             u_k, h_k, evals_k = H.sequential_refine(start, b)
@@ -317,6 +329,30 @@ def test_lockstep_refinement_equals_the_sequential_oracle():
             assert u[k].tobytes() == u_k.tobytes(), (s.dim_a, s.dim_b, k)
         batches += len(u0) > 1
     assert batches == len(states) - 30  # each 2x1 state has one start
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_refinement_stops_at_its_step_cap(monkeypatch, cap):
+    # _MAX_STEPS only guards against a stalled refinement, and no state of
+    # the suite reaches it; lowered to cap, every start the search refines
+    # from its score must still end where helpers.sequential_refine, which
+    # reads the same cap, ends it, to the bit, after as many evaluations,
+    # and some start must stop above the H it reaches uncapped
+    shapes = [(2, 2), (2, 4), (3, 2), (3, 3)]
+    states = [ginibre_state([seed, m, n], m, n) for m, n in shapes for seed in range(10)]
+    uncapped, binds = D._MAX_STEPS, 0
+    for s in states:
+        b, u0, h0, kept0 = scored_starts(s)
+        monkeypatch.setattr(D, "_MAX_STEPS", uncapped)
+        h_free = D._refine(u0, b, h0, kept0)[1]
+        monkeypatch.setattr(D, "_MAX_STEPS", cap)
+        u, h, evals = D._refine(u0, b, h0, kept0)
+        for k, start in enumerate(u0):
+            u_k, h_k, evals_k = H.sequential_refine(start, b)
+            assert (h[k], evals[k] + 1) == (h_k, evals_k), (s.dim_a, s.dim_b, k)
+            assert u[k].tobytes() == u_k.tobytes(), (s.dim_a, s.dim_b, k)
+        binds += int((h > h_free).sum())
+    assert binds > 0
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +664,8 @@ def test_line_searches_end_at_rounding_level(monkeypatch, seed, evals, cc):
     assert r.optimizer_evals < evals
     assert abs(r.classical_correlation - cc) <= 1e-13
     b = D._block_stack(s)
-    cands = np.concatenate([D._marginals(s)[2][None], D._singular_bases(b, s.dim_a)])
+    eig = np.linalg.eigh(partial_trace_b(s))[1][:, ::-1]
+    cands = np.concatenate([eig[None], D._singular_bases(b, s.dim_a)])
     hs, kept = D._trial(cands, b)
     calls = []
 
@@ -858,6 +895,29 @@ def test_no_private_top_level_name_is_unused():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(f"{f}: {n}" for n, f in defined.items() if n not in used) == []
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that nothing in the package, bench/ or scripts/
+    # calls is dead code.  Only call sites count, so a report field or a
+    # name string of the same name is not a use
+    import inspect
+
+    import qcorr
+    root = pathlib.Path(__file__).resolve().parents[1]
+    called = set()
+    for path in [*root.glob("src/qcorr/*.py"), *root.glob("bench/*.py"), *root.glob("scripts/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    uncalled = []
+    for info in pkgutil.iter_modules(qcorr.__path__):
+        mod = importlib.import_module(f"qcorr.{info.name}")
+        uncalled += [f"{info.name}.{name}" for name in getattr(mod, "__all__", ())
+                     if inspect.isfunction(getattr(mod, name)) and name not in called]
+    assert uncalled == []
 
 
 def test_oracles_read_qcorr_discord_only_in_the_sequential_reference():
@@ -1129,19 +1189,41 @@ def mixed_marginal_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
     return validate((out + out.conj().T) / 2, dim_a, dim_b)
 
 
-def test_cq_detect_matches_the_in_place_rotation_reference():
+def gated_cluster_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
+    """A CQ state with rho_A eigenvalues (0.3, 0.3, ...) in the Haar basis u,
+    plus 1e-3 (|u_0><u_2| (x) X + h.c.) with X traceless: rho_A keeps its
+    2-fold cluster exactly, and the commutator is far above eps_residual."""
+    u = random_unitary(dim_a, rng_seed=[seed, dim_a, dim_b])
+    lam = [0.3, 0.3, 0.4] if dim_a == 3 else [0.3, 0.3, 0.25, 0.15]
+    rho = kron_cq_state(u, lam, dim_b, seed=170 + 10 * seed).rho
+    x = random_ginibre_density(dim_b, [seed, 7]) - np.eye(dim_b) / dim_b
+    t = np.kron(np.outer(u[:, 0], u[:, 2].conj()), x)
+    return validate(rho + 1e-3 * (t + t.conj().T), dim_a, dim_b)
+
+
+def test_cq_detect_matches_the_in_place_rotation_reference(monkeypatch):
     # the whole-grid contraction of each pair rotation against the in-place
     # rotation it replaced, on a panel of states whose rho_A is degenerate:
-    # the Bell simplex at step 1/6, rho_A = I/M mixtures and CQ states
+    # the Bell simplex at step 1/6, rho_A = I/M mixtures and CQ states, and
+    # states with a 2-fold cluster whose commutator gate decides alone, so
+    # that no pair is rotated
     panel = [bell_diagonal(BellDiagonalParams(*p)) for p in H.simplex_grid(6)]
     panel += [mixed_marginal_state(seed, dim_a, dim_b)
               for dim_a, dim_b in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3), (5, 2)]
               for seed in range(10)]
     panel += [kron_cq_state(random_unitary(m, rng_seed=120 + m), [1.0 / m] * m, 3, seed=130 + m)
               for m in range(2, 6)]
+    gated = [gated_cluster_state(seed, m, n) for m, n in [(3, 2), (3, 3), (4, 2)]
+             for seed in range(4)]
+    rotated = logged_rotations(monkeypatch)
     accepted = 0
-    for s in panel:
+    for k, s in enumerate(panel + gated):
+        rotated.clear()
         got, want = cq_detect(s), H.inplace_cq_detect(s)
+        if k >= len(panel):
+            assert np.diff(np.linalg.eigvalsh(partial_trace_b(s))).min() <= D._EPS_DEGENERATE
+            assert got.commutator > DEFAULT_TOL.eps_residual and not got.is_cq
+            assert rotated == []
         assert got.is_cq == want.is_cq
         assert abs(got.off_block_residual - want.off_block_residual) <= 1e-12
         if got.is_cq:

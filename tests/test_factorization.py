@@ -437,13 +437,16 @@ def test_only_validate_forms_a_hermitian_part(hermitize_calls):
 
 @pytest.mark.parametrize("dim_a", [2, 3, 4])
 @pytest.mark.parametrize("dim_b", [1, 2, 3])
-def test_exactly_hermitian_input_decomposes_as_its_hermitian_part(dim_a, dim_b):
+def test_exactly_hermitian_input_decomposes_as_its_hermitian_part(dim_a, dim_b, monkeypatch):
     # hermitize of an exactly Hermitian matrix is the matrix, bit for bit,
-    # so the decompositions that no longer form it give the same bits
-    from qcorr import block_tensor, cq_detect, partial_trace_b
-    from qcorr.discord import _marginals
+    # so the decompositions that no longer form it give the same bits.  The
+    # first basis discord_a scores is its rho_A eigenbasis, and a CQ state
+    # exits there, so its report carries that basis
+    from qcorr import block_tensor, cq_detect, discord, discord_a, partial_trace_b
     from qcorr.matlib import from_eig, hermitize
 
+    scored, trial = [], discord._trial
+    monkeypatch.setattr(discord, "_trial", lambda u, b: scored.append(u) or trial(u, b))
     for seed in range(4):
         states = [ginibre_state([seed, dim_a, dim_b], dim_a, dim_b),
                   random_cq(dim_a, dim_b, rng_seed=[seed, dim_a, dim_b])]
@@ -452,11 +455,14 @@ def test_exactly_hermitian_input_decomposes_as_its_hermitian_part(dim_a, dim_b):
             pt = np.linalg.eigvalsh(hermitize(partial_transpose_a(s)))
             assert np.array_equal(is_ppt(s).spectrum, pt[::-1])
             eig = np.linalg.eigh(hermitize(partial_trace_b(s)))[1][:, ::-1]
-            assert np.array_equal(_marginals(s)[2], eig)
+            scored.clear()
+            r = discord_a(s)
+            assert np.array_equal(scored[0], eig)
             w, v = np.linalg.eigh(hermitize(block_tensor(s)[0, 0]))
             assert np.array_equal(factorize(s).x[0], from_eig(np.sqrt(np.maximum(w, 0.0)), v))
             if dim_b == 1:  # a product state
                 assert is_sppt(s).is_sppt
+        assert np.array_equal(r.optimal_basis, eig)
         v = cq_detect(states[1])
         assert v.is_cq
         assert np.array_equal(v.basis, eig)
