@@ -27,10 +27,6 @@ class TraceNotOne(NotDensityMatrix):
     """Trace deviates from one beyond the configured tolerance."""
 
 
-class InconsistentBlocks(QcorrError):
-    """Block structure is internally inconsistent with positivity."""
-
-
 class InvalidSpec(QcorrError):
     """A state-construction specification violates its invariants."""
 

@@ -27,9 +27,11 @@ reproduces them and the canonical extraction cannot decide
 SPPT; the factorization is then flagged rank_deficient, the unexplained mass
 is reported, and the verdict is negative rather than silently passed.
 
-The eigh of row j also decides its positivity: a least eigenvalue of M_jj
-below -eps_psd raises NotPsd on row 1 and InconsistentBlocks on a later row,
-unless an earlier row was flagged, in which case the row keeps X_j as a
+Positivity is validate's decision, made once on rho; factorize never
+raises on a state.  Every M_jj is clamped at the rank cut, so an eigenvalue
+the cut's projection leaves slightly negative on a valid state counts as
+zero, and the reconstruction residual stays the check that X explains rho.
+A row after a flagged row whose M_jj falls below -eps_psd keeps X_j as a
 best-effort completion, takes X_j^+ = 0 and so extracts S = 0.
 """
 
@@ -42,7 +44,6 @@ import numpy as np
 
 from . import bipartite
 from .bipartite import BipartiteState, block_tensor
-from .errors import InconsistentBlocks, NotPsd
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize
 
 __all__ = [
@@ -148,13 +149,7 @@ def _factorize(state: BipartiteState, tol: Tolerance) -> tuple[SpptFactorization
         w, v = np.linalg.eigh(r[:, :n])
         keep = w > cut[j]
         root = np.sqrt(np.where(keep, w, 0.0))
-        if w[0] < -tol.eps_psd:
-            floor = f"min eigenvalue {w[0]:.3e} below -{tol.eps_psd:.3e}"
-            if j == 0:  # a diagonal block of rho itself
-                raise NotPsd(floor)
-            if not deficient:
-                raise InconsistentBlocks(
-                    f"rho{j + 1}{j + 1} minus the explained part is not PSD: {floor}")
+        if deficient and w[0] < -tol.eps_psd:
             keep[:] = False  # best-effort completion of a flagged extraction: X_j^+ = 0
         # the last row has no off blocks: stop before X_j^+, their (empty)
         # extraction and the mass check, which on a 2x2 state cost more than

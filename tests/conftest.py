@@ -1,8 +1,14 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the hypothesis profile they run
+under: derandomized and without an example database, so that two runs draw
+the same examples.  Each @given test sets its own max_examples."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

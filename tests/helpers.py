@@ -21,9 +21,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from qcorr import (BipartiteState, Tolerance, random_cq, random_ginibre_density, random_pure,
-                   validate)
+                   random_unitary, validate)
 from qcorr import discord as D
-from qcorr.errors import InconsistentBlocks, NotPsd
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +60,34 @@ def factorization_panel(dim_a: int) -> list[tuple[tuple, BipartiteState]]:
                       (("pure", *key), random_pure(dim_a, dim_b, rng_seed=key)),
                       (("cq", *key), random_cq(dim_a, dim_b, rng_seed=key))]
     return panel
+
+
+# shapes, seeds and weights of the near-CQ panel
+NEAR_CQ_SHAPES = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
+NEAR_CQ_SEEDS = range(20)
+NEAR_CQ_WEIGHTS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def near_cq_state(m: int, n: int, seed: int, t: float) -> BipartiteState:
+    """(1 - t) chi + t Phi, validated: chi = sum_k p_k |u_k><u_k| (x) |psi_k><psi_k|
+    is CQ with pure conditional states, and Phi is maximally entangled on
+    min(m, n) levels.
+
+    u = random_unitary(m, [seed, m, n, 1]); from default_rng([seed, m, n]),
+    p is Dirichlet(1, ..., 1), then each psi_k is a normalized complex Gaussian.
+    """
+    u = random_unitary(m, [seed, m, n, 1])
+    rng = np.random.default_rng([seed, m, n])
+    p = rng.dirichlet(np.ones(m))
+    chi = np.zeros((m * n, m * n), dtype=np.complex128)
+    for k in range(m):
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi = g / np.linalg.norm(g)
+        chi += p[k] * np.kron(np.outer(u[:, k], u[:, k].conj()), np.outer(psi, psi.conj()))
+    d = min(m, n)
+    phi = np.zeros(m * n)
+    phi[[i * n + i for i in range(d)]] = 1.0 / np.sqrt(d)
+    return validate((1 - t) * chi + t * np.outer(phi, phi), m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -928,12 +955,10 @@ def pseudo_inverse(a) -> np.ndarray:
     return _herm((v * inv) @ _dag(v))
 
 
-def _sqrt_pinv(m: np.ndarray, tol: Tolerance, scale: float):
+def _sqrt_pinv(m: np.ndarray):
     """Clamped PSD sqrt of a Hermitian m, the pseudoinverse of that sqrt, its rank."""
     w, v = np.linalg.eigh(m)
     w, v = w[::-1], v[:, ::-1]
-    if w[-1] < -tol.eps_psd * scale:
-        raise NotPsd(f"min eigenvalue {w[-1]:.3e}")
     lam = np.clip(w, 0.0, None)
     keep = lam > EPS_RANK * lam[0]
     root = np.sqrt(lam)
@@ -943,14 +968,13 @@ def _sqrt_pinv(m: np.ndarray, tol: Tolerance, scale: float):
 
 
 def _completion(m: np.ndarray, deficient: bool, tol: Tolerance, scale: float):
-    """_sqrt_pinv of a Schur complement; clamped (pinv 0, rank 0) on a flagged extraction."""
-    try:
-        return _sqrt_pinv(_herm(m), tol, scale)
-    except NotPsd as exc:
-        if not deficient:
-            raise InconsistentBlocks(f"Schur complement is not PSD: {exc}") from exc
-        w, v = np.linalg.eigh(_herm(m))
-        return _herm((v * np.sqrt(np.clip(w, 0.0, None))) @ _dag(v)), np.zeros_like(m), 0
+    """_sqrt_pinv of a Schur complement; on a flagged extraction whose
+    complement is below the PSD floor, the clamped sqrt with pinv 0 and rank 0."""
+    m = _herm(m)
+    x, xp, rank = _sqrt_pinv(m)
+    if deficient and np.linalg.eigvalsh(m)[0] < -tol.eps_psd * scale:
+        xp, rank = np.zeros_like(m), 0
+    return x, xp, rank
 
 
 def _outside(m: np.ndarray, x: np.ndarray, xp: np.ndarray) -> float:
@@ -959,7 +983,7 @@ def _outside(m: np.ndarray, x: np.ndarray, xp: np.ndarray) -> float:
 
 
 def _unrolled_2xn(r, n: int, scale: float, tol: Tolerance):
-    x1, x1p, rank1 = _sqrt_pinv(_herm(r[0][0]), tol, scale)
+    x1, x1p, rank1 = _sqrt_pinv(_herm(r[0][0]))
     s = x1p @ r[0][1] @ x1p
     mass = _outside(r[0][1], x1, x1p)
     deficient = rank1 < n and mass > tol.eps_residual * scale
@@ -971,7 +995,7 @@ def _unrolled_2xn(r, n: int, scale: float, tol: Tolerance):
 
 
 def _unrolled_3xn(r, n: int, scale: float, tol: Tolerance):
-    x1, x1p, rank1 = _sqrt_pinv(_herm(r[0][0]), tol, scale)
+    x1, x1p, rank1 = _sqrt_pinv(_herm(r[0][0]))
     s12 = x1p @ r[0][1] @ x1p
     s13 = x1p @ r[0][2] @ x1p
     mass12 = _outside(r[0][1], x1, x1p)
@@ -1000,8 +1024,8 @@ def unrolled_sppt(state: BipartiteState, tol: Tolerance = Tolerance()):
     """(is_sppt, named residuals, rank_deficient) of a 2xN or 3xN state.
 
     The residual names and their order are those of qcorr's SPPT report.
-    Raises NotPsd for an indefinite rho_11 and InconsistentBlocks for an
-    indefinite Schur complement on an extraction not flagged rank-deficient.
+    Every block is clamped at the rank cut and nothing raises: positivity is
+    validate's decision.
     """
     m, n = state.dim_a, state.dim_b
     r = [[state.rho[k * n:(k + 1) * n, l * n:(l + 1) * n] for l in range(m)] for k in range(m)]
@@ -1033,8 +1057,8 @@ def rowwise_factorize(state: BipartiteState, tol: Tolerance = Tolerance()) -> Si
     Row j's unexplained part is rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i),
     X_j and X_j^+ come from two products with V^dagger, and the reconstruction
     residual is read off the factor reassembled from its diagonal x and its
-    blocks s @ x.  The rank cut is EPS_RANK tr rho_jj, and the indefinite rows
-    raise NotPsd and InconsistentBlocks with qcorr's messages.
+    blocks s @ x.  The rank cut is EPS_RANK tr rho_jj; nothing raises, and a
+    row after a flagged row whose complement is below -eps_psd takes X_j^+ = 0.
     """
     m, n = state.dim_a, state.dim_b
     t = state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
@@ -1051,13 +1075,7 @@ def rowwise_factorize(state: BipartiteState, tol: Tolerance = Tolerance()) -> Si
         keep = w > cut[j]
         root = np.sqrt(np.where(keep, w, 0.0))
         x[j] = (v * root) @ _dag(v)
-        if w[0] < -tol.eps_psd:
-            floor = f"min eigenvalue {w[0]:.3e} below -{tol.eps_psd:.3e}"
-            if j == 0:
-                raise NotPsd(floor)
-            if not deficient:
-                raise InconsistentBlocks(
-                    f"rho{j + 1}{j + 1} minus the explained part is not PSD: {floor}")
+        if deficient and w[0] < -tol.eps_psd:
             keep[:] = False
         if j + 1 == m:
             break

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import near_cq_state
 from qcorr import (BellDiagonalParams, bell_diagonal, factorize, random_cq,
                    random_ginibre_density, read_statefile, validate, write_statefile)
 from qcorr.cli import CSV_HEADER, EXIT_CLAIM, EXIT_INPUT, EXIT_OK, build_parser, main
@@ -193,6 +194,19 @@ def test_a_state_near_the_cq_set_is_not_a_claim_failure(tmp_path, capsys):
     capsys.readouterr()
     assert analyze(s).inconsistency is None
     assert rc == EXIT_OK
+
+
+def test_a_valid_state_whose_rank_cut_leaves_a_negative_complement_is_analyzed(tmp_path, capsys):
+    # the near-CQ 2x3 state at seed 5 and t = 1e-10: rho11's least eigenvalue
+    # is under the rank cut, so M_22 = rho22 - P A P keeps only the part of A
+    # inside P = range(X_1) and reads -1.7e-9, although rho's least eigenvalue
+    # is -1.6e-17.  Positivity is validate's decision, so this is a verdict
+    # and not an input error
+    rc = main(["analyze", write_state(tmp_path, "near_cq.json", near_cq_state(2, 3, 5, 1e-10))])
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK
+    assert "cq                  yes" in out
+    assert "sppt                yes" in out
 
 
 def test_analyze_human_flags_a_rank_deficient_extraction(tmp_path, capsys):

@@ -449,14 +449,18 @@ def test_discord_vanishes_on_classical_quantum_states():
 
 def test_discord_is_invariant_under_local_unitaries():
     # the starts come from the state, so they rotate with it and the search
-    # ends at the same value up to rounding
-    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+    # ends at the same value up to rounding; cq_detect's sweeps start from
+    # the rho_A eigenbasis, which rotates with U_A, and U_B leaves the
+    # off-block mass alone, so its residual moves by rounding too
+    for m, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)]:
         for seed in range(8):
             s = ginibre_state([seed, m, n], m, n)
             w = np.kron(random_unitary(m, rng_seed=[seed, m, n, 1]),
                         random_unitary(n, rng_seed=[seed, m, n, 2]))
             t = validate(w @ s.rho @ w.conj().T, m, n)
             assert abs(discord_a(t).discord - discord_a(s).discord) <= 1e-12, (m, n, seed)
+            moved = cq_detect(t).off_block_residual - cq_detect(s).off_block_residual
+            assert abs(moved) <= 1e-12, (m, n, seed)
 
 
 def test_discord_against_qubit_search_oracle():

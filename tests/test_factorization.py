@@ -7,14 +7,15 @@ block Cholesky kept in helpers.
 """
 from __future__ import annotations
 
-import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (bell_state, factor_x, factorization_panel, gauge_transport, ginibre_state,
+from helpers import (NEAR_CQ_SEEDS, NEAR_CQ_SHAPES, NEAR_CQ_WEIGHTS, bell_state, factor_x,
+                     factorization_panel, gauge_transport, ginibre_state, near_cq_state,
                      rank2_state, rowwise_factorize, sppt_residuals, unrolled_sppt)
 from qcorr import (
     BipartiteState,
@@ -33,7 +34,8 @@ from qcorr import (
     validate,
     xstate,
 )
-from qcorr.errors import InconsistentBlocks, NotPsd
+from qcorr.analysis import analyze
+from qcorr.errors import NotPsd
 from qcorr.matlib import dagger, fro_norm
 
 
@@ -115,35 +117,27 @@ def test_rank_deficient_pure_state_is_flagged_not_certified():
     assert v.rank_deficient
 
 
-def test_inconsistent_blocks_raise():
-    # bypasses validation on purpose: rho22 is too small for the off block,
-    # so the Schur complement is clearly negative
-    rho = np.array([[0.5, 0.4], [0.4, 0.1]], dtype=complex)
-    state = BipartiteState(dim_a=2, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
-    with pytest.raises(InconsistentBlocks):
-        factorize(state)
-    with pytest.raises(InconsistentBlocks):
-        unrolled_sppt(state)
-
-
-def test_indefinite_blocks_raise_as_the_unrolled_factorizations_did():
-    # an indefinite rho11 is NotPsd; an indefinite third-row Schur complement
-    # after a full-rank extraction is InconsistentBlocks, with the message of
-    # the rowwise reference
-    for rho, error, message in [
-        (np.diag([-0.1, 0.6, 0.5]).astype(complex), NotPsd,
-         "min eigenvalue -1.000e-01 below -1.000e-09"),
-        (np.array([[0.4, 0, 0.3], [0, 0.4, 0.3], [0.3, 0.3, 0.2]], dtype=complex),
-         InconsistentBlocks, "rho33 minus the explained part is not PSD: "
-         "min eigenvalue -2.500e-01 below -1.000e-09"),
-    ]:
-        state = BipartiteState(dim_a=3, dim_b=1, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            factorize(state)
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            rowwise_factorize(state)
-        with pytest.raises(error):
-            unrolled_sppt(state)
+@pytest.mark.parametrize("rho, dim_a", [
+    # rho22 is too small for the off block, so the Schur complement is clearly negative
+    (np.array([[0.5, 0.4], [0.4, 0.1]]) / 0.6, 2),
+    # an indefinite rho11
+    (np.diag([-0.1, 0.6, 0.5]), 3),
+    # an indefinite third-row Schur complement after a full-rank extraction
+    (np.array([[0.4, 0, 0.3], [0, 0.4, 0.3], [0.3, 0.3, 0.2]]), 3),
+], ids=["2x1-row2", "3x1-row1", "3x1-row3"])
+def test_validate_alone_rejects_indefinite_block_patterns(rho, dim_a):
+    # positivity is decided once, by validate; factorize and its two oracles,
+    # handed the same matrix unvalidated, clamp every block and raise nothing,
+    # and the reconstruction residual shows that X does not explain rho
+    with pytest.raises(NotPsd, match=r"^min eigenvalue -\d\.\d{3}e-0\d below -1\.0e-09$"):
+        validate(rho, dim_a, 1)
+    state = BipartiteState(dim_a=dim_a, dim_b=1, rho=rho.astype(complex),
+                           spectrum=np.linalg.eigvalsh(rho)[::-1])
+    f, g = factorize(state), rowwise_factorize(state)
+    assert f.reconstruction_residual > 1e-2
+    assert f.reconstruction_residual == pytest.approx(g.reconstruction_residual, abs=1e-14)
+    assert not is_sppt(state).is_sppt
+    assert not unrolled_sppt(state)[0]
 
 
 def test_sppt_family_certified_across_sizes():
@@ -539,3 +533,41 @@ def test_a_block_of_negative_trace_under_the_psd_bound_is_rank_zero():
     v = is_sppt(validate(rho, 3, 2))
     assert v.is_sppt and not v.rank_deficient
     assert not v.factorization.x[1:].any() and not v.factorization.s.any()
+
+
+# ---------------------------------------------------------------------------
+# the near-CQ panel: validated states whose rank cut leaves a Schur complement
+# slightly negative
+
+# (seed, t) of the panel states where a Schur complement after an unflagged
+# row falls below -eps_psd: the rank cut's projection onto range(X_j) makes
+# it negative although rho's least eigenvalue is within rounding of 0
+NEGATIVE_COMPLEMENTS = {
+    (2, 3): [(5, 1e-10), (12, 1e-10)],
+    (2, 4): [(0, 1e-8), (2, 1e-8), (3, 1e-8), (4, 1e-7), (6, 1e-8), (7, 1e-8), (8, 1e-8),
+             (9, 1e-8), (10, 1e-8), (12, 1e-8), (13, 1e-8), (14, 1e-8), (16, 1e-8),
+             (17, 1e-8), (19, 1e-8)],
+    (3, 3): [(0, 1e-8), (4, 1e-10), (6, 1e-9), (9, 1e-9), (12, 1e-9), (13, 1e-9), (14, 1e-8)],
+    (4, 2): [(7, 1e-9), (11, 1e-9), (12, 1e-10), (13, 1e-9), (14, 1e-9), (16, 1e-8),
+             (17, 1e-9), (19, 1e-8)],
+}
+
+
+def test_every_validated_near_cq_state_gets_a_verdict():
+    # all 720 states pass validate, and is_sppt and analyze raise nothing on
+    # any of them; the 32 NEGATIVE_COMPLEMENTS split 5 SPPT, 8 PPT but not
+    # SPPT and 19 not PPT, and the tally pins the (sppt, ppt, rank_deficient)
+    # verdicts of the other 688
+    tally, negative = Counter(), Counter()
+    for m, n in NEAR_CQ_SHAPES:
+        for seed in NEAR_CQ_SEEDS:
+            for t in NEAR_CQ_WEIGHTS:
+                v = analyze(near_cq_state(m, n, seed, t)).sppt
+                key = (v.is_sppt, v.ppt.is_ppt, v.rank_deficient)
+                tally[key] += 1
+                if (seed, t) in NEGATIVE_COMPLEMENTS.get((m, n), ()):
+                    negative[key] += 1
+    assert negative == {(True, True, False): 5, (False, True, False): 8, (False, False, False): 19}
+    assert tally == {(True, True, False): 200 + 5, (False, True, False): 149 + 8,
+                     (False, False, False): 143 + 19, (False, False, True): 146,
+                     (False, True, True): 50}

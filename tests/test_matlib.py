@@ -2,9 +2,9 @@
 square root and the Moore-Penrose pseudoinverse.
 
 The PSD square root tests go through factorize on hand-built states: it
-takes the one production root, X_j = sqrt(M_jj), and applies the PSD floor
-to the least eigenvalue, and its S = X_1^+ rho12 X_1^+ reads the
-pseudoinverse; the Moore-Penrose tests exercise the pseudoinverse in
+takes the one production root, X_j = sqrt(M_jj), clamped at the rank cut
+(positivity is validate's decision, so factorize raises on no block), and
+its S = X_1^+ rho12 X_1^+ reads the pseudoinverse; the Moore-Penrose tests exercise the pseudoinverse in
 tests/helpers.py, which criterion 02 uses.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import pseudo_inverse
 from qcorr import BipartiteState, DEFAULT_TOL, OptimizerConfig, Tolerance
-from qcorr.errors import InconsistentBlocks, InvalidParams, NotPsd
+from qcorr.errors import InvalidParams
 from qcorr.factorization import factorize
 from qcorr.matlib import dagger, fro_norm, hermitize
 
@@ -77,7 +77,8 @@ def test_hermitize_projects_and_defect_vanishes():
 
 def hand_built(blocks, dim_a: int = 2) -> BipartiteState:
     """The state with the given grid of blocks, unvalidated: factorize checks
-    nothing beyond the PSD floor, so any Hermitian block pattern reaches it."""
+    no positivity and clamps every block, so any Hermitian block pattern
+    reaches it."""
     rho = np.block(blocks).astype(np.complex128)
     return BipartiteState(dim_a=dim_a, dim_b=len(rho) // dim_a, rho=rho,
                           spectrum=np.linalg.eigvalsh(rho)[::-1])
@@ -103,32 +104,36 @@ def test_psd_sqrt_closed_form_diagonal():
 
 
 def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
-    a = np.diag([1.0, -1e-12])
-    r = psd_sqrt(a)
-    assert np.allclose(r @ r, np.diag([1.0, 0.0]), atol=1e-10)
+    # within the PSD floor and far below it alike: validate, not factorize,
+    # rejects the clearly indefinite block
+    for a in (np.diag([1.0, -1e-12]), np.diag([1.0, -1e-3])):
+        r = psd_sqrt(a)
+        assert np.allclose(r @ r, np.diag([1.0, 0.0]), atol=1e-10)
 
 
-def test_psd_sqrt_rejects_clearly_indefinite():
-    # factorize's floor rejects the least eigenvalue of rho11 and names it
-    with pytest.raises(NotPsd, match=r"^min eigenvalue -1\.000e-03 below -1\.000e-09$"):
-        psd_sqrt(np.diag([1.0, -1e-3]))
+Z, E1, E2 = np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+RHO22 = np.diag([1.0, -0.5])
+
+
+def flagged_row_state() -> BipartiteState:
+    """The 3x2 pattern with rho11 = E1, rho12 = E2, rho22 = RHO22 and
+    rho23 = ones: row 1 is flagged rank-deficient and M_22 = RHO22."""
+    b = np.ones((2, 2))
+    return hand_built([[E1, E2, Z], [E2, RHO22, b], [Z, b, np.eye(2)]], dim_a=3)
 
 
 def test_psd_sqrt_clamps_any_negative_eigenvalue_and_reports_it():
-    # rho11 = diag(1, 0) and rho12 = e2 e2^T flag row 1 rank-deficient and
-    # leave M_22 = rho22 = diag(1, -0.5); the completion keeps its clamped root
-    # and takes X_2^+ = 0, so S_23 = 0 and all of rho23 is unexplained mass
-    z, e1, e2, b = np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.ones((2, 2))
-    rho22 = np.diag([1.0, -0.5])
-    f = factorize(hand_built([[e1, e2, z], [e2, rho22, b], [z, b, np.eye(2)]], dim_a=3))
+    # the completion of the flagged row keeps its clamped root and takes
+    # X_2^+ = 0, so S_23 = 0 and all of rho23 is unexplained mass
+    f = factorize(flagged_row_state())
     assert f.rank_deficient
-    assert np.allclose(f.x[1], np.diag([1.0, 0.0]), atol=1e-14)
-    assert np.array_equal(f.s[1, 2], z)
+    assert np.allclose(f.x[1], E1, atol=1e-14)
+    assert np.array_equal(f.s[1, 2], Z)
     assert f.unexplained_mass == pytest.approx(np.sqrt(1.0 + 4.0), abs=1e-14)
-    # unflagged, the same block is rejected with its least eigenvalue
-    with pytest.raises(InconsistentBlocks, match=r"^rho22 minus the explained part is not PSD: "
-                                                 r"min eigenvalue -5\.000e-01 below -1\.000e-09$"):
-        factorize(hand_built([[e1, z], [z, rho22]]))
+    # unflagged, the same block is clamped at the rank cut, like any other
+    g = factorize(hand_built([[E1, Z], [Z, RHO22]]))
+    assert not g.rank_deficient
+    assert np.allclose(g.x[1], E1, atol=1e-14)
 
 
 def test_pseudo_inverse_matches_inverse_when_invertible():
@@ -157,11 +162,12 @@ def test_psd_sqrt_squares_back_property(seed, n):
 
 
 def test_custom_tolerance_threads_through_psd_check():
-    # rho11 = diag(0.5, -1e-3) is below the default floor, within a loose one
-    rho = np.diag([0.5, -1e-3, 0.25, 0.251]).astype(complex)
-    state = BipartiteState(dim_a=2, dim_b=2, rho=rho, spectrum=np.linalg.eigvalsh(rho)[::-1])
-    with pytest.raises(NotPsd, match=r"^min eigenvalue -1\.000e-03 below -1\.000e-09$"):
-        factorize(state)
-    f = factorize(state, Tolerance(eps_psd=1e-2))
-    assert np.allclose(f.x[0], np.diag([np.sqrt(0.5), 0.0]), atol=1e-14)
-    assert not f.rank_deficient
+    # M_22 = diag(1, -0.5) of the flagged row: below the default floor the
+    # completion takes X_2^+ = 0 and S_23 = 0; within a loose one
+    # X_2^+ = diag(1, 0) survives and S_23 = X_2^+ rho23 X_2^+ = E1
+    state = flagged_row_state()
+    assert np.array_equal(factorize(state).s[1, 2], Z)
+    f = factorize(state, Tolerance(eps_psd=1.0))
+    assert f.rank_deficient
+    assert np.allclose(f.x[1], E1, atol=1e-14)
+    assert np.allclose(f.s[1, 2], E1, atol=1e-14)
