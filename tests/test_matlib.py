@@ -4,8 +4,8 @@ square root and the Moore-Penrose pseudoinverse.
 The PSD square root tests go through factorize on hand-built states: it
 takes the one production root, X_j = sqrt(M_jj), clamped at the rank cut
 (positivity is validate's decision, so factorize raises on no block), and
-its S = X_1^+ rho12 X_1^+ reads the pseudoinverse; the Moore-Penrose tests exercise the pseudoinverse in
-tests/helpers.py, which criterion 02 uses.
+its S = X_1^+ rho12 X_1^+ reads the pseudoinverse; the Moore-Penrose tests
+exercise the pseudoinverse in tests/helpers.py, which criterion 02 uses.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pseudo_inverse
-from qcorr import BipartiteState, DEFAULT_TOL, OptimizerConfig, Tolerance
-from qcorr.errors import InvalidParams
+from qcorr import BipartiteState, DEFAULT_TOL, OptimizerConfig, Tolerance, validate
+from qcorr.errors import InvalidParams, NotPsd
 from qcorr.factorization import factorize
 from qcorr.matlib import dagger, fro_norm, hermitize
 
@@ -104,11 +104,20 @@ def test_psd_sqrt_closed_form_diagonal():
 
 
 def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
-    # within the PSD floor and far below it alike: validate, not factorize,
-    # rejects the clearly indefinite block
-    for a in (np.diag([1.0, -1e-12]), np.diag([1.0, -1e-3])):
-        r = psd_sqrt(a)
-        assert np.allclose(r @ r, np.diag([1.0, 0.0]), atol=1e-10)
+    a = np.diag([1.0, -1e-12])
+    r = psd_sqrt(a)
+    assert np.allclose(r @ r, np.diag([1.0, 0.0]), atol=1e-10)
+
+
+def test_psd_sqrt_rejects_clearly_indefinite():
+    # validate, not factorize, rejects rho11 = diag(1, -1e-3) and names the
+    # least eigenvalue of the normalized state; factorize clamps the same block
+    a = np.diag([1.0, -1e-3])
+    rho = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
+    with pytest.raises(NotPsd, match=r"^min eigenvalue -3\.334e-04 below -1\.0e-09$"):
+        validate(rho / np.trace(rho), 2, 2)
+    r = psd_sqrt(a)
+    assert np.allclose(r @ r, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 Z, E1, E2 = np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
