@@ -330,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     # flag groups shared by several commands; common goes on all of them
     common, disc, seed, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.eps_psd,
-                        help=f"PSD eigenvalue floor (default {DEFAULT_TOL.eps_psd})")
+                        help=f"PSD floor and CQ distance bound (default {DEFAULT_TOL.eps_psd})")
     common.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.eps_residual,
-                        help=f"reconstruction/commutator tolerance (default {DEFAULT_TOL.eps_residual})")
+                        help=f"hermiticity/reconstruction tolerance (default {DEFAULT_TOL.eps_residual})")
     common.add_argument("--tol-sppt", type=float, default=DEFAULT_TOL.eps_sppt,
                         help=f"normality residual tolerance (default {DEFAULT_TOL.eps_sppt})")
     common.add_argument("--output", type=str, default=None, help="write the result here")

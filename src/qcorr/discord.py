@@ -104,19 +104,18 @@ class CqVerdict:
     """Outcome of the classical-quantum structure test.
 
     off_block_residual is the Frobenius norm of the strict upper off-diagonal
-    blocks in the best product basis found; is_cq holds when it is at most
-    _EPS_CQ.  basis columns are the classical A-side vectors and sigma_list
-    the (unnormalized, PSD-clamped, Hermitian up to rounding) conditional
-    B-side operators; both are None when the state is not classical-quantum.
-    commutator is the state's commutator_criterion, which cq_detect computes
-    as its first gate.
+    blocks in the best product basis found; is_cq holds when sqrt(2) times it
+    is at most eps_psd.  basis columns are the classical A-side vectors and
+    sigma_list the (unnormalized, PSD-clamped, Hermitian up to rounding)
+    conditional B-side operators; both are None when the state is not CQ.
+    commutator is the state's commutator_criterion, reported only.
 
-    When a degenerate rho_A cluster has three or more levels the best basis
-    is found by a local method, so for a state that is not classical-quantum
-    off_block_residual is an upper bound on the least off-block mass.  A
-    positive verdict stays certified: the CQ state rebuilt from basis and
-    sigma_list differs from rho by the off-diagonal blocks alone, of
-    Frobenius norm sqrt(2) times the residual (up to rounding).
+    The CQ state chi with rho's diagonal blocks in basis differs from rho by
+    the off-diagonal blocks, of Frobenius norm sqrt(2) times the residual.
+    The partial transpose is a Frobenius isometry and chi^{T_A} has the
+    spectrum of those blocks, compressions of rho, so by Weyl's inequality
+    lambda_min(rho^{T_A}) >= lambda_min(rho) - sqrt(2) off_block_residual:
+    a CQ verdict is PPT up to the slack validate allows rho.
     """
 
     is_cq: bool
@@ -374,10 +373,9 @@ def _commutator(t: np.ndarray, rho_a: np.ndarray) -> float:
 # Jacobi sweeps stop once a sweep lowers the off-block mass by no more than
 # _PROGRESS_RTOL of it; the sweep cap only guards against a stalled loop.
 _MAX_SWEEPS = 100
-# rho_A eigenvalues whose gap is at most _EPS_DEGENERATE form one cluster; a
-# state is classical-quantum when its off-block residual is at most _EPS_CQ.
-_EPS_DEGENERATE = 1e-8
-_EPS_CQ = 1e-6
+# rho_A eigenvalues whose gap is at most _EPS_DEGENERATE form one cluster: an exact
+# CQ state across a larger gap reads off ~ 2.3e-17 / gap < eps_psd / sqrt(2).
+_EPS_DEGENERATE = 1e-7
 
 
 @functools.lru_cache(maxsize=None)
@@ -451,9 +449,12 @@ def cq_detect(
     mixed_marginal_state(10, 4, 3) of the tests they stop at a squared
     residual of 1.738e-2, where restarts from Haar bases reach 1.731e-2), so
     the reported residual is an upper bound.
-    An accepted state is certified all the same: see CqVerdict.  A commutator
-    above tol.eps_residual, the only setting read, decides alone: no pair is
-    rotated, and the negative verdict reports the plain eigenbasis residual.
+    The state is CQ when sqrt(2) off_block_residual <= tol.eps_psd, the only
+    setting read (see CqVerdict); with eps_psd = 0, only when rho is exactly
+    block-diagonal.  No pair across a gap above _EPS_DEGENERATE is rotated,
+    so its off-block is what eigh leaves, eigenvectors fixed to about
+    rounding / gap: an exact CQ state reads off ~ 2.3e-17 / gap, 2.3e-10 at
+    the gap 1e-7, below eps_psd / sqrt(2) = 7.07e-10 at the default.
     opt is accepted for compatibility and no longer affects the result.
     """
     m = state.dim_a
@@ -469,9 +470,7 @@ def cq_detect(
     cluster = [0]
     for hi, lo in zip(lam, lam[1:]):
         cluster.append(cluster[-1] + (hi - lo > _EPS_DEGENERATE))
-    # a commutator above tol.eps_residual decides alone: no pair is rotated
-    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)
-             if cluster[p] == cluster[q] and com <= tol.eps_residual]
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if cluster[p] == cluster[q]]
     # no cluster above 2 levels: each rotation is exact and touches no other
     # pair, so one sweep is the minimum
     disjoint = all(cluster[p] != cluster[p + 2] for p in range(m - 2))
@@ -487,7 +486,7 @@ def cq_detect(
             break
 
     off = float(np.sqrt(mass))
-    if com > tol.eps_residual or off > _EPS_CQ:
+    if math.sqrt(2.0) * off > tol.eps_psd:
         return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None,
                          commutator=com)
     # the diagonal blocks, each clamped to its PSD part, from one batched eigh

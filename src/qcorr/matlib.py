@@ -41,7 +41,7 @@ def require_finite_nonnegative(record) -> None:
 class Tolerance:
     """Numerical thresholds, each finite and non-negative (else InvalidParams).
 
-    eps_psd       eigenvalue floor for positivity tests
+    eps_psd       eigenvalue floor for positivity tests and the CQ distance bound
     eps_residual  Frobenius residual bound for matrix identities
     eps_sppt      normality and cross residual bound, relative to
                   max(1, |S_jk|_F |S_jl|_F) (max(1, |S|_F^2) for normality)

@@ -20,8 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qcorr import (BipartiteState, Tolerance, random_cq, random_ginibre_density, random_pure,
-                   random_unitary, validate)
+from qcorr import (DEFAULT_TOL, BipartiteState, Tolerance, random_cq, random_ginibre_density,
+                   random_pure, random_unitary, validate)
 from qcorr import discord as D
 
 
@@ -448,11 +448,11 @@ def searched_off_mass(state: BipartiteState, eps_degenerate: float = 1e-8,
 # rotation written in place on the pair's rows and columns of the block grid.
 # It is the reference qcorr.discord.cq_detect must reproduce to rounding, and
 # reads nothing from qcorr.discord: its constants are the package's, written
-# out.
+# out, and a state is CQ when its off-block residual is at most the distance
+# bound eps_psd over sqrt(2).
 
-_CQ_EPS_DEGENERATE = 1e-8
-_CQ_EPS = 1e-6
-_CQ_EPS_RESIDUAL = 1e-8
+_CQ_EPS_DEGENERATE = 1e-7
+_CQ_EPS = DEFAULT_TOL.eps_psd / np.sqrt(2)
 _CQ_RTOL = 1e-15
 _CQ_MAX_SWEEPS = 100
 
@@ -479,8 +479,7 @@ def inplace_cq_detect(state: BipartiteState) -> SimpleNamespace:
     """(is_cq, off_block_residual, basis, sigma_list) by Jacobi sweeps inside
     the degenerate clusters of the descending rho_A eigenbasis, one in-place
     pair rotation at a time; a single sweep when no cluster has more than two
-    levels.  A dense commutator above the default eps_residual is a negative
-    verdict at the eigenbasis residual."""
+    levels."""
     m, n = state.dim_a, state.dim_b
     b = state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
     w, v = np.linalg.eigh(np.einsum("klaa->kl", b))
@@ -490,9 +489,6 @@ def inplace_cq_detect(state: BipartiteState) -> SimpleNamespace:
     def mass() -> float:
         return sum(float(np.linalg.norm(bp[k, l])) ** 2 for k in range(m) for l in range(k + 1, m))
 
-    if dense_commutator(state) > _CQ_EPS_RESIDUAL:
-        return SimpleNamespace(is_cq=False, off_block_residual=np.sqrt(mass()), basis=None,
-                               sigma_list=None)
     clusters = [[0]]
     for i in range(1, m):
         if lam[i - 1] - lam[i] <= _CQ_EPS_DEGENERATE:

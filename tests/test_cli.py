@@ -175,16 +175,11 @@ def test_analyze_impossible_tolerance_reports_inconsistency(tmp_path, capsys):
     assert doc["inconsistency"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the 2xN claim check compares an absolute off-block residual with "
-                          "a relative normality residual, so it fires a few 1e-8 from the CQ set")
 def test_a_state_near_the_cq_set_is_not_a_claim_failure(tmp_path, capsys):
     # rho = (1 - t) chi + t P at t = 10^-7.5, chi classical-quantum and P a
-    # Ginibre density: cq_detect accepts it at an off-block residual of
-    # 1.025e-7 and is_sppt rejects it at a normality residual of 1.244e-7, so
-    # analyze reports INCONSISTENT and exits 1, though no method has failed.
-    # The theorem holds on the certified CQ state, not on rho; once the check
-    # moves there this passes and the mark goes
+    # Ginibre density: is_sppt rejects it at a normality residual of 1.244e-7,
+    # and its off-block residual of 1.025e-7 is far past the CQ bound
+    # eps_psd / sqrt(2), so it is not CQ either and no claim has failed
     from qcorr.analysis import analyze
 
     t = 10 ** -7.5
@@ -194,6 +189,21 @@ def test_a_state_near_the_cq_set_is_not_a_claim_failure(tmp_path, capsys):
     capsys.readouterr()
     assert analyze(s).inconsistency is None
     assert rc == EXIT_OK
+
+
+def test_tol_psd_moves_the_cq_verdict(tmp_path, capsys):
+    # the near-CQ 2x2 state at seed 0 and t = 1e-8 is SPPT, and sqrt(2) times
+    # its off-block residual, 7.07e-9, lies between the default eps_psd and
+    # 1e-8: it is CQ under the looser floor only, and neither is a claim failure
+    path = write_state(tmp_path, "near_cq.json", near_cq_state(2, 2, 0, 1e-8))
+    assert main(["analyze", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "cq                  NO (off-block residual 5.000e-09)" in out
+    assert "sppt                yes" in out
+    assert main(["analyze", path, "--tol-psd", "1e-8"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "cq                  yes (off-block residual 5.000e-09)" in out
+    assert "sppt                yes" in out
 
 
 def test_a_valid_state_whose_rank_cut_leaves_a_negative_complement_is_analyzed(tmp_path, capsys):

@@ -39,6 +39,7 @@ from qcorr import (
     commutator_criterion,
     cq_detect,
     discord_a,
+    is_sppt,
     partial_trace_a,
     partial_trace_b,
     random_cq,
@@ -1193,7 +1194,7 @@ def mixed_marginal_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
     return validate((out + out.conj().T) / 2, dim_a, dim_b)
 
 
-def gated_cluster_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
+def coupled_cluster_state(seed: int, dim_a: int, dim_b: int) -> BipartiteState:
     """A CQ state with rho_A eigenvalues (0.3, 0.3, ...) in the Haar basis u,
     plus 1e-3 (|u_0><u_2| (x) X + h.c.) with X traceless: rho_A keeps its
     2-fold cluster exactly, and the commutator is far above eps_residual."""
@@ -1209,25 +1210,26 @@ def test_cq_detect_matches_the_in_place_rotation_reference(monkeypatch):
     # the whole-grid contraction of each pair rotation against the in-place
     # rotation it replaced, on a panel of states whose rho_A is degenerate:
     # the Bell simplex at step 1/6, rho_A = I/M mixtures and CQ states, and
-    # states with a 2-fold cluster whose commutator gate decides alone, so
-    # that no pair is rotated
+    # states with a 2-fold cluster coupled to a third level, which rotate the
+    # cluster's pair alone and stay not CQ
     panel = [bell_diagonal(BellDiagonalParams(*p)) for p in H.simplex_grid(6)]
     panel += [mixed_marginal_state(seed, dim_a, dim_b)
               for dim_a, dim_b in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3), (5, 2)]
               for seed in range(10)]
     panel += [kron_cq_state(random_unitary(m, rng_seed=120 + m), [1.0 / m] * m, 3, seed=130 + m)
               for m in range(2, 6)]
-    gated = [gated_cluster_state(seed, m, n) for m, n in [(3, 2), (3, 3), (4, 2)]
-             for seed in range(4)]
+    coupled = [coupled_cluster_state(seed, m, n) for m, n in [(3, 2), (3, 3), (4, 2)]
+               for seed in range(4)]
     rotated = logged_rotations(monkeypatch)
     accepted = 0
-    for k, s in enumerate(panel + gated):
+    for k, s in enumerate(panel + coupled):
         rotated.clear()
         got, want = cq_detect(s), H.inplace_cq_detect(s)
         if k >= len(panel):
             assert np.diff(np.linalg.eigvalsh(partial_trace_b(s))).min() <= D._EPS_DEGENERATE
             assert got.commutator > DEFAULT_TOL.eps_residual and not got.is_cq
-            assert rotated == []
+            # the descending levels 0.3, 0.3 follow the 0.4 when dim_a is 3
+            assert rotated == ([(1, 2)] if s.dim_a == 3 else [(0, 1)])
         assert got.is_cq == want.is_cq
         assert abs(got.off_block_residual - want.off_block_residual) <= 1e-12
         if got.is_cq:
@@ -1323,6 +1325,48 @@ def test_cq_states_have_no_discord_property(seed, dim_a):
     v = cq_detect(s)
     assert v.is_cq
     assert discord_a(s).discord <= DEFAULT_OPT.eps_opt
+
+
+def threshold_state(seed: int, m: int, n: int, low_rank: bool, mix: str) -> BipartiteState:
+    """(1 - t) chi + t P, validated, with log10 t uniform in [-12, -5].  chi =
+    sum_k lam_k |u_k><u_k| (x) sigma_k is CQ in a Haar basis u: with pure
+    sigma_k and Dirichlet lam_k when low_rank, else with Ginibre sigma_k and
+    lam_k a run spaced by _EPS_DEGENERATE times 10^x, x uniform in [-1, 2].
+    P is the maximally entangled state on min(m, n) levels ("phi"), a Ginibre
+    state or a pure state.  Everything is drawn from default_rng([seed, m, n])."""
+    rng = np.random.default_rng([seed, m, n])
+    t = 10.0 ** rng.uniform(-12.0, -5.0)
+    u = random_unitary(m, rng)
+    if low_rank:
+        lam = rng.dirichlet(np.ones(m))
+        g = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        sigma = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in g]
+    else:
+        gap = 10.0 ** rng.uniform(-1.0, 2.0) * D._EPS_DEGENERATE
+        lam = 1.0 / m - gap * (np.arange(m) - (m - 1) / 2)
+        sigma = [random_ginibre_density(n, rng) for _ in range(m)]
+    chi = sum(w * np.kron(np.outer(u[:, k], u[:, k].conj()), sigma[k]) for k, w in enumerate(lam))
+    if mix == "phi":
+        phi = np.zeros(m * n)
+        phi[[i * n + i for i in range(min(m, n))]] = 1.0
+        p = np.outer(phi, phi) / min(m, n)
+    elif mix == "ginibre":
+        p = random_ginibre_density(m * n, rng)
+    else:
+        p = random_pure(m, n, rng).rho
+    return validate((1 - t) * chi + t * p, m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]),
+       st.booleans(), st.sampled_from(["phi", "ginibre", "pure"]))
+def test_verdicts_nest_at_the_thresholds(seed, shape, low_rank, mix):
+    # CQ states with rank-deficient conditional states or with rho_A gaps from
+    # 0.1 to 100 times _EPS_DEGENERATE, mixed with weight t at 1e-12 to 1e-5:
+    # nothing raises, a CQ verdict is PPT for any dim_a and SPPT implies PPT
+    s = threshold_state(seed, *shape, low_rank, mix)
+    cq, sppt = cq_detect(s), is_sppt(s)
+    assert sppt.ppt.is_ppt or not (cq.is_cq or sppt.is_sppt)
 
 
 @settings(max_examples=15, deadline=None)

@@ -31,7 +31,6 @@ from qcorr import (
     random_pure,
     random_sppt,
     random_unitary,
-    validate,
     xstate,
     xstate_is_positive,
     xstate_is_ppt,
@@ -39,7 +38,7 @@ from qcorr import (
     xstate_zero_discord,
 )
 from qcorr.errors import InvalidParams, InvalidSpec
-from qcorr.families import EQ_ATOL, bell_projectors, induced_xstate, xstate_matrix
+from qcorr.families import bell_projectors, induced_xstate, xstate_matrix
 from qcorr.matlib import fro_norm
 
 
