@@ -23,12 +23,15 @@ __all__ = ["AnalysisReport", "analyze", "to_machine", "to_human"]
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything known about one state."""
+    """Everything known about one state.  commutator is the state's
+    commutator_criterion, a necessary condition for zero discord that no
+    verdict reads."""
 
     state: BipartiteState
     sppt: SpptVerdict
     discord: DiscordReport
     cq: CqVerdict
+    commutator: float
     inconsistency: str | None
 
 
@@ -47,7 +50,7 @@ def analyze(
         inconsistency = (
             "state is classical-quantum but not SPPT "
             f"(off-block residual {cq.off_block_residual:.3e}, "
-            f"normality residual {sppt.residuals.get('normality', float('nan')):.3e})"
+            f"normality residual {sppt.residuals['normality']:.3e})"
         )
 
     return AnalysisReport(
@@ -55,6 +58,7 @@ def analyze(
         sppt=sppt,
         discord=report,
         cq=cq,
+        commutator=discord.commutator_criterion(state),
         inconsistency=inconsistency,
     )
 
@@ -108,7 +112,7 @@ def to_machine(report: AnalysisReport) -> dict:
         "is_sppt": report.sppt.is_sppt,
         "sppt_residuals": dict(report.sppt.residuals),
         "rank_deficient": report.sppt.rank_deficient,
-        "commutator": report.cq.commutator,
+        "commutator": report.commutator,
         "mutual_information": report.discord.mutual_information,
         "classical_correlation": report.discord.classical_correlation,
         "discord": report.discord.discord,
@@ -143,7 +147,7 @@ def to_human(report: AnalysisReport) -> str:
     if report.sppt.rank_deficient:
         lines.append("                    rank-deficient extraction: SPPT not decidable")
     lines += [
-        f"commutator          {report.cq.commutator:.6e}",
+        f"commutator          {report.commutator:.6e}",
         f"mutual information  {d.mutual_information:.6f} bits",
         f"classical corr      {d.classical_correlation:.6f} bits",
         f"discord             {d.discord:.6f} bits"

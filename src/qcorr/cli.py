@@ -215,7 +215,7 @@ def cmd_bell(args) -> int:
     }
     report = analysis.analyze(state, tol, _opt(args))
     numeric = {"sppt": report.sppt.is_sppt, "zero_discord": report.cq.is_cq}
-    com, rep = report.cq.commutator, report.discord
+    com, rep = report.commutator, report.discord
     tail = {"commutator": com, "discord": rep.discord,
             "mutual_information": rep.mutual_information}
     lines = [f"commutator    {com:.3e}", f"discord       {rep.discord:.6f} bits"]
@@ -240,8 +240,8 @@ def _xpoint(diag, ra, rb, tol):
 
 
 def _scan_row(family, label, state, tol):
-    """CSV row of one scan point from its SPPT and CQ verdicts, discord left
-    blank; state is None for a point outside the state space."""
+    """CSV row of one scan point from its verdicts and commutator, discord
+    left blank; state is None for a point outside the state space."""
     row = dict.fromkeys(CSV_HEADER, "")
     row.update(family=family, label=label, is_valid=state is not None)
     if state is not None:
@@ -249,7 +249,7 @@ def _scan_row(family, label, state, tol):
         cq = discord.cq_detect(state, tol)
         row.update(is_ppt=sppt.ppt.is_ppt, is_sppt=sppt.is_sppt, is_cq=cq.is_cq,
                    normality_residual=f"{sppt.residuals['normality']:.6e}",
-                   commutator=f"{cq.commutator:.6e}")
+                   commutator=f"{discord.commutator_criterion(state):.6e}")
     return row
 
 

@@ -31,7 +31,8 @@ Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
 it serves any dim_a.  A rotation reads the pair's Pauli components with one
 matmul and is applied to the whole block grid by one matmul, the
-contraction _trial uses.
+contraction _trial uses.  It does not form the commutator [rho, rho_A x I];
+commutator_criterion alone does, and analysis.analyze reports it.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class CqVerdict:
     is at most eps_psd.  basis columns are the classical A-side vectors and
     sigma_list the (unnormalized, PSD-clamped, Hermitian up to rounding)
     conditional B-side operators; both are None when the state is not CQ.
-    commutator is the state's commutator_criterion, reported only.
 
     The CQ state chi with rho's diagonal blocks in basis differs from rho by
     the off-diagonal blocks, of Frobenius norm sqrt(2) times the residual.
@@ -122,7 +122,6 @@ class CqVerdict:
     basis: np.ndarray | None
     off_block_residual: float
     sigma_list: list[np.ndarray] | None
-    commutator: float
 
 
 def _entropy_terms(w: np.ndarray, p: np.ndarray):
@@ -362,11 +361,7 @@ def commutator_criterion(state: BipartiteState) -> float:
     blocks, formed on the block view of rho: M^3 N^2 products instead of the
     (MN)^3 of two dense products with rho_A x I_B.
     """
-    return _commutator(block_tensor(state), partial_trace_b(state))
-
-
-def _commutator(t: np.ndarray, rho_a: np.ndarray) -> float:
-    """commutator_criterion from the block view t of rho and rho_A."""
+    t, rho_a = block_tensor(state), partial_trace_b(state)
     return fro_norm(np.einsum("ikab,kj->ijab", t, rho_a) - np.einsum("ik,kjab->ijab", rho_a, t))
 
 
@@ -456,14 +451,12 @@ def cq_detect(
     rounding / gap: an exact CQ state reads off ~ 2.3e-17 / gap, 2.3e-10 at
     the gap 1e-7, below eps_psd / sqrt(2) = 7.07e-10 at the default.
     opt is accepted for compatibility and no longer affects the result.
+    The commutator is not formed here: see commutator_criterion.
     """
     m = state.dim_a
-    b = block_tensor(state)
-    rho_a = partial_trace_b(state)
-    w, v = np.linalg.eigh(rho_a)
+    w, v = np.linalg.eigh(partial_trace_b(state))
     basis = v[:, ::-1]
-    bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, b)
-    com = _commutator(b, rho_a)
+    bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, block_tensor(state))
 
     # the eigenvalues descend, so a cluster is a run of gaps <= _EPS_DEGENERATE
     lam = w[::-1].tolist()
@@ -487,10 +480,8 @@ def cq_detect(
 
     off = float(np.sqrt(mass))
     if math.sqrt(2.0) * off > tol.eps_psd:
-        return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None,
-                         commutator=com)
+        return CqVerdict(is_cq=False, basis=None, off_block_residual=off, sigma_list=None)
     # the diagonal blocks, each clamped to its PSD part, from one batched eigh
     w, v = np.linalg.eigh(np.einsum("kkab->kab", bp))
     sigma = from_eig(np.maximum(w, 0.0), v)
-    return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=list(sigma),
-                     commutator=com)
+    return CqVerdict(is_cq=True, basis=basis, off_block_residual=off, sigma_list=list(sigma))

@@ -127,7 +127,7 @@ def test_criterion_04_bell_diagonal_criteria_on_simplex_grid():
         assert families.bell_is_sppt(params) == factorization.is_sppt(state, TOL).is_sppt, p
         cq = discord.cq_detect(state, TOL)
         assert families.bell_zero_discord(params) == cq.is_cq, p
-        worst_comm = max(worst_comm, cq.commutator)
+        worst_comm = max(worst_comm, discord.commutator_criterion(state))
     assert worst_comm <= 1e-10
     probe = families.bell_diagonal(families.BellDiagonalParams(0.7, 0.1, 0.1, 0.1), TOL)
     d = discord.discord_a(probe, OPT).discord

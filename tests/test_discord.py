@@ -12,7 +12,9 @@ slice family) and the former in-place pair rotation
 from __future__ import annotations
 
 import ast
+import csv
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -52,6 +54,7 @@ from qcorr import (
     xstate,
 )
 from qcorr import discord as D
+from qcorr import factorization as F
 from qcorr.bipartite import assemble_blocks, block_tensor
 
 
@@ -1011,9 +1014,31 @@ def test_commutator_vanishes_for_cq_and_bell_diagonal():
     assert discord_a(s).discord > 0.3
 
 
-def test_cq_detect_reports_the_commutator():
-    for s in (random_cq(2, 3, rng_seed=111), ginibre_state(112, 2, 2), ginibre_state(113, 3, 2)):
-        assert cq_detect(s).commutator == commutator_criterion(s)
+def test_the_commutator_is_formed_only_by_commutator_criterion(monkeypatch, capsys):
+    # cq_detect never forms it; analyze and each valid scan-inclusions row
+    # take it from one commutator_criterion call, read as a module attribute
+    from qcorr import cli
+    from qcorr.analysis import analyze
+
+    states = (random_cq(2, 3, rng_seed=111), ginibre_state(112, 2, 2), ginibre_state(113, 3, 2))
+    want = [commutator_criterion(s) for s in states]
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return commutator_criterion(state)
+
+    monkeypatch.setattr(D, "commutator_criterion", counted)
+    for s, com in zip(states, want):
+        cq_detect(s)
+        assert not calls
+        assert analyze(s).commutator == com
+        assert len(calls) == 1 and calls[0] is s
+        calls.clear()
+    assert cli.main(["scan-inclusions", "--grid", "1", "--samples", "3", "--seed", "5"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    valid = sum(r["is_valid"] == "True" for r in rows)
+    assert valid >= 1 and len(calls) == valid
 
 
 def test_commutator_positive_for_generic_states():
@@ -1227,7 +1252,7 @@ def test_cq_detect_matches_the_in_place_rotation_reference(monkeypatch):
         got, want = cq_detect(s), H.inplace_cq_detect(s)
         if k >= len(panel):
             assert np.diff(np.linalg.eigvalsh(partial_trace_b(s))).min() <= D._EPS_DEGENERATE
-            assert got.commutator > DEFAULT_TOL.eps_residual and not got.is_cq
+            assert commutator_criterion(s) > DEFAULT_TOL.eps_residual and not got.is_cq
             # the descending levels 0.3, 0.3 follow the 0.4 when dim_a is 3
             assert rotated == ([(1, 2)] if s.dim_a == 3 else [(0, 1)])
         assert got.is_cq == want.is_cq
@@ -1327,24 +1352,39 @@ def test_cq_states_have_no_discord_property(seed, dim_a):
     assert discord_a(s).discord <= DEFAULT_OPT.eps_opt
 
 
-def threshold_state(seed: int, m: int, n: int, low_rank: bool, mix: str) -> BipartiteState:
+def threshold_state(seed: int, m: int, n: int, family: str, mix: str,
+                    rotate: bool) -> BipartiteState:
     """(1 - t) chi + t P, validated, with log10 t uniform in [-12, -5].  chi =
-    sum_k lam_k |u_k><u_k| (x) sigma_k is CQ in a Haar basis u: with pure
-    sigma_k and Dirichlet lam_k when low_rank, else with Ginibre sigma_k and
-    lam_k a run spaced by _EPS_DEGENERATE times 10^x, x uniform in [-1, 2].
+    sum_k lam_k |u_k><u_k| (x) sigma_k is CQ in a Haar basis u, of one of
+    three families:
+      "pure": pure sigma_k and Dirichlet lam_k;
+      "gap": Ginibre sigma_k and lam_k a run spaced by _EPS_DEGENERATE times
+        10^x, x uniform in [-1, 2];
+      "rank_cut": sigma_k = V diag(g_k) V^+ with one Haar V for every k and
+        Dirichlet g_k whose last weight is replaced by 10^x _EPS_RANK, x
+        uniform in [-1, 1], then renormalized, so that every rho_jj of chi
+        has an eigenvalue near factorize's rank cut; Dirichlet lam_k.
     P is the maximally entangled state on min(m, n) levels ("phi"), a Ginibre
-    state or a pure state.  Everything is drawn from default_rng([seed, m, n])."""
+    state or a pure state.  With rotate, the state is then conjugated by
+    U_A (x) U_B, both Haar.  Everything is drawn from default_rng([seed, m, n])."""
     rng = np.random.default_rng([seed, m, n])
     t = 10.0 ** rng.uniform(-12.0, -5.0)
     u = random_unitary(m, rng)
-    if low_rank:
+    if family == "pure":
         lam = rng.dirichlet(np.ones(m))
         g = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
         sigma = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in g]
-    else:
+    elif family == "gap":
         gap = 10.0 ** rng.uniform(-1.0, 2.0) * D._EPS_DEGENERATE
         lam = 1.0 / m - gap * (np.arange(m) - (m - 1) / 2)
         sigma = [random_ginibre_density(n, rng) for _ in range(m)]
+    else:
+        lam = rng.dirichlet(np.ones(m))
+        v = random_unitary(n, rng)
+        g = rng.dirichlet(np.ones(n), size=m)
+        g[:, -1] = 10.0 ** rng.uniform(-1.0, 1.0, size=m) * F._EPS_RANK
+        g /= g.sum(axis=1, keepdims=True)
+        sigma = [(v * w) @ v.conj().T for w in g]
     chi = sum(w * np.kron(np.outer(u[:, k], u[:, k].conj()), sigma[k]) for k, w in enumerate(lam))
     if mix == "phi":
         phi = np.zeros(m * n)
@@ -1354,19 +1394,41 @@ def threshold_state(seed: int, m: int, n: int, low_rank: bool, mix: str) -> Bipa
         p = random_ginibre_density(m * n, rng)
     else:
         p = random_pure(m, n, rng).rho
-    return validate((1 - t) * chi + t * p, m, n)
+    rho = (1 - t) * chi + t * p
+    if rotate:
+        w = np.kron(random_unitary(m, rng), random_unitary(n, rng))
+        rho = w @ rho @ w.conj().T
+    return validate(rho, m, n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]),
-       st.booleans(), st.sampled_from(["phi", "ginibre", "pure"]))
-def test_verdicts_nest_at_the_thresholds(seed, shape, low_rank, mix):
-    # CQ states with rank-deficient conditional states or with rho_A gaps from
-    # 0.1 to 100 times _EPS_DEGENERATE, mixed with weight t at 1e-12 to 1e-5:
-    # nothing raises, a CQ verdict is PPT for any dim_a and SPPT implies PPT
-    s = threshold_state(seed, *shape, low_rank, mix)
-    cq, sppt = cq_detect(s), is_sppt(s)
+       st.sampled_from(["pure", "gap", "rank_cut"]), st.sampled_from(["phi", "ginibre", "pure"]),
+       st.booleans())
+def test_verdicts_nest_at_the_thresholds(seed, shape, family, mix, rotate):
+    # CQ states with rank-deficient conditional states, with rho_A gaps from
+    # 0.1 to 100 times _EPS_DEGENERATE or with every rho_jj straddling the
+    # rank cut, mixed with weight t at 1e-12 to 1e-5 and maybe locally
+    # rotated: nothing raises, a CQ verdict is PPT for any dim_a, SPPT implies
+    # PPT, discord is at most I, and a CQ verdict has discord at most eps_opt
+    s = threshold_state(seed, *shape, family, mix, rotate)
+    cq, sppt, r = cq_detect(s), is_sppt(s), discord_a(s)
     assert sppt.ppt.is_ppt or not (cq.is_cq or sppt.is_sppt)
+    assert r.discord <= r.mutual_information
+    assert r.discord <= DEFAULT_OPT.eps_opt or not cq.is_cq
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_discord_and_cq_residual_are_local_unitary_covariant(m, n):
+    # (U_A x U_B) rho (U_A x U_B)^+ has the same discord and the same least
+    # off-block mass; the search and the sweeps must not see the frame
+    for s in range(20):
+        state = ginibre_state(s, m, n)
+        w = np.kron(random_unitary(m, [s, m, n, 1]), random_unitary(n, [s, m, n, 2]))
+        moved = validate(w @ state.rho @ w.conj().T, m, n)
+        assert abs(discord_a(moved).discord - discord_a(state).discord) <= 1e-12
+        assert abs(cq_detect(moved).off_block_residual
+                   - cq_detect(state).off_block_residual) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)
