@@ -8,6 +8,7 @@ prominent inconsistency flag rather than silently reported.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def _bloch_angles(d: DiscordReport) -> tuple[float | None, float | None]:
 
 
 def to_machine(report: AnalysisReport) -> dict:
-    """JSON-serializable rendering; a superset of the human output."""
+    """JSON-serializable rendering; to_human formats it."""
     theta, phi = _bloch_angles(report.discord)
     return {
         "dims": [report.state.dim_a, report.state.dim_b],
@@ -130,31 +131,31 @@ def _fmt_spec(values) -> str:
     return " ".join(f"{x:.6f}" for x in values)
 
 
-def to_human(report: AnalysisReport) -> str:
-    """Plain-text rendering of the report."""
-    s, d = report.state, report.discord
-    ppt = report.sppt.ppt
-    theta, phi = _bloch_angles(d)
-    lines = [
-        f"state               {s.dim_a}x{s.dim_b}, trace {np.trace(s.rho).real:.12f}",
-        f"spectrum            {_fmt_spec(s.spectrum)}",
-        f"pt spectrum         {_fmt_spec(ppt.spectrum)}",
-        f"ppt                 {'yes' if ppt.is_ppt else 'NO'}"
-        f" (min eigenvalue {ppt.min_eigenvalue: .3e})",
-        f"sppt                {'yes' if report.sppt.is_sppt else 'NO'}"
-        + "".join(f" {k}={v:.3e}" for k, v in sorted(report.sppt.residuals.items())),
+def to_human(doc: dict) -> str:
+    """Plain-text rendering of a to_machine document, its "metadata" first
+    when it has one."""
+    theta = doc["optimal_theta"]
+    lines = [f"metadata            {json.dumps(doc['metadata'])}"] if "metadata" in doc else []
+    lines += [
+        f"state               {doc['dims'][0]}x{doc['dims'][1]}, trace {doc['trace']:.12f}",
+        f"spectrum            {_fmt_spec(doc['spectrum'])}",
+        f"pt spectrum         {_fmt_spec(doc['pt_spectrum'])}",
+        f"ppt                 {'yes' if doc['is_ppt'] else 'NO'}"
+        f" (min eigenvalue {doc['ppt_min_eigenvalue']: .3e})",
+        f"sppt                {'yes' if doc['is_sppt'] else 'NO'}"
+        + "".join(f" {k}={v:.3e}" for k, v in sorted(doc["sppt_residuals"].items())),
     ]
-    if report.sppt.rank_deficient:
+    if doc["rank_deficient"]:
         lines.append("                    rank-deficient extraction: SPPT not decidable")
     lines += [
-        f"commutator          {report.commutator:.6e}",
-        f"mutual information  {d.mutual_information:.6f} bits",
-        f"classical corr      {d.classical_correlation:.6f} bits",
-        f"discord             {d.discord:.6f} bits"
-        + (f" (theta={theta:.6f}, phi={phi:.6f})" if theta is not None else ""),
-        f"cq                  {'yes' if report.cq.is_cq else 'NO'}"
-        f" (off-block residual {report.cq.off_block_residual:.3e})",
+        f"commutator          {doc['commutator']:.6e}",
+        f"mutual information  {doc['mutual_information']:.6f} bits",
+        f"classical corr      {doc['classical_correlation']:.6f} bits",
+        f"discord             {doc['discord']:.6f} bits"
+        + (f" (theta={theta:.6f}, phi={doc['optimal_phi']:.6f})" if theta is not None else ""),
+        f"cq                  {'yes' if doc['is_cq'] else 'NO'}"
+        f" (off-block residual {doc['cq_off_block_residual']:.3e})",
     ]
-    if report.inconsistency:
-        lines.append(f"INCONSISTENT        {report.inconsistency}")
+    if doc["inconsistency"]:
+        lines.append(f"INCONSISTENT        {doc['inconsistency']}")
     return "\n".join(lines)

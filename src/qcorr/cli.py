@@ -89,11 +89,10 @@ def cmd_analyze(args) -> int:
     tol = _tol(args)
     state, meta = statefile.read_statefile(args.path, tol)
     report = analysis.analyze(state, tol, _opt(args))
-    doc, text = analysis.to_machine(report), analysis.to_human(report)
+    doc = analysis.to_machine(report)
     if meta:
         doc["metadata"] = meta
-        text = f"metadata            {json.dumps(meta)}\n" + text
-    _emit(args, doc, text)
+    _emit(args, doc, analysis.to_human(doc))
     return EXIT_CLAIM if report.inconsistency else EXIT_OK
 
 

@@ -21,11 +21,11 @@ every row j, each S_jk (k > j) normal and S_jk S_jl^dagger = S_jl^dagger S_jk
 for j < k < l; together these make the replacement exact.  For 2xN this is
 the single condition that S = S_12 is normal.
 
-When X_j is rank-deficient and the off blocks of row j carry mass outside
-its range (at full rank there is no outside, and the mass is zero), no S
-reproduces them and the canonical extraction cannot decide
-SPPT; the factorization is then flagged rank_deficient, the unexplained mass
-is reported, and the verdict is negative rather than silently passed.
+When X_j is rank-deficient, X_j F_jl = P r_l P with P its range projector.
+No S reproduces the rest, r_l - X_j F_jl, which is what X leaves of rho off
+the diagonal (none at full rank): block (j, l) of rho - X^dagger X.  So the
+reconstruction residual is at least sqrt(2) times this unexplained mass and
+rejects an extraction flagged rank_deficient; flag and mass are reported.
 
 Positivity is validate's decision, made once on rho; factorize never
 raises on a state.  Every M_jj is clamped at the rank cut, so an eigenvalue
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import bipartite
 from .bipartite import BipartiteState, block_tensor
-from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig, hermitize
+from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig
 
 __all__ = [
     "SpptFactorization",
@@ -63,9 +63,9 @@ class SpptFactorization:
     elsewhere, shape (M, M, N, N), so F's block above the diagonal is
     s[j, l] @ x[j].  residuals holds the normality and cross residuals of S
     under the names is_sppt reports, and reconstruction_residual is
-    |F^dagger F - rho|_F.  unexplained_mass is the Frobenius norm of the
-    off-block parts outside the range of their row's X_j (zero when every
-    X_j has full rank).
+    |F^dagger F - rho|_F.  unexplained_mass is the Frobenius norm of what
+    F leaves of rho off the diagonal, the off-block parts outside the range
+    of their row's X_j (zero when every X_j has full rank).
     """
 
     x: np.ndarray
@@ -81,10 +81,11 @@ class SpptVerdict:
     """SPPT decision with every residual that entered it.
 
     is_sppt requires every normality and cross residual under its threshold,
-    a faithful reconstruction, numerical PPT, and a decidable extraction
-    (rank_deficient false), so is_sppt implies is_ppt by construction.  For
-    dim_a >= 3 the verdict refers to the canonical gauge.  ppt is the PPT
-    verdict the decision used.
+    a faithful reconstruction and numerical PPT, so is_sppt implies is_ppt
+    by construction.  The reconstruction residual is at least sqrt(2) times
+    the unexplained mass, what X leaves of rho off the diagonal, so its
+    bound also rejects a rank-deficient extraction.  For dim_a >= 3 the
+    verdict refers to the canonical gauge.  ppt is the PPT verdict it used.
     """
 
     is_sppt: bool
@@ -128,8 +129,8 @@ def _root_and_pinv(root: np.ndarray, inv: np.ndarray,
     return (v * root) @ vh, (v * inv) @ vh
 
 
-def _factorize(state: BipartiteState, tol: Tolerance) -> tuple[SpptFactorization, np.ndarray]:
-    """factorize, and its condition residuals in _conditions order as an array."""
+def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
+    """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
     m, n = state.dim_a, state.dim_b
     # the factor X as it is built: f[j, :, l] is block (j, l), so that
     # f.reshape(m n, m n) is X itself
@@ -137,8 +138,7 @@ def _factorize(state: BipartiteState, tol: Tolerance) -> tuple[SpptFactorization
     big_x = f.reshape(m * n, m * n)
     s = np.zeros((m, m, n, n), dtype=np.complex128)
     cut = _EPS_RANK * np.maximum(np.einsum("jjaa->j", block_tensor(state)).real, 0.0)
-    deficient = False
-    mass_sq = 0.0
+    deficient, mass_sq = False, 0.0
     for j in range(m):
         # r = [M_jj | r_{j+1} | ... | r_m], r_l = rho_jl - sum_{i<j} F_ij^dagger F_il:
         # block row j of rho from the diagonal on, less one Gram product of X's columns
@@ -164,10 +164,11 @@ def _factorize(state: BipartiteState, tol: Tolerance) -> tuple[SpptFactorization
         sr = (xp @ off).reshape(n * k, n) @ xp
         s[j, j + 1:] = sr.reshape(n, k, n).swapaxes(0, 1)
         f[j, :, j + 1:] = (sr @ xj).reshape(n, k, n)
-        if not keep.all():  # the off blocks' mass outside the range of X_j; none at full rank
-            proj = hermitize(xj @ xp)
-            inside = ((proj @ off).reshape(n * k, n) @ proj).reshape(n, k, n)
-            outside = (off.reshape(n, k, n) - inside).swapaxes(0, 1).reshape(k, n * n)
+        if not keep.all():
+            # X_j F_jl = P r_l P, P the range projector of X_j: what the row
+            # leaves of r_l is its mass outside that range; none at full rank
+            outside = off - xj @ f[j, :, j + 1:].reshape(n, k * n)
+            outside = outside.reshape(n, k, n).swapaxes(0, 1).reshape(k, n * n)
             mass = np.sqrt(np.vecdot(outside, outside).real)
             mass_sq += float(mass @ mass)
             deficient = deficient or bool((mass > tol.eps_residual).any())
@@ -175,35 +176,29 @@ def _factorize(state: BipartiteState, tol: Tolerance) -> tuple[SpptFactorization
     a, bd = s[j, k], dagger(s[j, l])
     # (len(j), n * n), not -1: dim_a = 1 has no conditions and an empty stack
     c = (a @ bd - bd @ a).reshape(len(j), n * n)
-    residuals = np.sqrt(np.vecdot(c, c).real)
     diag = np.arange(m)
-    factorization = SpptFactorization(
+    return SpptFactorization(
         x=f[diag, :, diag],
         s=s,
-        residuals=dict(zip(keys, residuals.tolist())),
+        residuals=dict(zip(keys, np.sqrt(np.vecdot(c, c).real).tolist())),
         reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.rho),
         rank_deficient=deficient,
         unexplained_mass=float(np.sqrt(mass_sq)),
     )
-    return factorization, residuals
-
-
-def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
-    """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
-    return _factorize(state, tol)[0]
 
 
 def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
     """Strong-PPT verdict from the canonical factorization residuals, any dim_a."""
     ppt = bipartite.is_ppt(state, tol)
-    f, residuals = _factorize(state, tol)
+    f = factorize(state, tol)
+    residuals = np.fromiter(f.residuals.values(), float, len(f.residuals))
     _, j, k, l = _conditions(state.dim_a)
     s = f.s.reshape(*f.s.shape[:2], -1)
     norms = np.sqrt(np.vecdot(s, s).real)
     bound = tol.eps_sppt * np.maximum(1.0, norms[j, k] * norms[j, l])
     normal_ok = bool(np.all(residuals <= bound))
     recon_ok = f.reconstruction_residual <= tol.eps_residual
-    verdict = bool(normal_ok and recon_ok and ppt.is_ppt and not f.rank_deficient)
+    verdict = bool(normal_ok and recon_ok and ppt.is_ppt)
     return SpptVerdict(
         is_sppt=verdict,
         residuals={

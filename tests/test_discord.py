@@ -21,6 +21,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -905,6 +906,32 @@ def test_no_private_top_level_name_is_unused():
     assert sorted(f"{f}: {n}" for n, f in defined.items() if n not in used) == []
 
 
+def test_no_imported_name_is_unused():
+    # an import whose name the module never reads is a leftover of deleted
+    # code; a name listed in the module's __all__ is read by its importers
+    root = pathlib.Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted([*root.glob("src/qcorr/*.py"), *root.glob("scripts/*.py"),
+                        *root.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(root)}:{line}: {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
 def test_every_public_function_has_a_caller():
     # a public function that nothing in the package, bench/ or scripts/
     # calls is dead code.  Only call sites count, so a report field or a
@@ -1416,6 +1443,43 @@ def test_verdicts_nest_at_the_thresholds(seed, shape, family, mix, rotate):
     assert sppt.ppt.is_ppt or not (cq.is_cq or sppt.is_sppt)
     assert r.discord <= r.mutual_information
     assert r.discord <= DEFAULT_OPT.eps_opt or not cq.is_cq
+
+
+def test_reconstruction_bound_rejects_every_rank_deficient_extraction():
+    # is_sppt reads no rank_deficient flag: above the diagonal, the blocks
+    # of X^dagger X - rho are minus each row's part outside the range of X_j,
+    # so the reconstruction residual is at least sqrt(2) unexplained_mass and
+    # a flagged extraction fails the reconstruction bound.  Pinned on the
+    # near-CQ panel, the three threshold families (rotated and not) and
+    # seeded pure and rank-2 states; only the "pure" threshold family has
+    # flagged extractions among the threshold states
+    flagged = Counter()
+
+    def check(source, s):
+        f = F.factorize(s)
+        if f.rank_deficient:
+            flagged[source] += 1
+            recon = f.reconstruction_residual
+            assert recon >= np.sqrt(2.0) * f.unexplained_mass * (1 - 1e-9), source
+            assert recon > DEFAULT_TOL.eps_residual, source
+            assert not is_sppt(s).is_sppt, source
+
+    for m, n in H.NEAR_CQ_SHAPES:
+        for seed in H.NEAR_CQ_SEEDS:
+            for t in H.NEAR_CQ_WEIGHTS:
+                check("near_cq", H.near_cq_state(m, n, seed, t))
+    for family in ("pure", "gap", "rank_cut"):
+        for mix in ("phi", "ginibre", "pure"):
+            for rotate in (False, True):
+                for shape in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+                    for seed in range(20):
+                        check(family, threshold_state(seed, *shape, family, mix, rotate))
+    for m in (1, 2, 3, 4):
+        for n in (n for n in (1, 2, 3, 8) if m * n <= 24):
+            for seed in range(30):
+                check("random_pure", random_pure(m, n, rng_seed=[seed, m, n]))
+                check("rank2", rank2_state([seed, m, n], m, n))
+    assert flagged == {"near_cq": 196, "pure": 88, "random_pure": 240, "rank2": 150}
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)])

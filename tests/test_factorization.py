@@ -403,18 +403,23 @@ def test_only_rows_with_off_blocks_form_a_pseudoinverse(monkeypatch):
 
 
 def test_only_validate_forms_a_hermitian_part(hermitize_calls):
-    # validate forms one, the state's rho; is_ppt, a full-rank factorize,
-    # cq_detect (accepting or not) and commutator_criterion hand their
-    # matrices to eigh as they are, since eigh reads the lower triangle.
+    # validate forms one, the state's rho; is_ppt, factorize (at full rank
+    # or not), cq_detect (accepting or not) and commutator_criterion hand
+    # their matrices to eigh as they are, since eigh reads the lower
+    # triangle.  factorization does not even import hermitize: the mass
+    # outside the range of a rank-deficient X_j is read off the factor row.
     # discord_a forms one only when it searches: the phase fix of the
     # singular operators, which are Hermitian up to a phase
-    from qcorr import commutator_criterion, cq_detect, discord_a
+    from qcorr import commutator_criterion, cq_detect, discord_a, factorization
 
+    assert not hasattr(factorization, "hermitize")
     calls = hermitize_calls
-    none = {"bipartite": 0, "factorization": 0, "discord": 0}
-    for m, rho, searched in [(2, random_ginibre_density(6, 64), True),
-                             (3, random_ginibre_density(9, 65), True),
-                             (3, random_cq(3, 2, rng_seed=4).rho, False)]:
+    none = {"bipartite": 0, "discord": 0}
+    for m, rho, searched, deficient in [
+            (2, random_ginibre_density(6, 64), True, False),
+            (3, random_ginibre_density(9, 65), True, False),
+            (3, random_pure(3, 2, rng_seed=[70, 3, 2]).rho, False, True),
+            (3, random_cq(3, 2, rng_seed=4).rho, False, False)]:
         calls.update(none)
         s = validate(rho, m, len(rho) // m)
         assert calls == {**none, "bipartite": 1}, m
@@ -426,7 +431,7 @@ def test_only_validate_forms_a_hermitian_part(hermitize_calls):
         r = discord_a(s)
         assert (r.grid_resolution > 0) == searched, m
         assert calls == {**none, "discord": int(searched)}, m
-        assert not factorize(s).rank_deficient
+        assert factorize(s).rank_deficient == deficient
     assert cq_detect(s).is_cq  # the last state takes the accepting branch
 
 
