@@ -36,11 +36,20 @@ def commands(tree: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("scan-inclusions", ["scan-inclusions", "--seed", "5"]),
         ("bell-human", ["bell", "--p", "0.4,0.3,0.2,0.1"]),
         ("bell-machine", ["bell", "--p", "0.4,0.3,0.2,0.1", "--format", "machine"]),
-        ("xstate", ["xstate", "--a11", ".3", "--a22", ".2", "--b11", ".3", "--b22", ".2",
-                    "--a12", "0.1", "--b12", "-0.05j"]),
+        ("bell-vertex-human", ["bell", "--p", "1,0,0,0"]),
+        ("bell-vertex-machine", ["bell", "--p", "1,0,0,0", "--format", "machine"]),
+    ]
+    x_ppt = ["--a11", ".3", "--a22", ".2", "--b11", ".3", "--b22", ".2",
+             "--a12", "0.1", "--b12", "-0.05j"]
+    for name, args in [
+        ("xstate", ["xstate", *x_ppt]),
+        # outside the state space: a11 a22 = 0 < |a12|^2
+        ("xstate-outside", ["xstate", "--a11", ".5", "--a22", "0", "--b11", ".25",
+                            "--b22", ".25", "--a12", ".1"]),
         ("verify-theorem1", ["verify-theorem1", "--seed", "7", "--samples", "1000"]),
         ("remark-3xn", ["remark-3xn", "--seed", "1", "--samples", "200"]),
-    ]
+    ]:
+        cmds += [(name, args), (f"{name}-machine", args + ["--format", "machine"])]
     return [(name, args + ["--output", f"{name}.out"]) for name, args in cmds]
 
 

@@ -60,11 +60,6 @@ def _product_state(seed: int) -> bipartite.BipartiteState:
     return bipartite.validate(np.kron(rho_a, rho_b), 2, 3)
 
 
-def _bell_phi_plus() -> bipartite.BipartiteState:
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    return bipartite.validate(np.outer(v, v.conj()), 2, 2)
-
-
 def build_roster() -> list[tuple[str, bipartite.BipartiteState, dict]]:
     """The twenty fixtures: name, state, descriptive metadata."""
     x_ppt = families.XStateParams(a11=0.3, a22=0.2, b11=0.3, b22=0.2,
@@ -96,7 +91,8 @@ def build_roster() -> list[tuple[str, bipartite.BipartiteState, dict]]:
          families.bell_diagonal(families.BellDiagonalParams(0.7, 0.1, 0.1, 0.1)),
          {"family": "bell", "p": [0.7, 0.1, 0.1, 0.1]}),
         ("product_2x3", _product_state(114), {"family": "product", "seed": 114}),
-        ("bell_phi_plus", _bell_phi_plus(), {"family": "pure"}),
+        ("bell_phi_plus", families.bell_diagonal(families.BellDiagonalParams(1, 0, 0, 0)),
+         {"family": "pure"}),
         ("mixed_2x2",
          bipartite.validate(np.eye(4) / 4.0, 2, 2), {"family": "mixed"}),
     ]

@@ -38,7 +38,6 @@ __all__ = [
     "xstate_is_ppt",
     "xstate_is_sppt",
     "xstate_zero_discord",
-    "bell_projectors",
     "bell_diagonal",
     "induced_xstate",
     "bell_is_sppt",
@@ -149,8 +148,7 @@ def build_cq_state(spec: CqSpec, tol: Tolerance = DEFAULT_TOL) -> BipartiteState
         raise InvalidSpec(f"conditional traces sum to {total!r}, expected 1")
 
     blocks = np.einsum("km,lm,mab->klab", u, np.conj(u), np.array(sigmas))
-    rho = hermitize(assemble_blocks(blocks))
-    return validate(rho, m, n, tol)
+    return validate(assemble_blocks(blocks), m, n, tol)
 
 
 def xstate_matrix(params: XStateParams) -> np.ndarray:
@@ -216,26 +214,9 @@ def xstate_zero_discord(params: XStateParams) -> bool:
     )
 
 
-def bell_projectors() -> list[np.ndarray]:
-    """The four Bell projectors, ordered (Phi+, Phi-, Psi+, Psi-)."""
-    r = 1.0 / np.sqrt(2.0)
-    vecs = np.array(
-        [
-            [r, 0.0, 0.0, r],
-            [r, 0.0, 0.0, -r],
-            [0.0, r, r, 0.0],
-            [0.0, r, -r, 0.0],
-        ],
-        dtype=np.complex128,
-    )
-    return [np.outer(v, np.conj(v)) for v in vecs]
-
-
 def bell_diagonal(params: BellDiagonalParams, tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
-    """rho = sum_i p_i P_i over the Bell projectors."""
-    p = (params.p1, params.p2, params.p3, params.p4)
-    rho = sum(w * proj for w, proj in zip(p, bell_projectors()))
-    return validate(rho, 2, 2, tol)
+    """rho = sum_i p_i P_i over the Bell projectors, assembled as its X state."""
+    return validate(xstate_matrix(induced_xstate(params)), 2, 2, tol)
 
 
 def induced_xstate(params: BellDiagonalParams) -> XStateParams:
@@ -256,23 +237,16 @@ def induced_xstate(params: BellDiagonalParams) -> XStateParams:
 
 
 def bell_is_sppt(params: BellDiagonalParams) -> bool:
-    """|p1 - p2| = |p3 - p4|."""
-    return abs(abs(params.p1 - params.p2) - abs(params.p3 - params.p4)) <= EQ_ATOL
+    """|p1 - p2| = |p3 - p4| to 2 EQ_ATOL: xstate_is_sppt of the induced
+    X state, which compares the half-differences with EQ_ATOL."""
+    return xstate_is_sppt(induced_xstate(params))
 
 
 def bell_zero_discord(params: BellDiagonalParams) -> bool:
-    """Zero discord for a Bell-diagonal state.
-
-    In correlation-tensor form rho = (I x I + sum_a t_a s_a x s_a)/4 the
-    state is classical-quantum exactly when at most one t_a is nonzero.
-    That covers the pairings p1 = p3, p2 = p4 and p1 = p4, p2 = p3 as well
-    as the diagonal case p1 = p2, p3 = p4 (classical in the computational
-    basis), which the pairings miss.
-    """
-    t1 = params.p1 - params.p2 + params.p3 - params.p4
-    t2 = -params.p1 + params.p2 + params.p3 - params.p4
-    t3 = params.p1 + params.p2 - params.p3 - params.p4
-    return sum(abs(t) > EQ_ATOL for t in (t1, t2, t3)) <= 1
+    """p1 = p2 and p3 = p4, or p1 = p3 and p2 = p4, or p1 = p4 and p2 = p3,
+    each to 2 EQ_ATOL: xstate_zero_discord of the induced X state, which
+    compares the halves with EQ_ATOL."""
+    return xstate_zero_discord(induced_xstate(params))
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -10,6 +10,11 @@ package replaced are kept as references its replacements must reproduce:
 sequential_refine, the measurement refinement, exactly; inplace_cq_detect,
 the CQ detection with in-place pair rotations, to rounding; and
 rowwise_factorize, the block Cholesky with separate x and s, to rounding.
+The Bell-diagonal builder and predicates the X-state forms replaced are kept
+too: bell_mixture, the sum of rounded Bell projectors, which the X-state
+matrix must match to rounding, and bell_sppt_closed_form and
+bell_zero_discord_closed_form, the predicates in the weights p, which the
+X-state predicates must match on every tested weight.
 sequential_refine and its trial are the only code here that reads
 qcorr.discord, and nothing here reads qcorr.factorization.  The seeded test
 states are inputs, not oracles: they build states through the package.
@@ -149,7 +154,52 @@ def dense_commutator(state: BipartiteState) -> float:
     return float(np.linalg.norm(rho @ big - big @ rho))
 
 # ---------------------------------------------------------------------------
-# closed-form discord of Bell-diagonal states (S. Luo, PRA 77, 042303 (2008))
+# Bell-diagonal states: the projector sum, the closed-form SPPT and zero-
+# discord predicates in the weights p, and the closed-form discord (S. Luo,
+# PRA 77, 042303 (2008)).  Both predicates allow a slack of 1e-12 on their
+# sums and differences of p
+
+
+def bell_projectors() -> list[np.ndarray]:
+    """The four Bell projectors, ordered (Phi+, Phi-, Psi+, Psi-)."""
+    r = 1.0 / np.sqrt(2.0)
+    vecs = np.array(
+        [
+            [r, 0.0, 0.0, r],
+            [r, 0.0, 0.0, -r],
+            [0.0, r, r, 0.0],
+            [0.0, r, -r, 0.0],
+        ],
+        dtype=np.complex128,
+    )
+    return [np.outer(v, np.conj(v)) for v in vecs]
+
+
+def bell_mixture(p) -> np.ndarray:
+    """rho = sum_i p_i P_i over the Bell projectors, as a rounded sum."""
+    return sum(w * proj for w, proj in zip(p, bell_projectors()))
+
+
+def bell_sppt_closed_form(p) -> bool:
+    """|p1 - p2| = |p3 - p4|: the equal coupling magnitudes of an SPPT X state."""
+    p1, p2, p3, p4 = p
+    return abs(abs(p1 - p2) - abs(p3 - p4)) <= 1e-12
+
+
+def bell_zero_discord_closed_form(p) -> bool:
+    """Zero discord for a Bell-diagonal state.
+
+    In correlation-tensor form rho = (I x I + sum_a t_a s_a x s_a)/4 the
+    state is classical-quantum exactly when at most one t_a is nonzero.
+    That covers the pairings p1 = p3, p2 = p4 and p1 = p4, p2 = p3 as well
+    as the diagonal case p1 = p2, p3 = p4 (classical in the computational
+    basis), which the pairings miss.
+    """
+    p1, p2, p3, p4 = p
+    t1 = p1 - p2 + p3 - p4
+    t2 = -p1 + p2 + p3 - p4
+    t3 = p1 + p2 - p3 - p4
+    return sum(abs(t) > 1e-12 for t in (t1, t2, t3)) <= 1
 
 
 def _xlog2x(x: float) -> float:

@@ -38,7 +38,8 @@ from qcorr import (
     xstate_zero_discord,
 )
 from qcorr.errors import InvalidParams, InvalidSpec
-from qcorr.families import bell_projectors, induced_xstate, xstate_matrix
+from qcorr import families
+from qcorr.families import induced_xstate, xstate_matrix
 from qcorr.matlib import fro_norm
 
 
@@ -94,6 +95,20 @@ def test_build_cq_state_rejects_bad_ingredients():
     s = build_cq_state(CqSpec(dim_a=4, u=u, sigmas=sigmas))
     direct = sum(np.kron(np.outer(u[:, k], u[:, k].conj()), sigmas[k]) for k in range(4))
     assert np.allclose(s.rho, direct, atol=1e-12)
+
+
+def test_build_cq_state_leaves_the_hermitian_part_to_validate(monkeypatch):
+    # (x + x^dagger)/2 is exactly Hermitian, so validate's own hermitize is
+    # the only one the assembled matrix needs; build_cq_state forms one per
+    # conditional operator, for its PSD check, and none of the whole state
+    calls = []
+    hermitize = families.hermitize
+    monkeypatch.setattr(families, "hermitize", lambda a: calls.append(a.shape) or hermitize(a))
+    for dim_a, dim_b in [(1, 3), (2, 2), (3, 4), (4, 1)]:
+        spec = random_cq_spec(dim_a, dim_b, rng_seed=[dim_a, dim_b])
+        calls.clear()
+        build_cq_state(spec)
+        assert calls == [(dim_b, dim_b)] * dim_a, (dim_a, dim_b)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -203,7 +218,7 @@ def test_zero_discord_states_really_have_none():
 
 
 def test_bell_projectors_are_an_orthonormal_rank_one_family():
-    projs = bell_projectors()
+    projs = H.bell_projectors()
     total = np.zeros((4, 4), dtype=complex)
     for i, p in enumerate(projs):
         assert np.allclose(p @ p, p, atol=1e-14)
@@ -214,20 +229,16 @@ def test_bell_projectors_are_an_orthonormal_rank_one_family():
     assert np.allclose(total, np.eye(4), atol=1e-14)
 
 
+# the grid holds the four vertices, the pure Bell states
+BELL_PANEL = H.simplex_grid(10)
+
+
 def test_bell_diagonal_matches_direct_mixture():
-    p = BellDiagonalParams(0.4, 0.3, 0.2, 0.1)
-    s = bell_diagonal(p)
-    r = 1.0 / np.sqrt(2.0)
-    vecs = [
-        np.array([r, 0, 0, r]),
-        np.array([r, 0, 0, -r]),
-        np.array([0, r, r, 0]),
-        np.array([0, r, -r, 0]),
-    ]
-    direct = sum(w * np.outer(v, v) for w, v in zip((0.4, 0.3, 0.2, 0.1), vecs))
-    assert np.allclose(s.rho, direct, atol=1e-14)
-    # eigenvalues recover the mixing weights
-    assert np.allclose(np.sort(np.linalg.eigvalsh(s.rho)), [0.1, 0.2, 0.3, 0.4], atol=1e-12)
+    for p in BELL_PANEL:
+        s = bell_diagonal(BellDiagonalParams(*p))
+        assert np.allclose(s.rho, H.bell_mixture(p), rtol=0.0, atol=1e-15), p
+        # eigenvalues recover the mixing weights
+        assert np.allclose(np.linalg.eigvalsh(s.rho), sorted(p), rtol=0.0, atol=1e-12), p
 
 
 def test_bell_diagonal_params_validation():
@@ -255,8 +266,67 @@ def test_non_finite_family_parameters_are_invalid(case, bad):
 
 
 def test_induced_xstate_reassembles_the_density_matrix():
-    p = BellDiagonalParams(0.55, 0.15, 0.2, 0.1)
-    assert np.allclose(xstate_matrix(induced_xstate(p)), bell_diagonal(p).rho, atol=1e-15)
+    # bell_diagonal validates the X-state matrix, which is exactly Hermitian,
+    # so its rho is that matrix bit for bit
+    for p in BELL_PANEL:
+        m = xstate_matrix(induced_xstate(BellDiagonalParams(*p)))
+        assert np.array_equal(bell_diagonal(BellDiagonalParams(*p)).rho, m), p
+        assert np.allclose(m, H.bell_mixture(p), rtol=0.0, atol=1e-15), p
+
+
+def test_bell_closed_forms_match_the_predicates_in_the_weights():
+    for p in H.simplex_grid(50):
+        params = BellDiagonalParams(*p)
+        assert bell_is_sppt(params) == H.bell_sppt_closed_form(p), p
+        assert bell_zero_discord(params) == H.bell_zero_discord_closed_form(p), p
+
+
+def off_lattice_bell_weights(count: int, seed: int) -> list[tuple[tuple, str]]:
+    """(p, family) for count seeded Bell weights, a fifth from each family:
+    "diagonal" p1 = p2 and p3 = p4; "pair13" p1 = p3 and p2 = p4; "pair14"
+    p1 = p4 and p2 = p3; "sppt_only" |p1 - p2| = |p3 - p4| with p1 + p2 at
+    least 0.05 from 1/2 and |p1 - p2| at least 0.0025 (SPPT, discordant);
+    "generic" Dirichlet(1, 1, 1, 1)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        family = ("diagonal", "pair13", "pair14", "sppt_only", "generic")[k % 5]
+        a = rng.uniform(0.0, 0.5)
+        if family == "diagonal":
+            p = (a, a, 0.5 - a, 0.5 - a)
+        elif family == "pair13":
+            p = (a, 0.5 - a, a, 0.5 - a)
+        elif family == "pair14":
+            p = (a, 0.5 - a, 0.5 - a, a)
+        elif family == "sppt_only":
+            s1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.45) + 0.5
+            s2 = 1.0 - s1
+            d = rng.uniform(0.05, 1.0) * min(s1, s2)
+            sign = rng.choice([-1.0, 1.0])
+            p = ((s1 + d) / 2, (s1 - d) / 2, (s2 + sign * d) / 2, (s2 - sign * d) / 2)
+        else:
+            p = tuple(rng.dirichlet(np.ones(4)))
+        out.append((tuple(float(x) for x in p), family))
+    return out
+
+
+def test_bell_closed_forms_and_verdicts_agree_off_the_lattice():
+    # 2000 seeded weights, planted on each equality the predicates test and
+    # off all of them: the X-state closed forms equal the predicates in the
+    # weights, and is_ppt (PPT exactly when every p_i <= 1/2), is_sppt and
+    # cq_detect agree with them
+    planted = {"diagonal": (True, True), "pair13": (True, True), "pair14": (True, True),
+               "sppt_only": (True, False)}
+    for p, family in off_lattice_bell_weights(2000, seed=7):
+        params = BellDiagonalParams(*p)
+        sppt, zd = bell_is_sppt(params), bell_zero_discord(params)
+        assert sppt == H.bell_sppt_closed_form(p), (family, p)
+        assert zd == H.bell_zero_discord_closed_form(p), (family, p)
+        assert planted.get(family, (sppt, zd)) == (sppt, zd), (family, p)
+        s = bell_diagonal(params)
+        assert is_ppt(s).is_ppt == (max(p) <= 0.5) == xstate_is_ppt(induced_xstate(params)), p
+        assert is_sppt(s).is_sppt == sppt, (family, p)
+        assert cq_detect(s).is_cq == zd, (family, p)
 
 
 def test_bell_predicate_truth_table():
