@@ -6,7 +6,10 @@ PYTHONPATH and OUTDIR as its working directory, so a relative --output name
 lands in OUTDIR.  For a command named NAME the script writes NAME.stdout,
 NAME.stderr and NAME.exit (the exit code); NAME.out is the file the command
 wrote through --output, if it wrote one.  The fixtures are TREE's own
-tests/fixtures/state_NN.json.  OUTDIR must not exist yet.
+tests/fixtures/state_NN.json.  The script also writes malformed state files
+into OUTDIR (see malformed_files) and analyzes each, so the messages and
+exit codes of the read path's errors are compared too.  OUTDIR must not
+exist yet.
 
 Usage: python scripts/cli_snapshot.py TREE OUTDIR
 
@@ -26,12 +29,29 @@ import subprocess
 import sys
 
 
+def malformed_files() -> dict[str, str]:
+    """File name -> text of each malformed 1x2 state file: one bad entry at
+    index 1 (a boolean, a short pair, an integer beyond the float range), and
+    a document cut short."""
+    def doc(entry: str) -> str:
+        return f'{{"dims": [1, 2], "matrix": [[0.5, 0.0], {entry}, [0.0, 0.0], [0.5, 0.0]]}}\n'
+
+    return {
+        "bad-bool.json": doc("[true, 0.0]"),
+        "bad-short-pair.json": doc("[0.0]"),
+        "bad-big-int.json": doc(f"[0.0, {'9' * 400}]"),
+        "bad-truncated.json": doc("[0.0, 0.0]")[:40],
+    }
+
+
 def commands(tree: pathlib.Path) -> list[tuple[str, list[str]]]:
     """(NAME, arguments) of every command, in run order."""
     cmds = []
     for path in sorted((tree / "tests" / "fixtures").glob("state_*.json")):
         for fmt in ("human", "machine"):
             cmds.append((f"analyze-{path.stem}-{fmt}", ["analyze", str(path), "--format", fmt]))
+    cmds += [(f"analyze-{name.removesuffix('.json')}", ["analyze", name])
+             for name in malformed_files()]
     cmds += [
         ("scan-inclusions", ["scan-inclusions", "--seed", "5"]),
         ("bell-human", ["bell", "--p", "0.4,0.3,0.2,0.1"]),
@@ -59,6 +79,8 @@ def main(argv: list[str]) -> int:
         return 2
     tree, outdir = pathlib.Path(argv[0]).resolve(), pathlib.Path(argv[1]).resolve()
     outdir.mkdir(parents=True)  # a fresh OUTDIR keeps no output of an earlier run
+    for name, text in malformed_files().items():
+        (outdir / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name, args in commands(tree):
         done = subprocess.run([sys.executable, "-m", "qcorr.cli", *args], cwd=outdir, env=env,

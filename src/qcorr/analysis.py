@@ -41,10 +41,17 @@ def analyze(
     tol: Tolerance = DEFAULT_TOL,
     opt: OptimizerConfig = DEFAULT_OPT,
 ) -> AnalysisReport:
-    """Run the whole pipeline on one validated state."""
+    """Run the whole pipeline on one validated state.
+
+    The state's discord.Frame (the eigh of rho_A and the blocks rotated to
+    its eigenbasis) is prepared once and passed to discord_a and cq_detect,
+    so neither repeats that work.  Each returns what it returns when called
+    alone, which prepares the same Frame, bit for bit.
+    """
     sppt = factorization.is_sppt(state, tol)
-    report = discord.discord_a(state, opt)
-    cq = discord.cq_detect(state, tol)
+    frame = discord.prepare(state)
+    report = discord.discord_a(state, opt, frame=frame)
+    cq = discord.cq_detect(state, tol, frame=frame)
 
     inconsistency = None
     if state.dim_a == 2 and cq.is_cq and not sppt.is_sppt:
@@ -146,7 +153,11 @@ def to_human(doc: dict) -> str:
         + "".join(f" {k}={v:.3e}" for k, v in sorted(doc["sppt_residuals"].items())),
     ]
     if doc["rank_deficient"]:
-        lines.append("                    rank-deficient extraction: SPPT not decidable")
+        # the reconstruction residual is at least sqrt(2) times this mass, so
+        # its bound has rejected the extraction
+        mass = doc["sppt_residuals"]["unexplained_mass"]
+        lines.append(f"                    rank-deficient extraction: unexplained mass {mass:.3e},"
+                     " rejected by the reconstruction bound")
     lines += [
         f"commutator          {doc['commutator']:.6e}",
         f"mutual information  {doc['mutual_information']:.6f} bits",

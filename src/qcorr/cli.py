@@ -3,7 +3,9 @@
 Commands: analyze, verify-theorem1, remark-3xn, xstate, bell,
 scan-inclusions.  Exit codes: 0 success, 1 a verified claim failed
 (an assertion, a disagreement, or a missing witness), 2 input error
-(unreadable or invalid state file, bad parameters).
+(unreadable or invalid state file, bad parameters), 141 stdout closed
+before the output was written (the shell's status for SIGPIPE), with
+nothing on stderr.
 
 Reports are JSON under --format machine, else text, written to --output
 or stdout; remark-3xn always prints, as its --output names the witness
@@ -20,6 +22,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -383,7 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (qcorr analyze F | head -1): that is no
+        # input error.  stdout goes to devnull so that the interpreter's final
+        # flush is quiet, and the status is the one a shell reports for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (QcorrError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,21 +18,28 @@ gradient of the conditional entropy.  The starts are refined together in
 rounds: each round takes one batched exp(K), one batched line-search trial
 and one batched gradient over the starts still active, and each start keeps
 its own line search and inverse Hessian.  One evaluator, _trial, gives
-every value of the conditional entropy: the exit, the scores and the
-trials.  It decomposes the conditional states once, and the gradient at a
-scored start or an accepted trial reuses that decomposition, so no start
-is evaluated twice.  The rho_A eigenbasis alone is scored twice: by the
-exit and again as the first candidate.  Each contraction over the blocks
-of rho is one matmul.  A start has one stop rule: it makes a line-search
-trial only while the trial's predicted decrease is above rounding level,
-and its refinement ends at the first that is not.
+every value of the conditional entropy the search takes: the scores and
+the trials.  It decomposes the conditional states once, and the gradient
+at a scored start or an accepted trial reuses that decomposition, so no
+start is evaluated twice.  Each of its contractions over the blocks of rho
+is one matmul.  The exit's value comes from the state's Frame, built by
+prepare: rho_A's eigenpairs and the block grid T rotated to the
+eigenbasis, whose diagonal blocks are the sigma_k the exit decomposes.
+cq_detect reads the same Frame.  analysis.analyze, the one caller outside
+this module, prepares one Frame per state and passes it to both; a call
+without one prepares its own, and nothing is kept across calls.  The
+rho_A eigenbasis alone is scored twice: by the exit from the Frame and
+again by _trial as the first candidate.  A start has one stop rule: it
+makes a line-search trial only while the trial's predicted decrease is
+above rounding level, and its refinement ends at the first that is not.
 
 Classical-quantum detection (cq_detect) involves no search: it is a joint
 diagonalization by Jacobi sweeps whose pair rotations are closed forms, and
-it serves any dim_a.  A rotation reads the pair's Pauli components with one
-matmul and is applied to the whole block grid by one matmul, the
-contraction _trial uses.  It does not form the commutator [rho, rho_A x I];
-commutator_criterion alone does, and analysis.analyze reports it.
+it serves any dim_a.  It starts from the Frame's T.  A rotation reads the
+pair's Pauli components with one matmul and is applied to the whole block
+grid by one matmul, the contraction _trial uses.  It does not form the
+commutator [rho, rho_A x I]; commutator_criterion alone does, and
+analysis.analyze reports it.
 """
 
 from __future__ import annotations
@@ -152,6 +159,31 @@ def _contract(coef: np.ndarray, b: np.ndarray) -> np.ndarray:
     a _block_stack b, as one matmul."""
     lead = coef.shape[:-2]
     return (coef.reshape(*lead, -1) @ b.reshape(len(b), -1)).reshape(*lead, *b.shape[1:])
+
+
+@dataclass
+class Frame:
+    """One state in its rho_A eigenbasis, built by prepare and passed
+    explicitly to discord_a and cq_detect through their frame parameter.
+    It is not exported: analysis.analyze alone builds one to share.
+
+    w is rho_A's spectrum, ascending as eigh gives it, and basis its
+    eigenvectors by descending eigenvalue.  t is the block grid in that
+    basis, T_kl = sum_ij conj(basis_ik) basis_jl rho_ij, shape (M, M, N, N).
+    """
+
+    w: np.ndarray
+    basis: np.ndarray
+    t: np.ndarray
+
+
+def prepare(state: BipartiteState) -> Frame:
+    """The Frame of a state: one eigh of rho_A and one contraction of the
+    blocks."""
+    w, v = np.linalg.eigh(partial_trace_b(state))
+    basis = v[:, ::-1]
+    t = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, block_tensor(state))
+    return Frame(w, basis, t)
 
 
 # The one rounding floor of the searches, for ties, steps and sweeps: values
@@ -306,20 +338,28 @@ def _tied(h: np.ndarray) -> np.ndarray:
     return np.where(h - least <= _PROGRESS_RTOL * max(1.0, abs(least)), least, h)
 
 
-def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> DiscordReport:
+def discord_a(
+    state: BipartiteState,
+    opt: OptimizerConfig = DEFAULT_OPT,
+    *,
+    frame: Frame | None = None,
+) -> DiscordReport:
     """Quantum discord of the A side: mutual information minus C_A, any dim_a.
 
+    frame is the state's Frame, prepared here when not given.
     I(rho) = S(rho_A) + S(rho_B) - S(rho), clamped at 0, takes S(rho_A) and
-    the rho_A eigenbasis (by descending eigenvalue) from one eigh of rho_A,
-    S(rho_B) from one eigvalsh and S(rho) from the spectrum validate kept,
-    ascending again as an eigvalsh of rho sums it.  Both marginals are sums
-    over the Hermitian part, so neither is re-symmetrized.
+    the rho_A eigenbasis (by descending eigenvalue) from the frame's eigh of
+    rho_A, S(rho_B) from one eigvalsh and S(rho) from the spectrum validate
+    kept, ascending again as an eigvalsh of rho sums it.  Both marginals are
+    sums over the Hermitian part, so neither is re-symmetrized.
 
     C_A, the best S(rho_B) - H(U) over orthonormal A bases U, is at most I(rho)
-    and, as H(U) >= 0, at most S(rho_B).  The eigenbasis is scored first, and
-    when it comes within a quarter of eps_opt of either bound the search is
-    done: exact for classical-quantum inputs, which attain I(rho) there, and
-    for pure states, whose rho_A eigenbasis is a Schmidt basis with H = 0.
+    and, as H(U) >= 0, at most S(rho_B).  The eigenbasis is scored first, by
+    one eigh of the frame's sigma_k = T_kk, and when it comes within a quarter
+    of eps_opt of either bound the search is done: exact for classical-quantum
+    inputs, which attain I(rho) there, and for pure states, whose rho_A
+    eigenbasis is a Schmidt basis with H = 0.  The basis reported there is a
+    copy of the frame's, so no report holds an array of the frame.
     Otherwise the eigenbasis and the _singular_bases, all fixed by the state,
     are scored by one _trial, and the best dim_a are refined from their rows
     of it.  Scores and endpoints that tie with the least (see _tied) keep
@@ -328,14 +368,17 @@ def discord_a(state: BipartiteState, opt: OptimizerConfig = DEFAULT_OPT) -> Disc
     H, so at a degenerate optimum rounding does not choose among equally good
     bases.
     """
-    w, v = np.linalg.eigh(partial_trace_b(state))
+    if frame is None:
+        frame = prepare(state)
     s_b = _spectrum_entropy(np.linalg.eigvalsh(partial_trace_a(state)))
-    mi = max(0.0, _spectrum_entropy(w) + s_b - _spectrum_entropy(state.spectrum[::-1]))
-    eig, b = v[:, ::-1], _block_stack(state)
-    h_eig = float(_trial(eig, b)[0])
+    mi = max(0.0, _spectrum_entropy(frame.w) + s_b - _spectrum_entropy(state.spectrum[::-1]))
+    eig, t = frame.basis, frame.t
+    h_eig = float(_entropy_terms(np.linalg.eigh(np.einsum("kkab->kab", t))[0],
+                                 np.einsum("kkaa->k", t).real)[0])
     if min(mi - (s_b - h_eig), h_eig) <= 0.25 * opt.eps_opt:
-        cc, basis, evals, grid = max(0.0, s_b - h_eig), eig, 1, 0
+        cc, basis, evals, grid = max(0.0, s_b - h_eig), eig.copy(), 1, 0
     else:
+        b = _block_stack(state)
         cands = np.concatenate([eig[None], _singular_bases(b, len(eig))])
         hs, kept = _trial(cands, b)
         starts = np.argsort(_tied(hs), kind="stable")[: len(eig)]
@@ -425,13 +468,17 @@ def cq_detect(
     state: BipartiteState,
     tol: Tolerance = DEFAULT_TOL,
     opt: OptimizerConfig = DEFAULT_OPT,
+    *,
+    frame: Frame | None = None,
 ) -> CqVerdict:
     """Decide whether the state is classical-quantum on the A side, any dim_a.
 
     The search space is the orthonormal A-side bases; any such basis must
-    diagonalize rho_A, so the blocks are rotated to the rho_A eigenbasis and
-    only rotations inside degenerate eigenvalue clusters (runs of the
-    descending spectrum with gaps at most _EPS_DEGENERATE) remain free.
+    diagonalize rho_A, so the search starts from the blocks rotated to the
+    rho_A eigenbasis, the T of the state's Frame (prepared here when frame
+    is not given), and only rotations inside degenerate eigenvalue clusters
+    (runs of the descending spectrum with gaps at most _EPS_DEGENERATE)
+    remain free.
     Those rotations leave the off-block mass between clusters unchanged;
     inside the clusters it is minimized by Jacobi sweeps over index pairs,
     each pair rotation in closed form and applied to the whole block grid by
@@ -454,12 +501,12 @@ def cq_detect(
     The commutator is not formed here: see commutator_criterion.
     """
     m = state.dim_a
-    w, v = np.linalg.eigh(partial_trace_b(state))
-    basis = v[:, ::-1]
-    bp = np.einsum("ik,jl,ijab->klab", np.conj(basis), basis, block_tensor(state))
+    if frame is None:
+        frame = prepare(state)
+    basis, bp = frame.basis, frame.t
 
     # the eigenvalues descend, so a cluster is a run of gaps <= _EPS_DEGENERATE
-    lam = w[::-1].tolist()
+    lam = frame.w[::-1].tolist()
     cluster = [0]
     for hi, lo in zip(lam, lam[1:]):
         cluster.append(cluster[-1] + (hi - lo > _EPS_DEGENERATE))

@@ -11,6 +11,7 @@ is written back without it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -54,6 +55,11 @@ def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, 
     matrix raises the specific validation error instead.  Metadata that
     strict JSON cannot hold, such as NaN or an infinity at any depth, raises
     ParseError.
+
+    The matrix is checked in one pass, by the sets of its entries' types
+    and lengths and of its numbers' types, and converted by one
+    np.fromiter; only a matrix that fails those checks is walked entry by
+    entry, to name the first bad entry.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
@@ -70,13 +76,17 @@ def state_from_dict(doc, tol: Tolerance = DEFAULT_TOL) -> tuple[BipartiteState, 
     if not isinstance(entries, list) or len(entries) != want:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
         raise ParseError(f"matrix must hold {want} entries, got {got}")
-    for i, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], (int, float)) and isinstance(pair[1], (int, float))
-                and bool not in (type(pair[0]), type(pair[1]))):
-            raise _entry_error(i, pair)
+    # type, not isinstance: bool is an int subclass
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}):
+        for i, pair in enumerate(entries):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], (int, float)) and isinstance(pair[1], (int, float))
+                    and bool not in (type(pair[0]), type(pair[1]))):
+                raise _entry_error(i, pair)
     try:
-        pairs = np.array(entries, dtype=np.float64)
+        pairs = np.fromiter(itertools.chain.from_iterable(entries), np.float64, 2 * want)
+        pairs = pairs.reshape(want, 2)
     except OverflowError:  # an integer beyond the float range
         big = float(np.finfo(np.float64).max)
         pairs = np.array([[x if abs(x) <= big else np.inf for x in p] for p in entries])

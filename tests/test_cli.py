@@ -6,8 +6,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,9 +223,48 @@ def test_a_valid_state_whose_rank_cut_leaves_a_negative_complement_is_analyzed(t
 
 
 def test_analyze_human_flags_a_rank_deficient_extraction(tmp_path, capsys):
+    # the reconstruction bound decides a flagged extraction; the line gives
+    # the unexplained mass it rejected
     assert main(["analyze", bell_state_file(tmp_path)]) == EXIT_OK
-    assert "\n                    rank-deficient extraction: SPPT not decidable\n" in (
-        capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert "\nsppt                NO " in out
+    assert ("\n                    rank-deficient extraction: unexplained mass 5.000e-01,"
+            " rejected by the reconstruction bound\n") in out
+
+
+def _analyze_process(unbuffered: bool) -> subprocess.Popen:
+    """qcorr analyze on FIXTURE in a child interpreter, its stdout and stderr
+    piped to this process."""
+    src = str(pathlib.Path(main.__code__.co_filename).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:  # print then writes the report and its newline separately
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "qcorr.cli", "analyze", FIXTURE], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_closes_after_one_line_is_no_input_error(unbuffered):
+    # qcorr analyze F | head -1: whether or not the rest of the report
+    # reaches the closed pipe, nothing is printed on stderr and the exit is
+    # success or SIGPIPE's status, never EXIT_INPUT
+    with _analyze_process(unbuffered) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) in (EXIT_OK, 141)
+    assert first.startswith(b"metadata ") and err == b""
+
+
+def test_a_stdout_closed_before_the_report_exits_with_sigpipe_status():
+    # the reader is gone before the child has imported numpy, so the report
+    # always meets a closed pipe
+    with _analyze_process(unbuffered=False) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_readme_analyze_example_is_the_output(tmp_path, capsys):

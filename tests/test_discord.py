@@ -250,16 +250,17 @@ def test_matmul_trial_and_gradient_match_the_einsum_forms():
 
 
 def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypatch, linalg_calls):
-    # pins the one evaluator and the lockstep rounds: every H comes from a
-    # _trial, which makes one eigh (the sigma_k batch), and a gradient makes
-    # none.  discord_a takes eigh of rho_A (which also gives S(rho_A)), one
-    # trial of the rho_A eigenbasis for the exit, one batched eigh of the
-    # singular operators and one trial that scores every start; each round
-    # adds the eigh of the starts' exp(K) and a trial.  Its only eigvalsh is
-    # S(rho_B); S(rho) comes from the spectrum validate kept
+    # pins the one evaluator and the lockstep rounds: every H of the search
+    # comes from a _trial, which makes one eigh (the sigma_k batch), and a
+    # gradient makes none.  discord_a prepares its Frame with one eigh of
+    # rho_A (which also gives S(rho_A)); its exit takes one eigh, the Frame's
+    # sigma_k at the eigenbasis; then one batched eigh of the singular
+    # operators and one trial that scores every start; each round adds the
+    # eigh of the starts' exp(K) and a trial.  Its only eigvalsh is S(rho_B);
+    # S(rho) comes from the spectrum validate kept
     s = ginibre_state([1, 2], 2, 3)
     calls = {"_trial": [], "_gradient": []}
-    starts = []
+    starts, frames = [], []
 
     def counting(name, bases):
         real = getattr(D, name)
@@ -277,16 +278,30 @@ def test_refinement_decomposes_once_per_trial_and_never_for_a_gradient(monkeypat
         starts.append(u.copy())
         return real_refine(u, *args)
 
+    real_prepare = D.prepare
+
+    def prepare(state):
+        before = linalg_calls["eigh"]
+        frame = real_prepare(state)
+        frames.append((linalg_calls["eigh"] - before, frame))
+        return frame
+
     monkeypatch.setattr(D, "_trial", counting("_trial", np.copy))
     monkeypatch.setattr(D, "_gradient", counting("_gradient", lambda trial: len(trial[0])))
     monkeypatch.setattr(D, "_refine", refine)
+    monkeypatch.setattr(D, "prepare", prepare)
     linalg_calls.update(eigh=0, eigvalsh=0)
     r = discord_a(s)
-    (exit_trial, score), rounds = calls["_trial"][:2], calls["_trial"][2:]
+    ((prepare_eighs, frame),) = frames
+    score, rounds = calls["_trial"][0], calls["_trial"][1:]
     (first_gradient, *round_gradients) = calls["_gradient"]
     assert r.grid_resolution > 0 and len(starts) == 1 and len(starts[0]) == s.dim_a and rounds
     assert {e for e, _ in calls["_trial"]} == {1} and {e for e, _ in calls["_gradient"]} == {0}
-    assert exit_trial[1].shape == (s.dim_a, s.dim_a) and len(score[1]) == r.grid_resolution
+    # the exit read the one Frame, and the search scored the Frame's basis
+    # again as its first candidate
+    assert prepare_eighs == 1
+    assert frame.basis.shape == (s.dim_a, s.dim_a) and len(score[1]) == r.grid_resolution
+    assert np.array_equal(score[1][0], frame.basis)
     assert linalg_calls == {"eigh": 4 + 2 * len(rounds), "eigvalsh": 1}
     # the starts' first gradient reuses their score, so the refinement's
     # first trial is on stepped bases, none of them a start
@@ -1502,3 +1517,95 @@ def test_measured_correlation_never_exceeds_mutual_information(seed):
     r = discord_a(s)
     assert r.classical_correlation <= r.mutual_information + 1e-9
     assert r.classical_correlation >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Frame analyze prepares once and shares between discord_a and cq_detect
+
+
+def _bits(report) -> list:
+    """Every field of a report, arrays as (dtype, shape, bytes) and numbers
+    by repr, so that equal lists mean equal bits."""
+    out = []
+    for value in vars(report).values():
+        if isinstance(value, list):
+            value = np.array(value)
+        out.append((value.dtype.str, value.shape, value.tobytes())
+                   if isinstance(value, np.ndarray) else repr(value))
+    return out
+
+
+def frame_panel() -> list[tuple[str, BipartiteState]]:
+    """The fixtures, then random_cq, Ginibre and threshold_state draws from
+    2x2 to 4x3, and Bell-diagonal states, whose rho_A = I/2 is degenerate."""
+    panel = [(path.name, read_statefile(path)[0])
+             for path in sorted(FIXTURE_DIR.glob("state_*.json"))]
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
+        for seed in range(2):
+            panel.append((f"cq {m}x{n} {seed}", random_cq(m, n, rng_seed=[seed, m, n])))
+            panel.append((f"ginibre {m}x{n} {seed}", ginibre_state([seed, m, n], m, n)))
+            for family, mix in [("pure", "phi"), ("gap", "ginibre"), ("rank_cut", "pure")]:
+                panel.append((f"{family} {m}x{n} {seed}",
+                              threshold_state(seed, m, n, family, mix, bool(seed))))
+    for p in [(0.25, 0.25, 0.25, 0.25), (0.5, 0.5, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0),
+              (0.4, 0.3, 0.2, 0.1), (1.0, 0.0, 0.0, 0.0)]:
+        panel.append((f"bell {p}", bell_diagonal(BellDiagonalParams(*p))))
+    return panel
+
+
+def test_analyze_reports_what_the_standalone_calls_report():
+    # analyze hands one Frame to discord_a and cq_detect; each call alone
+    # prepares the same Frame, so the reports agree to the bit, and the two
+    # reports share no array
+    from qcorr.analysis import analyze
+
+    panel = frame_panel()
+    assert len(panel) == 20 + 6 * 2 * 5 + 5
+    kinds = Counter()
+    for name, s in panel:
+        report = analyze(s)
+        cq = cq_detect(s)
+        assert _bits(report.discord) == _bits(discord_a(s)), name
+        assert _bits(report.cq) == _bits(cq), name
+        assert cq.basis is None or not np.shares_memory(report.cq.basis,
+                                                        report.discord.optimal_basis), name
+        kinds[cq.is_cq, report.discord.grid_resolution > 0] += 1
+    # both branches of each call are on the panel
+    assert all(kinds[key] for key in [(True, False), (False, True)]), kinds
+
+
+def test_analyze_decomposes_rho_a_once(monkeypatch, linalg_calls):
+    # of analyze's eighs, exactly one is of rho_A; every other eigh is one of
+    # is_sppt, discord_a or cq_detect alone.  The sigma_k in the eigenbasis
+    # are decomposed once by discord_a's exit, and once more by cq_detect's
+    # CQ verdict when no rotation moved them, as cq_detect alone does
+    from qcorr.analysis import analyze
+
+    cases = [  # (state, CQ with no rotation)
+        (random_cq(3, 2, rng_seed=1), True),
+        (ginibre_state([3, 2, 3], 2, 3), False),
+        (bell_diagonal(BellDiagonalParams(0.5, 0.5, 0.0, 0.0)), True),
+        (bell_diagonal(BellDiagonalParams(0.5, 0.0, 0.5, 0.0)), False),  # CQ, rotated
+        (bell_diagonal(BellDiagonalParams(0.4, 0.3, 0.2, 0.1)), False),
+    ]
+    oracles = []
+    for s, _ in cases:
+        rho_a = partial_trace_b(s)
+        eig = np.linalg.eigh(rho_a)[1][:, ::-1]
+        oracles.append((rho_a, np.einsum("ik,jk,ijab->kab", np.conj(eig), eig, block_tensor(s))))
+    seen = []
+    counted = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: seen.append(a) or counted(a, *args))
+
+    def eighs(call, s) -> int:
+        linalg_calls["eigh"] = 0
+        call(s)
+        return linalg_calls["eigh"]
+
+    for (s, unrotated), (rho_a, sigma) in zip(cases, oracles):
+        alone = eighs(is_sppt, s) + eighs(discord_a, s) + eighs(cq_detect, s)
+        seen.clear()
+        assert eighs(analyze, s) == alone - 1
+        assert sum(a.shape == rho_a.shape and np.array_equal(a, rho_a) for a in seen) == 1
+        assert sum(a.shape == sigma.shape and np.abs(a - sigma).max() <= 1e-12
+                   for a in seen) == 1 + unrotated

@@ -23,6 +23,7 @@ from qcorr import (
     random_sppt,
     random_unitary,
     read_statefile,
+    statefile,
     validate,
     write_statefile,
     xstate,
@@ -158,6 +159,63 @@ def test_booleans_and_integers_beyond_the_float_range_raise_parse_error(entry):
     doc["matrix"][2] = entry
     with pytest.raises(ParseError, match="matrix entry 2 "):
         state_from_dict(doc)
+
+
+@pytest.mark.parametrize("index", [0, 2, 15])
+@pytest.mark.parametrize("entry", [
+    [True, 0.0], [0.0, False],  # bool is an int subclass, yet no number
+    [[0.5], 0.0], [[0.5, 0.0], [0.0, 0.0]],  # nested lists
+    [0.5], [0.5, 0.0, 0.0], [],  # too short, too long
+    ["0.5", 0.0], "ab", None, 0.5, {"re": 0.5, "im": 0.0}, (0.5, 0.0),
+    [10**400, 0.0], [0.0, -(2**1024)],  # integers beyond the float range
+    [float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 0.0],
+])
+def test_a_malformed_entry_is_named_by_its_index(entry, index):
+    # the one-pass check keeps the per-entry message: the first bad entry,
+    # by index, with its repr.  A later entry that is not finite is not the
+    # one named; index 15 is the last, after valid entries only
+    doc = state_to_dict(ginibre_state(9, 2, 2))
+    doc["matrix"][index] = entry
+    if index < 15:
+        doc["matrix"][15] = [0.0, float("nan")]
+    with pytest.raises(ParseError) as exc:
+        state_from_dict(doc)
+    assert str(exc.value) == f"matrix entry {index} must be a finite [re, im] pair, got {entry!r}"
+
+
+@pytest.mark.parametrize("token, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")])
+def test_json_nan_and_infinity_entries_are_named_by_their_index(token, shown):
+    doc = json.loads(f'{{"dims": [1, 2], "matrix": [[0.5, 0], [0, 0], [0, {token}], [0.5, 0]]}}')
+    with pytest.raises(ParseError) as exc:
+        state_from_dict(doc)
+    assert str(exc.value) == f"matrix entry 2 must be a finite [re, im] pair, got [0, {shown}]"
+
+
+class _Converted(Exception):
+    """Carries the matrix state_from_dict hands to validate."""
+
+
+def test_a_valid_matrix_converts_to_the_array_of_its_entries(monkeypatch):
+    # bit for bit the array np.array builds from the entries, on every fixture
+    # and on entries mixing ints, ints beyond 2^53 and 2^64, -0.0 and
+    # subnormals (validate is replaced, so the values need not be a state)
+    def capture(rho, m, n, tol):
+        raise _Converted(rho)
+
+    monkeypatch.setattr(statefile, "validate", capture)
+    fixtures = sorted((pathlib.Path(__file__).parent / "fixtures").glob("state_*.json"))
+    assert len(fixtures) == 20
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in fixtures]
+    docs.append({"dims": [1, 2], "matrix": [[1, -0.0], [2**53 + 1, 5e-324],
+                                             [-(2**64 + 1), -5e-324], [0, 2**1000]]})
+    for doc in docs:
+        with pytest.raises(_Converted) as exc:
+            state_from_dict(doc)
+        (rho,) = exc.value.args
+        want = np.array(doc["matrix"], dtype=np.float64)
+        assert rho.shape == (len(want) ** 0.5,) * 2
+        assert rho.reshape(-1).view(np.float64).tobytes() == want.tobytes(), doc.get("metadata")
 
 
 def test_int_float_and_numpy_float_entries_are_numbers():
