@@ -8,8 +8,9 @@ NAME.stderr and NAME.exit (the exit code); NAME.out is the file the command
 wrote through --output, if it wrote one.  The fixtures are TREE's own
 tests/fixtures/state_NN.json.  The script also writes malformed state files
 into OUTDIR (see malformed_files) and analyzes each, so the messages and
-exit codes of the read path's errors are compared too.  OUTDIR must not
-exist yet.
+exit codes of the read path's errors are compared too, and one near-CQ
+state (see write_near_cq) that it analyzes in both formats.  OUTDIR must
+not exist yet.
 
 Usage: python scripts/cli_snapshot.py TREE OUTDIR
 
@@ -28,6 +29,9 @@ import pathlib
 import subprocess
 import sys
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
+NEAR_CQ = "near-cq-2x3.json"
+
 
 def malformed_files() -> dict[str, str]:
     """File name -> text of each malformed 1x2 state file: one bad entry at
@@ -44,6 +48,20 @@ def malformed_files() -> dict[str, str]:
     }
 
 
+def write_near_cq(outdir: pathlib.Path) -> None:
+    """Write NEAR_CQ, near_cq_state(2, 3, 0, 1e-9) of this checkout's
+    tests/helpers: a CQ state whose rho_11 has an eigenvalue just above the
+    rank cut, so its S_12 is far from normal although the state is SPPT.  It
+    is built here, by the script's own checkout, so every TREE reads the
+    same bytes."""
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+    from helpers import near_cq_state
+    from qcorr import statefile
+
+    statefile.write_statefile(outdir / NEAR_CQ, near_cq_state(2, 3, 0, 1e-9),
+                              {"label": "near_cq_state(2, 3, 0, 1e-9)"})
+
+
 def commands(tree: pathlib.Path) -> list[tuple[str, list[str]]]:
     """(NAME, arguments) of every command, in run order."""
     cmds = []
@@ -52,6 +70,8 @@ def commands(tree: pathlib.Path) -> list[tuple[str, list[str]]]:
             cmds.append((f"analyze-{path.stem}-{fmt}", ["analyze", str(path), "--format", fmt]))
     cmds += [(f"analyze-{name.removesuffix('.json')}", ["analyze", name])
              for name in malformed_files()]
+    cmds += [(f"analyze-near-cq-2x3-{fmt}", ["analyze", NEAR_CQ, "--format", fmt])
+             for fmt in ("human", "machine")]
     cmds += [
         ("scan-inclusions", ["scan-inclusions", "--seed", "5"]),
         ("bell-human", ["bell", "--p", "0.4,0.3,0.2,0.1"]),
@@ -81,6 +101,7 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True)  # a fresh OUTDIR keeps no output of an earlier run
     for name, text in malformed_files().items():
         (outdir / name).write_text(text)
+    write_near_cq(outdir)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name, args in commands(tree):
         done = subprocess.run([sys.executable, "-m", "qcorr.cli", *args], cwd=outdir, env=env,

@@ -58,7 +58,7 @@ def analyze(
         inconsistency = (
             "state is classical-quantum but not SPPT "
             f"(off-block residual {cq.off_block_residual:.3e}, "
-            f"normality residual {sppt.residuals['normality']:.3e})"
+            f"definition residual {sppt.residuals['definition']:.3e})"
         )
 
     return AnalysisReport(

@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.eps_residual,
                         help=f"hermiticity/reconstruction tolerance (default {DEFAULT_TOL.eps_residual})")
     common.add_argument("--tol-sppt", type=float, default=DEFAULT_TOL.eps_sppt,
-                        help=f"normality residual tolerance (default {DEFAULT_TOL.eps_sppt})")
+                        help="absolute bound on the SPPT definition residual; remark-3xn's bound"
+                             f" on S12's normality residual (default {DEFAULT_TOL.eps_sppt})")
     common.add_argument("--output", type=str, default=None, help="write the result here")
     disc.add_argument("--tol-discord", type=float, default=DEFAULT_OPT.eps_opt,
                       help=f"discord optimizer accuracy (default {DEFAULT_OPT.eps_opt})")

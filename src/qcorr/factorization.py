@@ -12,14 +12,22 @@ the rank cut counted as zero.  Only a row with off blocks (all but the last)
 also forms X_j^+, from the same V^dagger as X_j, and the rest of r give its
 whole row S_jl = X_j^+ r_l X_j^+, l > j, and F_jl = S_jl X_j by plain 2-D
 matrix products; a row that earlier rows explain, whose M_jj is
-rounding noise, has X_j = X_j^+ = 0 and S = 0.  The reconstruction residual
-|X^dagger X - rho|_F reads F itself.
+rounding noise, has X_j = X_j^+ = 0 and S = 0.
 
 The state is strong PPT (SPPT) when replacing every S_jl by S_jl^dagger
-gives a factor Y with Y^dagger Y = rho^{T_A}.  The verdict requires, for
-every row j, each S_jk (k > j) normal and S_jk S_jl^dagger = S_jl^dagger S_jk
-for j < k < l; together these make the replacement exact.  For 2xN this is
-the single condition that S = S_12 is normal.
+gives a factor Y with Y^dagger Y = rho^{T_A}.  Y has X's diagonal blocks and
+S_jl^dagger X_j above them, and the row loop fills it next to F.  One
+stacked Gram product of F and Y gives X^dagger X - rho and
+Y^dagger Y - rho^{T_A}, whose Frobenius norms are the reconstruction and
+the definition residual, and is_sppt decides by the definition residual.
+For 2xN with rho_11 invertible it is
+|rho_12 rho_11^-1 rho_12^dagger - rho_12^dagger rho_11^-1 rho_12|_F, the
+difference of the Schur complements of rho^{T_A} and rho, which carries
+rho_11^-1 once where S carries X_1^+ twice.  The per-pair conditions, each
+S_jk (k > j) normal and S_jk S_jl^dagger = S_jl^dagger S_jk for j < k < l,
+are reported only.  Together they make the replacement exact, so they are
+sufficient; for dim_a >= 3 they are not necessary, since the terms of a
+block of Y^dagger Y - rho^{T_A} can cancel.
 
 When X_j is rank-deficient, X_j F_jl = P r_l P with P its range projector.
 No S reproduces the rest, r_l - X_j F_jl, which is what X leaves of rho off
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bipartite
-from .bipartite import BipartiteState, block_tensor
+from .bipartite import BipartiteState, block_tensor, partial_transpose_a
 from .matlib import DEFAULT_TOL, Tolerance, dagger, fro_norm, from_eig
 
 __all__ = [
@@ -62,30 +70,35 @@ class SpptFactorization:
     and checked, shape (M, N, N); s[j, l] is S_{j+1,l+1} for j < l and zero
     elsewhere, shape (M, M, N, N), so F's block above the diagonal is
     s[j, l] @ x[j].  residuals holds the normality and cross residuals of S
-    under the names is_sppt reports, and reconstruction_residual is
-    |F^dagger F - rho|_F.  unexplained_mass is the Frobenius norm of what
-    F leaves of rho off the diagonal, the off-block parts outside the range
-    of their row's X_j (zero when every X_j has full rank).
+    under the names is_sppt reports, reconstruction_residual is
+    |F^dagger F - rho|_F, and definition_residual is
+    |Y^dagger Y - rho^{T_A}|_F, Y the factor with s[j, l]^dagger in place of
+    s[j, l].  unexplained_mass is the Frobenius norm of what F leaves of rho
+    off the diagonal, the off-block parts outside the range of their row's
+    X_j (zero when every X_j has full rank).
     """
 
     x: np.ndarray
     s: np.ndarray
     residuals: dict[str, float]
     reconstruction_residual: float
+    definition_residual: float
     rank_deficient: bool
     unexplained_mass: float
 
 
 @dataclass(frozen=True)
 class SpptVerdict:
-    """SPPT decision with every residual that entered it.
+    """SPPT decision with the residuals it read and the per-pair ones beside them.
 
-    is_sppt requires every normality and cross residual under its threshold,
-    a faithful reconstruction and numerical PPT, so is_sppt implies is_ppt
-    by construction.  The reconstruction residual is at least sqrt(2) times
-    the unexplained mass, what X leaves of rho off the diagonal, so its
-    bound also rejects a rank-deficient extraction.  For dim_a >= 3 the
-    verdict refers to the canonical gauge.  ppt is the PPT verdict it used.
+    is_sppt requires the definition residual |Y^dagger Y - rho^{T_A}|_F at
+    most eps_sppt, a faithful reconstruction and numerical PPT, so is_sppt
+    implies is_ppt by construction.  The reconstruction residual is at least
+    sqrt(2) times the unexplained mass, what X leaves of rho off the
+    diagonal, so its bound also rejects a rank-deficient extraction.  The
+    normality and cross residuals are reported only: they are sufficient
+    for SPPT, and for dim_a >= 3 not necessary.  ppt is the PPT verdict it
+    used.
     """
 
     is_sppt: bool
@@ -132,9 +145,10 @@ def _root_and_pinv(root: np.ndarray, inv: np.ndarray,
 def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactorization:
     """Canonical-gauge block Cholesky factorization of an MxN state, any M >= 1."""
     m, n = state.dim_a, state.dim_b
-    # the factor X as it is built: f[j, :, l] is block (j, l), so that
-    # f.reshape(m n, m n) is X itself
-    f = np.zeros((m, n, m, n), dtype=np.complex128)
+    # the factors X and Y as they are built: g[0, j, :, l] is block (j, l) of
+    # X and g[1, j, :, l] that of Y, so that g.reshape(2, m n, m n) is [X, Y]
+    g = np.zeros((2, m, n, m, n), dtype=np.complex128)
+    f, y = g
     big_x = f.reshape(m * n, m * n)
     s = np.zeros((m, m, n, n), dtype=np.complex128)
     cut = _EPS_RANK * np.maximum(np.einsum("jjaa->j", block_tensor(state)).real, 0.0)
@@ -155,15 +169,16 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
         # extraction and the mass check, which on a 2x2 state cost more than
         # the row's eigh
         if j + 1 == m:
-            f[j, :, j] = from_eig(root, v)
+            g[:, j, :, j] = from_eig(root, v)
             break
         xj, xp = _root_and_pinv(root, keep / np.where(keep, root, 1.0), v)
-        f[j, :, j] = xj
+        g[:, j, :, j] = xj
         # S_jl = X_j^+ r_l X_j^+ for every l > j at once: row (a, l) of sr is row a of S_jl
         k, off = m - j - 1, r[:, n:]
         sr = (xp @ off).reshape(n * k, n) @ xp
         s[j, j + 1:] = sr.reshape(n, k, n).swapaxes(0, 1)
         f[j, :, j + 1:] = (sr @ xj).reshape(n, k, n)
+        y[j, :, j + 1:] = (dagger(s[j, j + 1:]) @ xj).swapaxes(0, 1)
         if not keep.all():
             # X_j F_jl = P r_l P, P the range projector of X_j: what the row
             # leaves of r_l is its mass outside that range; none at full rank
@@ -176,33 +191,34 @@ def factorize(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptFactor
     a, bd = s[j, k], dagger(s[j, l])
     # (len(j), n * n), not -1: dim_a = 1 has no conditions and an empty stack
     c = (a @ bd - bd @ a).reshape(len(j), n * n)
+    # X^dagger X - rho and Y^dagger Y - rho^{T_A} from one stacked Gram product
+    big = g.reshape(2, m * n, m * n)
+    gram = dagger(big) @ big
+    gram[0] -= state.rho
+    gram[1] -= partial_transpose_a(state)
     diag = np.arange(m)
     return SpptFactorization(
         x=f[diag, :, diag],
         s=s,
         residuals=dict(zip(keys, np.sqrt(np.vecdot(c, c).real).tolist())),
-        reconstruction_residual=fro_norm(dagger(big_x) @ big_x - state.rho),
+        reconstruction_residual=fro_norm(gram[0]),
+        definition_residual=fro_norm(gram[1]),
         rank_deficient=deficient,
         unexplained_mass=float(np.sqrt(mass_sq)),
     )
 
 
 def is_sppt(state: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpptVerdict:
-    """Strong-PPT verdict from the canonical factorization residuals, any dim_a."""
+    """Strong-PPT verdict by the definition, Y^dagger Y = rho^{T_A}, any dim_a."""
     ppt = bipartite.is_ppt(state, tol)
     f = factorize(state, tol)
-    residuals = np.fromiter(f.residuals.values(), float, len(f.residuals))
-    _, j, k, l = _conditions(state.dim_a)
-    s = f.s.reshape(*f.s.shape[:2], -1)
-    norms = np.sqrt(np.vecdot(s, s).real)
-    bound = tol.eps_sppt * np.maximum(1.0, norms[j, k] * norms[j, l])
-    normal_ok = bool(np.all(residuals <= bound))
-    recon_ok = f.reconstruction_residual <= tol.eps_residual
-    verdict = bool(normal_ok and recon_ok and ppt.is_ppt)
+    verdict = bool(f.definition_residual <= tol.eps_sppt
+                   and f.reconstruction_residual <= tol.eps_residual and ppt.is_ppt)
     return SpptVerdict(
         is_sppt=verdict,
         residuals={
             **f.residuals,
+            "definition": f.definition_residual,
             "reconstruction": f.reconstruction_residual,
             "unexplained_mass": f.unexplained_mass,
             "ppt_min_eigenvalue": ppt.min_eigenvalue,

@@ -43,8 +43,8 @@ class Tolerance:
 
     eps_psd       eigenvalue floor for positivity tests and the CQ distance bound
     eps_residual  Frobenius residual bound for matrix identities
-    eps_sppt      normality and cross residual bound, relative to
-                  max(1, |S_jk|_F |S_jl|_F) (max(1, |S|_F^2) for normality)
+    eps_sppt      absolute bound on the SPPT definition residual
+                  |Y^dagger Y - rho^{T_A}|_F (|rho^{T_A}|_F <= 1 for a state)
     """
 
     eps_psd: float = 1e-9

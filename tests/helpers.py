@@ -880,9 +880,9 @@ def sample_xstate_params(rng: np.random.Generator, kind: str):
         ]
         if any(s != 0.0 and abs(s) < margin for s in slacks):
             continue
-        # the numerical normality residual is ~ |.|a12|^2 - |b12|^2.| / (a11 b11),
-        # compared against eps_sppt * max(1, |S|^2); an absolute 1e-4 margin on
-        # the squared-magnitude gap keeps that ratio > 10^3 on the failing side
+        # the definition residual is |.|a12|^2 - |b12|^2.| sqrt(1/a11^2 + 1/b11^2),
+        # compared against eps_sppt; an absolute 1e-4 margin on the
+        # squared-magnitude gap keeps that ratio > 10^3 on the failing side
         gap = abs(a12) ** 2 - abs(b12) ** 2
         if kind == "generic" and gap != 0.0 and abs(gap) < 1e-4:
             continue
@@ -1001,6 +1001,21 @@ def pseudo_inverse(a) -> np.ndarray:
     return _herm((v * inv) @ _dag(v))
 
 
+def schur_difference(state: BipartiteState) -> float:
+    """|rho_12 rho_11^+ rho_12^dagger - rho_12^dagger rho_11^+ rho_12|_F of a 2xN state.
+
+    rho^{T_A} shares rho_11 with rho and has rho_12^dagger in the corner, so
+    this is the difference of their Schur complements with respect to
+    rho_11.  When rho_11 is invertible it is block (2, 2) of
+    Y^dagger Y - rho^{T_A}, whose other blocks vanish, so it equals the
+    definition residual.  rho_11^+ is pseudo_inverse, with its own cut.
+    """
+    n = state.dim_b
+    r11, r12 = state.rho[:n, :n], state.rho[:n, n:]
+    inv = pseudo_inverse(r11)
+    return _fro(r12 @ inv @ _dag(r12) - _dag(r12) @ inv @ r12)
+
+
 def _sqrt_pinv(m: np.ndarray):
     """Clamped PSD sqrt of a Hermitian m, the pseudoinverse of that sqrt, its rank."""
     w, v = np.linalg.eigh(m)
@@ -1034,10 +1049,10 @@ def _unrolled_2xn(r, n: int, scale: float, tol: Tolerance):
     mass = _outside(r[0][1], x1, x1p)
     deficient = rank1 < n and mass > tol.eps_residual * scale
     x2, _, _ = _completion(r[1][1] - x1 @ _dag(s) @ s @ x1, deficient, tol, scale)
-    x = np.block([[x1, s @ x1], [np.zeros_like(x1), x2]])
-    normality = _fro(_dag(s) @ s - s @ _dag(s))
-    ok = normality <= tol.eps_sppt * max(1.0, _fro(s) ** 2)
-    return x, {"normality": normality}, mass, deficient, ok
+    zero = np.zeros_like(x1)
+    x = np.block([[x1, s @ x1], [zero, x2]])
+    y = np.block([[x1, _dag(s) @ x1], [zero, x2]])
+    return x, y, {"normality": _fro(_dag(s) @ s - s @ _dag(s))}, mass, deficient
 
 
 def _unrolled_3xn(r, n: int, scale: float, tol: Tolerance):
@@ -1056,34 +1071,38 @@ def _unrolled_3xn(r, n: int, scale: float, tol: Tolerance):
     x3, _, _ = _completion(m33, deficient, tol, scale)
     zero = np.zeros_like(x1)
     x = np.block([[x1, s12 @ x1, s13 @ x1], [zero, x2, s23 @ x2], [zero, zero, x3]])
+    y = np.block([[x1, _dag(s12) @ x1, _dag(s13) @ x1], [zero, x2, _dag(s23) @ x2],
+                  [zero, zero, x3]])
     residuals = {f"normality_{k}": _fro(_dag(s) @ s - s @ _dag(s))
                  for k, s in (("s12", s12), ("s13", s13), ("s23", s23))}
     residuals["cross"] = _fro(s12 @ _dag(s13) - _dag(s13) @ s12)
-    ok = all(residuals[f"normality_{k}"] <= tol.eps_sppt * max(1.0, _fro(s) ** 2)
-             for k, s in (("s12", s12), ("s13", s13), ("s23", s23)))
-    ok = ok and residuals["cross"] <= tol.eps_sppt * max(1.0, _fro(s12) * _fro(s13))
     mass = float(np.sqrt(mass12**2 + mass13**2 + mass23**2))
-    return x, residuals, mass, deficient, ok
+    return x, y, residuals, mass, deficient
 
 
 def unrolled_sppt(state: BipartiteState, tol: Tolerance = Tolerance()):
     """(is_sppt, named residuals, rank_deficient) of a 2xN or 3xN state.
 
-    The residual names and their order are those of qcorr's SPPT report.
-    Every block is clamped at the rank cut and nothing raises: positivity is
-    validate's decision.
+    The verdict is the definition: the factor Y, X with every S_jl replaced
+    by S_jl^dagger, has |Y^dagger Y - rho^{T_A}|_F <= eps_sppt, X explains
+    rho and the state is PPT.  The residual names and their order are those
+    of qcorr's SPPT report.  Every block is clamped at the rank cut and
+    nothing raises: positivity is validate's decision.
     """
     m, n = state.dim_a, state.dim_b
     r = [[state.rho[k * n:(k + 1) * n, l * n:(l + 1) * n] for l in range(m)] for k in range(m)]
     scale = max(1.0, _fro(state.rho))
     unrolled = {2: _unrolled_2xn, 3: _unrolled_3xn}[m]
-    x, residuals, mass, deficient, normal_ok = unrolled(r, n, scale, tol)
+    x, y, residuals, mass, deficient = unrolled(r, n, scale, tol)
+    pt = naive_partial_transpose(state.rho, m, n)
+    residuals["definition"] = _fro(_dag(y) @ y - pt)
     residuals["reconstruction"] = _fro(_dag(x) @ x - state.rho)
     residuals["unexplained_mass"] = mass
-    lam_min = float(np.linalg.eigvalsh(_herm(naive_partial_transpose(state.rho, m, n)))[0])
+    lam_min = float(np.linalg.eigvalsh(_herm(pt))[0])
     residuals["ppt_min_eigenvalue"] = lam_min
-    recon_ok = residuals["reconstruction"] <= tol.eps_residual * scale
-    verdict = bool(normal_ok and recon_ok and lam_min >= -tol.eps_psd and not deficient)
+    verdict = bool(residuals["definition"] <= tol.eps_sppt * scale
+                   and residuals["reconstruction"] <= tol.eps_residual * scale
+                   and lam_min >= -tol.eps_psd and not deficient)
     return verdict, residuals, deficient
 
 
@@ -1097,14 +1116,25 @@ def _dag_stack(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def _reassemble(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (m n, m n) factor with diagonal blocks x[j] and s[j, l] @ x[j]
+    above them."""
+    m, n = len(x), x.shape[-1]
+    blocks = s @ x[:, None]
+    blocks[np.diag_indices(m)] = x
+    return blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
 def rowwise_factorize(state: BipartiteState, tol: Tolerance = Tolerance()) -> SimpleNamespace:
     """The canonical factorization with the fields of qcorr's SpptFactorization.
 
     Row j's unexplained part is rho_jl - sum_{i<j} (X_i S_ij^dagger)(S_il X_i),
-    X_j and X_j^+ come from two products with V^dagger, and the reconstruction
+    X_j and X_j^+ come from two products with V^dagger, the reconstruction
     residual is read off the factor reassembled from its diagonal x and its
-    blocks s @ x.  The rank cut is EPS_RANK tr rho_jj; nothing raises, and a
-    row after a flagged row whose complement is below -eps_psd takes X_j^+ = 0.
+    blocks s @ x, and the definition residual off Y, reassembled from x and
+    the blocks s^dagger @ x, against the naive partial transpose.  The rank
+    cut is EPS_RANK tr rho_jj; nothing raises, and a row after a flagged row
+    whose complement is below -eps_psd takes X_j^+ = 0.
     """
     m, n = state.dim_a, state.dim_b
     t = state.rho.reshape(m, n, m, n).transpose(0, 2, 1, 3)
@@ -1133,15 +1163,15 @@ def rowwise_factorize(state: BipartiteState, tol: Tolerance = Tolerance()) -> Si
                 mass = _fro(r[l - j] - proj @ r[l - j] @ proj)
                 mass_sq += mass**2
                 deficient = deficient or mass > tol.eps_residual
-    blocks = s @ x[:, None]
-    blocks[np.diag_indices(m)] = x
-    big_x = blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+    big_x, big_y = (_reassemble(x, blocks) for blocks in (s, _dag_stack(s)))
     names = sppt_residual_names(m)
     return SimpleNamespace(
         x=x,
         s=s,
         residuals=dict(zip(names, sppt_residuals(s))),
         reconstruction_residual=_fro(np.conj(big_x.T) @ big_x - state.rho),
+        definition_residual=_fro(np.conj(big_y.T) @ big_y
+                                 - naive_partial_transpose(state.rho, m, n)),
         rank_deficient=deficient,
         unexplained_mass=float(np.sqrt(mass_sq)),
     )

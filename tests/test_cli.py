@@ -180,9 +180,10 @@ def test_analyze_impossible_tolerance_reports_inconsistency(tmp_path, capsys):
 
 def test_a_state_near_the_cq_set_is_not_a_claim_failure(tmp_path, capsys):
     # rho = (1 - t) chi + t P at t = 10^-7.5, chi classical-quantum and P a
-    # Ginibre density: is_sppt rejects it at a normality residual of 1.244e-7,
-    # and its off-block residual of 1.025e-7 is far past the CQ bound
-    # eps_psd / sqrt(2), so it is not CQ either and no claim has failed
+    # Ginibre density: is_sppt accepts it at a definition residual of
+    # 1.560e-8 (its normality residual is 1.244e-7), and its off-block
+    # residual of 1.025e-7 is far past the CQ bound eps_psd / sqrt(2), so it
+    # is not CQ and no claim is at stake
     from qcorr.analysis import analyze
 
     t = 10 ** -7.5

@@ -1451,11 +1451,13 @@ def test_verdicts_nest_at_the_thresholds(seed, shape, family, mix, rotate):
     # CQ states with rank-deficient conditional states, with rho_A gaps from
     # 0.1 to 100 times _EPS_DEGENERATE or with every rho_jj straddling the
     # rank cut, mixed with weight t at 1e-12 to 1e-5 and maybe locally
-    # rotated: nothing raises, a CQ verdict is PPT for any dim_a, SPPT implies
-    # PPT, discord is at most I, and a CQ verdict has discord at most eps_opt
+    # rotated: nothing raises, a CQ verdict is PPT for any dim_a and SPPT for
+    # dim_a = 2, SPPT implies PPT, discord is at most I, and a CQ verdict has
+    # discord at most eps_opt
     s = threshold_state(seed, *shape, family, mix, rotate)
     cq, sppt, r = cq_detect(s), is_sppt(s), discord_a(s)
     assert sppt.ppt.is_ppt or not (cq.is_cq or sppt.is_sppt)
+    assert sppt.is_sppt or not (cq.is_cq and s.dim_a == 2)
     assert r.discord <= r.mutual_information
     assert r.discord <= DEFAULT_OPT.eps_opt or not cq.is_cq
 

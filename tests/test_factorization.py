@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from helpers import (NEAR_CQ_SEEDS, NEAR_CQ_SHAPES, NEAR_CQ_WEIGHTS, bell_state, factor_x,
                      factorization_panel, gauge_transport, ginibre_state, near_cq_state,
-                     rank2_state, rowwise_factorize, sppt_residuals, unrolled_sppt)
+                     rank2_state, rowwise_factorize, schur_difference, sppt_residuals,
+                     unrolled_sppt)
 from qcorr import (
     BipartiteState,
     CqSpec,
@@ -195,9 +196,42 @@ def test_residual_keys_for_four_levels():
         "normality_s12", "normality_s13", "normality_s14",
         "normality_s23", "normality_s24", "normality_s34",
         "cross_s12_s13", "cross_s12_s14", "cross_s13_s14", "cross_s23_s24",
-        "reconstruction", "unexplained_mass", "ppt_min_eigenvalue",
+        "definition", "reconstruction", "unexplained_mass", "ppt_min_eigenvalue",
     ]
     assert v.residuals["reconstruction"] < 1e-10
+    assert v.residuals["definition"] == v.factorization.definition_residual
+
+
+def test_a_3x2_state_whose_pair_conditions_fail_is_sppt_by_definition():
+    # X_j = I_2, S_12 = 0, S_13 = A = [[0, 0.5], [0, 0]] and S_23 = A^dagger:
+    # in block (3, 3) the definition needs only X_1 [S_13, S_13^dagger] X_1
+    # + X_2 [S_23, S_23^dagger] X_2 = 0, and the two terms cancel although
+    # neither S_13 nor S_23 is normal.  The per-pair conditions are
+    # sufficient for SPPT, not necessary, and the verdict reads the definition
+    a = np.array([[0.0, 0.5], [0.0, 0.0]])
+    i, z = np.eye(2), np.zeros((2, 2))
+    x = np.block([[i, z, a], [z, i, a.T], [z, z, i]])
+    rho = dagger(x) @ x
+    s = validate(rho / np.trace(rho), 3, 2)
+    v = is_sppt(s)
+    assert v.is_sppt and v.ppt.is_ppt
+    assert v.residuals["normality_s13"] == pytest.approx(np.sqrt(2) / 4, abs=1e-12)
+    assert v.residuals["normality_s23"] == pytest.approx(np.sqrt(2) / 4, abs=1e-12)
+    assert v.residuals["definition"] <= 1e-15
+    assert unrolled_sppt(s)[0]
+
+
+def test_definition_residual_is_the_schur_complement_difference():
+    # on full-rank 2xN the definition residual is
+    # |rho_12 rho_11^-1 rho_12^dagger - rho_12^dagger rho_11^-1 rho_12|_F,
+    # which helpers computes from rho alone, with its own pseudoinverse
+    for n in (1, 2, 3, 5, 8):
+        for seed in range(10):
+            for s in (random_sppt(n, rng_seed=[seed, n]), random_cq(2, n, rng_seed=[seed, 2, n]),
+                      ginibre_state([seed, 2, n], 2, n)):
+                assert np.linalg.eigvalsh(s.rho[:n, :n])[0] > 1e-6
+                f, want = factorize(s), schur_difference(s)
+                assert abs(f.definition_residual - want) <= 1e-12 * max(1.0, want), (n, seed)
 
 
 def test_is_sppt_matches_unrolled_factorizations():
@@ -237,7 +271,8 @@ def test_factorize_matches_the_rowwise_reference(dim_a):
         assert list(f.residuals) == list(want.residuals), label
         for got, ref in [(f.x, want.x), (f.s, want.s)]:
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), label
-        for key in (*want.residuals, "reconstruction_residual", "unexplained_mass"):
+        for key in (*want.residuals, "reconstruction_residual", "definition_residual",
+                    "unexplained_mass"):
             ref = want.residuals[key] if key in want.residuals else getattr(want, key)
             got = f.residuals[key] if key in f.residuals else getattr(f, key)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (label, key)
@@ -247,14 +282,17 @@ def test_factorize_matches_the_rowwise_reference(dim_a):
 
 @pytest.mark.parametrize("dim_a", [1, 2, 3, 4])
 def test_the_record_describes_the_factor_it_checked(dim_a):
-    # the reconstruction residual reads the factor as it was built, so the
-    # factor rebuilt from the record's x and s must be the one checked: the
-    # same residual, and s zero on and below the block diagonal
+    # the reconstruction and definition residuals read the factors X and Y
+    # as they were built, so the factors rebuilt from the record's x and s
+    # must be the ones checked: the same residuals, and s zero on and below
+    # the block diagonal
     below = ~np.triu(np.ones((dim_a, dim_a), dtype=bool), 1)
     for label, s in factorization_panel(dim_a):
         f = factorize(s)
-        x = factor_x(f)
+        x, y = factor_x(f), factor_x(f, adjoint=True)
         assert abs(fro_norm(dagger(x) @ x - s.rho) - f.reconstruction_residual) <= 1e-15, label
+        pt = partial_transpose_a(s)
+        assert abs(fro_norm(dagger(y) @ y - pt) - f.definition_residual) <= 1e-15, label
         assert not f.s[below].any(), label
 
 
@@ -289,6 +327,8 @@ def test_3xn_reconstruction_and_residual_keys():
     assert fro_norm(dagger(x) @ x - s.rho) < 1e-9
     assert list(f.residuals) == ["normality_s12", "normality_s13", "normality_s23", "cross"]
     assert not f.rank_deficient
+    assert list(is_sppt(s).residuals) == [*f.residuals, "definition", "reconstruction",
+                                          "unexplained_mass", "ppt_min_eigenvalue"]
 
 
 def test_3xn_cq_states_are_ppt_but_usually_not_sppt():
@@ -560,24 +600,13 @@ NEGATIVE_COMPLEMENTS = {
 }
 
 
-# (m, n, seed, t) of the 2xN panel states that are CQ but not SPPT: rho11 has
-# an eigenvalue from the t Phi part just above the rank cut, and X_1^+
-# amplifies it into S.  A witness on the certified CQ state or a bound on the
-# normality residual near the CQ set would mend them; the list may only shrink
-CQ_NOT_SPPT = (
-    [(2, 3, seed, 1e-9) for seed in (0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 12, 14, 16, 17, 18, 19)]
-    + [(2, 4, seed, 1e-9) for seed in NEAR_CQ_SEEDS if seed != 7]
-    + [(2, 4, 1, 1e-10), (2, 4, 19, 1e-10)]
-)
-
-
 def test_every_validated_near_cq_state_gets_a_verdict():
     # all 720 states pass validate, and is_sppt and analyze raise nothing on
-    # any of them; the 32 NEGATIVE_COMPLEMENTS split 5 SPPT, 8 PPT but not
+    # any of them; the 32 NEGATIVE_COMPLEMENTS split 6 SPPT, 7 PPT but not
     # SPPT and 19 not PPT, and the tally pins the (sppt, ppt, rank_deficient)
-    # verdicts of the other 688.  No CQ state is not PPT, and the 2xN ones
-    # not SPPT are CQ_NOT_SPPT
-    tally, negative, cq_not_sppt = Counter(), Counter(), set()
+    # verdicts of the other 688.  No CQ state is not PPT, no 2xN CQ state is
+    # not SPPT, and analyze flags no inconsistency
+    tally, negative = Counter(), Counter()
     for m, n in NEAR_CQ_SHAPES:
         for seed in NEAR_CQ_SEEDS:
             for t in NEAR_CQ_WEIGHTS:
@@ -589,11 +618,10 @@ def test_every_validated_near_cq_state_gets_a_verdict():
                     negative[key] += 1
                 if r.cq.is_cq:
                     assert v.ppt.is_ppt, (m, n, seed, t)
-                    if m == 2 and not v.is_sppt:
-                        cq_not_sppt.add((m, n, seed, t))
-    assert cq_not_sppt == set(CQ_NOT_SPPT)
-    assert negative == {(True, True, False): 5, (False, True, False): 8, (False, False, False): 19}
-    assert tally == {(True, True, False): 200 + 5, (False, True, False): 149 + 8,
+                    assert v.is_sppt or m != 2, (m, n, seed, t)
+                assert r.inconsistency is None, (m, n, seed, t)
+    assert negative == {(True, True, False): 6, (False, True, False): 7, (False, False, False): 19}
+    assert tally == {(True, True, False): 240 + 6, (False, True, False): 109 + 7,
                      (False, False, False): 143 + 19, (False, False, True): 146,
                      (False, True, True): 50}
 
